@@ -1,0 +1,12 @@
+"""Make the benchmark modules and the repro sources importable."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH_DIR = os.path.dirname(HERE)
+ROOT = os.path.dirname(BENCH_DIR)
+
+for path in (os.path.join(ROOT, "src"), BENCH_DIR):
+    if path not in sys.path:
+        sys.path.insert(0, path)
