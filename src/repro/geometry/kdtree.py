@@ -191,48 +191,61 @@ class KDTree:
         return found
 
 
+class BatchKDTree:
+    """Exact kd-tree over a fixed ``(n, d)`` point array, queried in batches.
+
+    A thin wrapper over :class:`scipy.spatial.cKDTree` (imported on first
+    use, so processes that never batch-query never load it).  The tree
+    computes each candidate distance as a direct sum of squared coordinate
+    differences, the same arithmetic as :meth:`KDTree.nearest`, so its
+    distances are bit-identical to the instrumented tree's.  Build it once
+    per point set and query it many times: ICP queries one tree per
+    iteration.  The reported work is ``nn_queries``, one per query point
+    (the C tree does not expose node visits).
+    """
+
+    def __init__(self, points: np.ndarray) -> None:
+        from scipy.spatial import cKDTree
+
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2:
+            raise ValueError("points must be an (n, d) array")
+        if len(points) == 0:
+            raise ValueError("BatchKDTree() with no points")
+        if not np.isfinite(points).all():
+            raise ValueError("points must be finite")
+        self.dimensions = points.shape[1]
+        self._tree = cKDTree(points)
+
+    def query(
+        self, queries: np.ndarray, count: Optional[CountFn] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each query's closest point: returns ``(indices, distances)``."""
+        queries = np.asarray(queries, dtype=float)
+        if queries.ndim != 2 or queries.shape[1] != self.dimensions:
+            raise ValueError(
+                f"queries must be an (m, {self.dimensions}) array"
+            )
+        if not np.isfinite(queries).all():
+            raise ValueError("queries must be finite")
+        if count is not None:
+            count("nn_queries", len(queries))
+        distances, indices = self._tree.query(queries)
+        return indices, distances
+
+
 def nearest_neighbors_batch(
     points: np.ndarray,
     queries: np.ndarray,
     count: Optional[CountFn] = None,
-    chunk: int = 512,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Batched nearest neighbor: for each query, its closest ``points`` row.
 
-    Returns ``(indices, distances)``.  The distance matrix is computed
-    chunk-by-chunk (``chunk`` queries at a time) so memory stays bounded
-    at ``chunk * len(points)`` floats; one matmul per chunk replaces the
-    per-query tree descent, trading the tree's O(log n) visits for
-    sequential memory traffic that numpy executes far faster at the sizes
-    the perception kernels use.  The reported work is the all-pairs count
-    (``len(queries) * len(points)``), the true number of candidate
-    comparisons this strategy performs.
+    Returns ``(indices, distances)``.  One-shot form of
+    :class:`BatchKDTree`; callers that query the same points repeatedly
+    should build the tree once instead.
     """
-    points = np.asarray(points, dtype=float)
-    queries = np.asarray(queries, dtype=float)
-    if points.ndim != 2 or queries.ndim != 2:
-        raise ValueError("points and queries must be (n, d) arrays")
-    if len(points) == 0:
-        raise ValueError("nearest_neighbors_batch() with no points")
-    indices = np.empty(len(queries), dtype=int)
-    distances = np.empty(len(queries))
-    pts_sq = np.einsum("ij,ij->i", points, points)
-    for lo in range(0, len(queries), chunk):
-        block = queries[lo : lo + chunk]
-        d2 = (
-            np.einsum("ij,ij->i", block, block)[:, None]
-            - 2.0 * block @ points.T
-            + pts_sq[None, :]
-        )
-        idx = np.argmin(d2, axis=1)
-        indices[lo : lo + chunk] = idx
-        rows = np.arange(len(block))
-        distances[lo : lo + chunk] = np.sqrt(
-            np.maximum(0.0, d2[rows, idx])
-        )
-    if count is not None:
-        count("nn_node_visits", len(queries) * len(points))
-    return indices, distances
+    return BatchKDTree(points).query(queries, count=count)
 
 
 class LinearNN:

@@ -39,7 +39,7 @@ from repro.geometry.collision import (
     oriented_footprint_collides,
     oriented_footprints_collide_batch,
 )
-from repro.geometry.kdtree import KDTree, nearest_neighbors_batch
+from repro.geometry.kdtree import BatchKDTree, KDTree
 from repro.geometry.raycast import (
     _cast_tables,
     cast_rays_batch,
@@ -204,12 +204,14 @@ def bench_collision(smoke: bool = False, seed: int = 7) -> Dict[str, float]:
 
 
 def bench_nn(smoke: bool = False, seed: int = 7) -> Dict[str, float]:
-    """Time nearest-neighbor correspondence, kd-tree loop vs batched brute.
+    """Time nearest-neighbor correspondence, kd-tree loop vs batched C tree.
 
     ICP-correspondence-shaped: each of the query points (a subsampled
-    scan) finds its nearest model point.  The tree is built outside the
-    timed region — ICP builds it once per registration but queries every
-    iteration — so this measures the per-iteration inner loop.
+    scan) finds its nearest model point.  Both trees are built outside
+    the timed region — ICP builds one per registration but queries it
+    every iteration — so this measures the per-iteration inner loop.
+    The two trees compute distances with the same arithmetic, so the
+    answers must agree exactly.
     """
     n_target, n_query = (800, 400) if smoke else (3000, 1500)
     repeats = 1 if smoke else 2
@@ -217,6 +219,7 @@ def bench_nn(smoke: bool = False, seed: int = 7) -> Dict[str, float]:
     target = rng.random((n_target, 3)) * 4.0
     queries = rng.random((n_query, 3)) * 4.0
     tree = KDTree.build(target)
+    batch_tree = BatchKDTree(target)
 
     def reference() -> np.ndarray:
         dists = np.empty(n_query)
@@ -225,9 +228,9 @@ def bench_nn(smoke: bool = False, seed: int = 7) -> Dict[str, float]:
         return dists
 
     def vectorized() -> np.ndarray:
-        return nearest_neighbors_batch(target, queries)[1]
+        return batch_tree.query(queries)[1]
 
-    if not np.allclose(reference(), vectorized(), atol=1e-9):
+    if not np.array_equal(reference(), vectorized()):
         raise AssertionError("nn backends return different distances")
     ref_s, vec_s, ref_cpu, vec_cpu = _interleaved_min(
         reference, vectorized, repeats

@@ -259,8 +259,9 @@ def far_apart_free_cells(
         x, y = grid.cell_to_world(*cell)
         return not oriented_footprint_collides(grid, x, y, 0.0, clearance_points)
 
+    free = np.argwhere(~grid.cells)
+
     def find_near(target_r: int, target_c: int) -> Tuple[int, int]:
-        free = np.argwhere(~grid.cells)
         order = np.argsort(
             np.abs(free[:, 0] - target_r) + np.abs(free[:, 1] - target_c)
         )

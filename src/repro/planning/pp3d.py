@@ -155,14 +155,27 @@ def _plan_3d_array(
 def far_apart_free_voxels(
     grid: OccupancyGrid3D,
 ) -> Tuple[Tuple[int, int, int], Tuple[int, int, int]]:
-    """Free voxels near opposite corners at low altitude."""
-    free = np.argwhere(~grid.cells)
+    """Free voxels near opposite corners at low altitude.
+
+    Each endpoint is the free voxel of least L1 distance to its target,
+    the first in C order on a tie.  The distance is broadcast over the
+    whole volume in int32 (occupied voxels set to the int32 maximum), so
+    no index list of the free voxels is built.
+    """
     nz, ny, nx = grid.shape
+    unreachable = np.iinfo(np.int32).max
 
     def find_near(tz: int, ty: int, tx: int) -> Tuple[int, int, int]:
-        target = np.array([tz, ty, tx])
-        idx = np.argmin(np.abs(free - target).sum(axis=1))
-        return tuple(int(v) for v in free[idx])
+        dist = (
+            np.abs(np.arange(nz, dtype=np.int32) - tz)[:, None, None]
+            + np.abs(np.arange(ny, dtype=np.int32) - ty)[None, :, None]
+            + np.abs(np.arange(nx, dtype=np.int32) - tx)[None, None, :]
+        )
+        dist[grid.cells] = unreachable
+        flat = int(np.argmin(dist))
+        if dist.flat[flat] == unreachable:
+            raise ValueError("the volume has no free voxel")
+        return tuple(int(v) for v in np.unravel_index(flat, grid.shape))
 
     start = find_near(1, int(ny * 0.08), int(nx * 0.08))
     goal = find_near(1, int(ny * 0.92), int(nx * 0.92))

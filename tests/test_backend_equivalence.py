@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.envs.mapgen import campus_like_3d, wean_hall_like
 from repro.geometry.collision import (
@@ -319,11 +320,35 @@ def test_nn_batch_matches_kdtree(seed):
         ((queries[:, None, :] - target[None, :, :]) ** 2).sum(axis=2), axis=1
     ))
     for i, q in enumerate(queries):
-        _, _, d = tree.nearest(q)
-        assert d == pytest.approx(dist[i], abs=1e-9)
+        _, payload, d = tree.nearest(q)
+        # Same direct sum-of-squares arithmetic: exact equality.
+        assert payload == idx[i]
+        assert d == dist[i]
 
 
-def test_icp_vectorized_identical_correspondences():
+def test_nn_batch_counts_queries():
+    rng = np.random.default_rng(1)
+    counters = {}
+
+    def count(name, k):
+        counters[name] = counters.get(name, 0) + k
+
+    nearest_neighbors_batch(rng.random((50, 3)), rng.random((20, 3)), count)
+    assert counters == {"nn_queries": 20}
+
+
+def test_nn_batch_rejects_empty_points():
+    with pytest.raises(ValueError, match="no points"):
+        nearest_neighbors_batch(np.empty((0, 3)), np.zeros((4, 3)))
+
+
+def test_nn_batch_empty_queries_return_empty_arrays():
+    idx, dist = nearest_neighbors_batch(np.ones((5, 3)), np.empty((0, 3)))
+    assert idx.shape == (0,) and dist.shape == (0,)
+    assert idx.dtype.kind == "i"
+
+
+def _offset_cloud():
     rng = np.random.default_rng(4)
     target = rng.random((400, 3))
     # A slightly rotated/translated subset as the source cloud.
@@ -336,19 +361,109 @@ def test_icp_vectorized_identical_correspondences():
         ]
     )
     source = target[:300] @ rot.T + np.array([0.02, -0.01, 0.03])
-    ref = icp(source, target, max_iterations=10, correspondence="brute")
+    return source, target
+
+
+def _assert_same_registration(a, b):
+    assert a.iterations == b.iterations
+    np.testing.assert_array_equal(
+        np.asarray(a.error_history), np.asarray(b.error_history)
+    )
+    np.testing.assert_array_equal(a.transform.rotation, b.transform.rotation)
+    np.testing.assert_array_equal(
+        a.transform.translation, b.transform.translation
+    )
+
+
+def test_icp_vectorized_identical_correspondences():
+    """Vectorized ICP is pinned bitwise to the exact kd-tree reference.
+
+    Against ``correspondence="brute"`` only the correspondences (hence
+    iterations and transform) are bitwise: brute's expanded-form
+    distances ``|q|^2 - 2 q.p + |p|^2`` carry cancellation error (~7e-9
+    where the exact distance is ~7e-16), so its ``error_history`` is
+    compared with a declared ``abs=1e-8`` tolerance.
+    """
+    source, target = _offset_cloud()
+    kd = icp(source, target, max_iterations=10, correspondence="kdtree")
+    brute = icp(source, target, max_iterations=10, correspondence="brute")
     vec = icp(source, target, max_iterations=10, backend="vectorized")
-    # Same argmin arithmetic -> identical correspondence trajectory.
-    assert ref.iterations == vec.iterations
+    _assert_same_registration(kd, vec)
+    assert brute.iterations == vec.iterations
     np.testing.assert_array_equal(
-        np.asarray(ref.error_history), np.asarray(vec.error_history)
+        brute.transform.rotation, vec.transform.rotation
     )
     np.testing.assert_array_equal(
-        ref.transform.rotation, vec.transform.rotation
+        brute.transform.translation, vec.transform.translation
     )
-    np.testing.assert_array_equal(
-        ref.transform.translation, vec.transform.translation
+    assert brute.error_history == pytest.approx(vec.error_history, abs=1e-8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_target=st.integers(8, 160),
+    angle=st.floats(-0.15, 0.15),
+    shift=st.tuples(*[st.floats(-0.1, 0.1)] * 3),
+)
+def test_icp_vectorized_matches_kdtree_property(seed, n_target, angle, shift):
+    rng = np.random.default_rng(seed)
+    target = rng.random((n_target, 3))
+    rot = np.array(
+        [
+            [math.cos(angle), 0.0, math.sin(angle)],
+            [0.0, 1.0, 0.0],
+            [-math.sin(angle), 0.0, math.cos(angle)],
+        ]
     )
+    n_source = max(4, n_target * 3 // 4)
+    source = target[rng.permutation(n_target)[:n_source]] @ rot.T
+    source = source + np.asarray(shift)
+    kd = icp(source, target, max_iterations=6, correspondence="kdtree")
+    vec = icp(source, target, max_iterations=6, backend="vectorized")
+    _assert_same_registration(kd, vec)
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+@pytest.mark.parametrize("cloud", ["source", "target"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_icp_rejects_non_finite_input(backend, cloud, bad):
+    source, target = _offset_cloud()
+    clouds = {"source": source.copy(), "target": target.copy()}
+    clouds[cloud][7, 1] = bad
+    for correspondence in ("kdtree", "brute"):
+        with pytest.raises(ValueError, match="finite"):
+            icp(
+                clouds["source"], clouds["target"], backend=backend,
+                correspondence=correspondence,
+            )
+
+
+def test_srec_vectorized_matches_reference_on_perfbench_pool():
+    """srec's optimized tier reproduces reference outputs bit for bit.
+
+    Scenes 0-1 at 6 frames and 800 points per scan are the srec episodes
+    of the benchmark's reconstruct_plan pool.
+    """
+    from repro.harness.profiler import PhaseProfiler
+    from repro.perception.scene_recon import SrecConfig, SrecKernel
+
+    kernel = SrecKernel()
+    for seed in (0, 1):
+        outputs = {}
+        for backend in ("reference", "vectorized"):
+            config = SrecConfig(
+                backend=backend, seed=seed, frames=6, scan_points=800
+            )
+            outputs[backend] = kernel.run_roi(
+                config, kernel.setup(config), PhaseProfiler()
+            )
+        ref, vec = outputs["reference"], outputs["vectorized"]
+        assert ref["pose_errors"] == vec["pose_errors"]
+        assert ref["model_points"] == vec["model_points"]
+        np.testing.assert_array_equal(
+            ref["recon"].model_points(), vec["recon"].model_points()
+        )
 
 
 def test_icp_rejects_unknown_backend():

@@ -1,5 +1,9 @@
 """Tests for the KD-tree and linear NN index, including property tests."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,3 +163,25 @@ def test_linear_nn_dimension_mismatch():
     lin = LinearNN(3)
     with pytest.raises(ValueError):
         lin.insert([1.0, 2.0])
+
+
+_LAZY_SPATIAL_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+import repro.perception.scene_recon
+from repro.geometry.kdtree import BatchKDTree
+assert "scipy.spatial" not in sys.modules, "imported at module load"
+BatchKDTree([[0.0, 0.0, 0.0]])
+assert "scipy.spatial" in sys.modules
+"""
+
+
+def test_batch_tree_imports_scipy_spatial_lazily():
+    """Loading ICP must not load ``scipy.spatial``: processes that never
+    batch-query (the pfl/mpc loops) would pay its resident memory."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    script = _LAZY_SPATIAL_SCRIPT.format(src=os.path.abspath(src))
+    subprocess.run(
+        [sys.executable, "-c", script],
+        check=True, timeout=60,
+    )

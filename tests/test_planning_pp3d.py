@@ -74,3 +74,39 @@ def test_kernel_end_to_end_small():
     result = Pp3dKernel().run(Pp3dConfig(nx=48, ny=48, nz=12))
     assert result.output.found
     assert result.output.expansions > 0
+
+
+def _argwhere_endpoints(grid):
+    """The index-list formulation the broadcast distance replaced."""
+    free = np.argwhere(~grid.cells)
+    nz, ny, nx = grid.shape
+
+    def find_near(tz, ty, tx):
+        idx = np.argmin(np.abs(free - np.array([tz, ty, tx])).sum(axis=1))
+        return tuple(int(v) for v in free[idx])
+
+    return (
+        find_near(1, int(ny * 0.08), int(nx * 0.08)),
+        find_near(1, int(ny * 0.92), int(nx * 0.92)),
+    )
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_far_apart_endpoints_match_argwhere_formulation(seed):
+    grid = campus_like_3d(seed=seed)
+    assert far_apart_free_voxels(grid) == _argwhere_endpoints(grid)
+
+
+def test_far_apart_endpoints_break_ties_in_c_order():
+    grid = OccupancyGrid3D.empty(4, 10, 10)
+    grid.cells[1, 0, 0] = True  # the start target itself
+    # Equidistant free candidates: (0,0,0), (1,0,1), (1,1,0), (2,0,0).
+    start, _ = far_apart_free_voxels(grid)
+    assert start == (0, 0, 0) == _argwhere_endpoints(grid)[0]
+
+
+def test_far_apart_endpoints_need_a_free_voxel():
+    grid = OccupancyGrid3D.empty(3, 5, 5)
+    grid.cells[:] = True
+    with pytest.raises(ValueError, match="no free voxel"):
+        far_apart_free_voxels(grid)
