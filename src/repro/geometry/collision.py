@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry.grid2d import OccupancyGrid2D
-from repro.geometry.grid3d import OccupancyGrid3D
 
 CountFn = Callable[[str, int], None]
 
@@ -109,57 +108,6 @@ def oriented_footprints_collide_batch(
     return result
 
 
-def segments_collide_grid_batch(
-    grid: OccupancyGrid2D,
-    p0s: np.ndarray,
-    p1s: np.ndarray,
-    step: Optional[float] = None,
-    count: Optional[CountFn] = None,
-) -> np.ndarray:
-    """Vectorized :func:`segment_collides_grid` over ``m`` segments.
-
-    Each segment ``i`` is sampled at fractions ``k / n_i`` for
-    ``k = 0..n_i`` — the exact sample set of the scalar check — padded to
-    the longest segment by clamping ``k / n_i`` at 1 (repeats of the
-    endpoint, which is already in the set, so verdicts are unchanged).
-    """
-    p0s = np.asarray(p0s, dtype=float)
-    p1s = np.asarray(p1s, dtype=float)
-    m = len(p0s)
-    if m == 0:
-        return np.zeros(0, dtype=bool)
-    if step is None:
-        step = grid.resolution * 0.5
-    deltas = p1s - p0s
-    dists = np.hypot(deltas[:, 0], deltas[:, 1])
-    ns = np.maximum(1, (dists / step).astype(int))
-    if count is not None:
-        count("collision_cell_checks", int((ns + 1).sum()))
-    ks = np.arange(ns.max() + 1, dtype=float)
-    # linspace(0, 1, n + 1) is k * (1/n) with the endpoint forced to 1;
-    # reproduce that bit-for-bit so cell lookups match the scalar check.
-    fracs = ks[None, :] * (1.0 / ns)[:, None]
-    np.copyto(fracs, 1.0, where=ks[None, :] >= ns[:, None])
-    wx = p0s[:, 0:1] + fracs * deltas[:, 0:1]
-    wy = p0s[:, 1:2] + fracs * deltas[:, 1:2]
-    occupied = grid.occupied_world_batch(wx.ravel(), wy.ravel())
-    return occupied.reshape(m, -1).any(axis=1)
-
-
-def voxels_collide_batch(
-    grid: OccupancyGrid3D,
-    zis: np.ndarray,
-    yis: np.ndarray,
-    xis: np.ndarray,
-    count: Optional[CountFn] = None,
-) -> np.ndarray:
-    """Vectorized :func:`voxel_collides` over a batch of voxel indices."""
-    zis = np.asarray(zis)
-    if count is not None:
-        count("collision_cell_checks", zis.size)
-    return grid.occupied_batch(zis, yis, xis)
-
-
 def point_collides(
     grid: OccupancyGrid2D, x: float, y: float, count: Optional[CountFn] = None
 ) -> bool:
@@ -188,19 +136,6 @@ def segment_collides_grid(
     if count is not None:
         count("collision_cell_checks", len(xs))
     return bool(grid.occupied_world_batch(xs, ys).any())
-
-
-def voxel_collides(
-    grid: OccupancyGrid3D,
-    zi: int,
-    yi: int,
-    xi: int,
-    count: Optional[CountFn] = None,
-) -> bool:
-    """Single-voxel collision check (the paper's small UAV fits one voxel)."""
-    if count is not None:
-        count("collision_cell_checks", 1)
-    return grid.is_occupied(zi, yi, xi)
 
 
 # -- continuous rectangular obstacles (arm workspaces) ------------------------

@@ -59,23 +59,6 @@ class OccupancyGrid3D:
             return True
         return bool(self.cells[zi, yi, xi])
 
-    def occupied_batch(
-        self, zis: np.ndarray, yis: np.ndarray, xis: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized voxel occupancy; out-of-bounds counts as occupied."""
-        zis = np.asarray(zis)
-        yis = np.asarray(yis)
-        xis = np.asarray(xis)
-        nz, ny, nx = self.cells.shape
-        inside = (
-            (zis >= 0) & (zis < nz)
-            & (yis >= 0) & (yis < ny)
-            & (xis >= 0) & (xis < nx)
-        )
-        result = np.ones(zis.shape, dtype=bool)
-        result[inside] = self.cells[zis[inside], yis[inside], xis[inside]]
-        return result
-
     def world_to_cell(
         self, x: float, y: float, z: float
     ) -> Tuple[int, int, int]:

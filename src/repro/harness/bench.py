@@ -47,6 +47,7 @@ from repro.geometry.raycast import (
 )
 from repro.planning.pp3d import far_apart_free_voxels, plan_3d
 from repro.search.dijkstra import backward_dijkstra_grid
+from repro.search.grid_core import dijkstra_grid_bucketed
 from repro.results import (
     RunRecord,
     capture_environment,
@@ -265,9 +266,7 @@ def bench_search_dijkstra(
     ref_out = backward_dijkstra_grid(
         field.cost, goals, field.obstacles, backend="reference"
     )
-    vec_out = backward_dijkstra_grid(
-        field.cost, goals, field.obstacles, backend="bucketed"
-    )
+    vec_out = dijkstra_grid_bucketed(field.cost, goals, field.obstacles)
     if not np.array_equal(np.isfinite(ref_out), np.isfinite(vec_out)):
         raise AssertionError("dijkstra backends disagree on reachability")
     finite = np.isfinite(ref_out)
@@ -277,9 +276,7 @@ def bench_search_dijkstra(
         lambda: backward_dijkstra_grid(
             field.cost, goals, field.obstacles, backend="reference"
         ),
-        lambda: backward_dijkstra_grid(
-            field.cost, goals, field.obstacles, backend="bucketed"
-        ),
+        lambda: dijkstra_grid_bucketed(field.cost, goals, field.obstacles),
         repeats,
     )
     return {

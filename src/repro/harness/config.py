@@ -105,9 +105,10 @@ class KernelConfig:
     output: Optional[str] = option(None, "Output file for kernel results")
     backend: str = option(
         "reference",
-        "Hot-path execution backend: 'reference' (scalar/loop code), "
-        "'vectorized' (batched numpy), or — for the planning kernels — "
-        "'array' (flat-array search core with bucketed/lazy-heap queues)",
+        "Execution backend: 'reference' (scalar/loop code, every kernel) "
+        "or the kernel's one optimized tier — 'vectorized' (batched "
+        "numpy) for pfl and srec, 'array' (flat-array search core) for "
+        "pp2d, pp3d and movtar; any other value is rejected",
     )
     repeats: int = option(
         1,

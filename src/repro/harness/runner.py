@@ -12,7 +12,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.harness.config import KernelConfig
 from repro.harness.profiler import PhaseProfiler
@@ -123,17 +123,33 @@ class Kernel:
     ``run_roi`` is incomplete, and the base ``run_roi`` raises
     ``NotImplementedError`` rather than recursing into the single-step
     fallback.
+
+    :attr:`backends` lists the ``config.backend`` values the kernel
+    implements: ``reference`` plus at most one optimized tier.  Every
+    execution path (:meth:`run`, :meth:`open_session`) rejects any
+    other value before building the workload.
     """
 
     name: str = "kernel"
     stage: str = "unknown"
     config_cls: Type[KernelConfig] = KernelConfig
     description: str = ""
+    backends: Tuple[str, ...] = ("reference",)
 
     @classmethod
     def is_steppable(cls) -> bool:
         """True when the kernel implements the per-iteration protocol."""
         return cls.step is not Kernel.step
+
+    @classmethod
+    def check_backend(cls, config: KernelConfig) -> None:
+        """Reject a ``config.backend`` outside :attr:`backends`."""
+        if config.backend not in cls.backends:
+            accepted = " | ".join(repr(b) for b in cls.backends)
+            raise ValueError(
+                f"kernel {cls.name} has no backend {config.backend!r}; "
+                f"accepted: {accepted}"
+            )
 
     def setup(self, config: KernelConfig) -> Any:
         """Build the workload (outside the ROI).  Returns setup state."""
@@ -185,6 +201,7 @@ class Kernel:
         """
         if config is None:
             config = self.config_cls()
+        self.check_backend(config)
         if state is None:
             state = self.setup(config)
         if profiler is None:
@@ -217,6 +234,7 @@ class Kernel:
 
     def _run_once(self, config: KernelConfig) -> KernelResult:
         """One setup + ROI execution under a fresh profiler."""
+        self.check_backend(config)
         t0 = time.perf_counter()
         state = self.setup(config)
         setup_time = time.perf_counter() - t0

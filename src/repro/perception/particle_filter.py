@@ -338,6 +338,7 @@ class PflKernel(Kernel):
     stage = "perception"
     config_cls = PflConfig
     description = "Particle filter localization (ray-casting bound)"
+    backends = ("reference", "vectorized")
 
     def setup(self, config: PflConfig) -> PflWorkload:
         return make_pfl_workload(

@@ -174,6 +174,7 @@ class SrecKernel(Kernel):
     stage = "perception"
     config_cls = SrecConfig
     description = "ICP scene reconstruction (memory/NN bound)"
+    backends = ("reference", "vectorized")
 
     def setup(self, config: SrecConfig) -> SrecWorkload:
         return make_srec_workload(

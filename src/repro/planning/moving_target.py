@@ -93,14 +93,18 @@ class MovingTargetPlanner:
     ) -> None:
         if epsilon < 1.0:
             raise ValueError("epsilon must be >= 1.0")
+        if backend not in ("reference", "array"):
+            raise ValueError(
+                f"backend must be 'reference' or 'array', got {backend!r}"
+            )
         self.field = field
         self.trajectory = np.asarray(trajectory, dtype=int)
         self.epsilon = float(epsilon)
         self.profiler = profiler if profiler is not None else PhaseProfiler()
         # 'reference' keeps the scalar heapq sweep for the precompute;
-        # any other backend ('vectorized', 'array') runs the bucketed
-        # batch engine, falling back automatically if unquantizable.
-        self.dijkstra_backend = "reference" if backend == "reference" else "auto"
+        # 'array' runs the bucketed batch engine, falling back
+        # automatically if the cost field is unquantizable.
+        self.dijkstra_backend = "auto" if backend == "array" else "reference"
         self._h_table: Optional[np.ndarray] = None
 
     def precompute_heuristic(self) -> np.ndarray:
@@ -177,6 +181,7 @@ class MovingTargetKernel(Kernel):
     stage = "planning"
     config_cls = MovtarConfig
     description = "Moving-target WA* with backward-Dijkstra heuristic"
+    backends = ("reference", "array")
 
     def setup(self, config: MovtarConfig) -> MovtarWorkload:
         field = synthetic_costmap(

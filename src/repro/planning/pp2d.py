@@ -47,10 +47,7 @@ class GridPlanningSpace2D:
         robot_width: float = 1.8,
         profiler: Optional[PhaseProfiler] = None,
         footprint_resolution: Optional[float] = None,
-        backend: str = "reference",
     ) -> None:
-        if backend not in ("reference", "vectorized"):
-            raise ValueError("backend must be 'reference' or 'vectorized'")
         self.grid = grid
         self.goal = goal
         self.profiler = profiler if profiler is not None else PhaseProfiler()
@@ -61,7 +58,6 @@ class GridPlanningSpace2D:
         )
         self.body_points = footprint_points(robot_length, robot_width, res)
         self.collision_checks = 0
-        self.backend = backend
 
     def state_collides(self, row: int, col: int, theta: float) -> bool:
         """Footprint collision at a cell with a given heading."""
@@ -77,9 +73,6 @@ class GridPlanningSpace2D:
         self, state: Tuple[int, int]
     ) -> Iterable[Tuple[Tuple[int, int], float]]:
         """8-connected moves whose destination footprint is clear."""
-        if self.backend == "vectorized":
-            yield from self._successors_vectorized(state)
-            return
         row, col = state
         for dr, dc in _MOVES:
             nr, nc = row + dr, col + dc
@@ -90,37 +83,6 @@ class GridPlanningSpace2D:
                 continue
             step = math.hypot(dr, dc) * self.grid.resolution
             yield (nr, nc), step
-
-    def _successors_vectorized(
-        self, state: Tuple[int, int]
-    ) -> Iterable[Tuple[Tuple[int, int], float]]:
-        """One batched footprint check for all in-bounds moves at once."""
-        row, col = state
-        moves = [
-            (row + dr, col + dc, math.atan2(dr, dc), math.hypot(dr, dc))
-            for dr, dc in _MOVES
-            if self.grid.in_bounds(row + dr, col + dc)
-        ]
-        if not moves:
-            return
-        res = self.grid.resolution
-        ox, oy = self.grid.origin
-        nrs = np.array([m[0] for m in moves])
-        ncs = np.array([m[1] for m in moves])
-        thetas = np.array([m[2] for m in moves])
-        self.collision_checks += len(moves)
-        with self.profiler.phase("collision"):
-            collides = oriented_footprints_collide_batch(
-                self.grid,
-                ox + (ncs + 0.5) * res,
-                oy + (nrs + 0.5) * res,
-                thetas,
-                self.body_points,
-                count=self.profiler.count,
-            )
-        for (nr, nc, _, length), hit in zip(moves, collides):
-            if not hit:
-                yield (nr, nc), length * res
 
     def heuristic(self, state: Tuple[int, int]) -> float:
         """Euclidean distance to the goal, in meters (admissible)."""
@@ -152,9 +114,9 @@ def plan_2d(
     — identical successor sets, costs, paths, and search counters; the
     per-move scalar footprint test becomes a flat-array read.
     """
-    if backend not in ("reference", "vectorized", "array"):
+    if backend not in ("reference", "array"):
         raise ValueError(
-            "backend must be 'reference', 'vectorized', or 'array'"
+            f"backend must be 'reference' or 'array', got {backend!r}"
         )
     if backend == "array":
         return _plan_2d_array(
@@ -162,8 +124,7 @@ def plan_2d(
             profiler=profiler, max_expansions=max_expansions,
         )
     space = GridPlanningSpace2D(
-        grid, goal, robot_length, robot_width, profiler=profiler,
-        backend=backend,
+        grid, goal, robot_length, robot_width, profiler=profiler
     )
     return weighted_astar(
         space, start, epsilon=epsilon, profiler=space.profiler,
@@ -310,6 +271,7 @@ class Pp2dKernel(Kernel):
     stage = "planning"
     config_cls = Pp2dConfig
     description = "A* city navigation (collision-detection bound)"
+    backends = ("reference", "array")
 
     def setup(self, config: Pp2dConfig) -> Pp2dWorkload:
         if config.map_file:

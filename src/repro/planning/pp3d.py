@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from repro.search.astar import SearchResult, weighted_astar
 from repro.search.grid_core import MOVES_3D_26, astar_grid_3d
 
 _MOVES_3D: Tuple[Tuple[int, int, int], ...] = MOVES_3D_26
-_MOVES_3D_ARR = np.array(_MOVES_3D)
-_MOVE_LENGTHS_3D = np.sqrt((_MOVES_3D_ARR**2).sum(axis=1))
 
 
 class GridPlanningSpace3D:
@@ -35,14 +33,10 @@ class GridPlanningSpace3D:
         grid: OccupancyGrid3D,
         goal: Tuple[int, int, int],
         profiler: Optional[PhaseProfiler] = None,
-        backend: str = "reference",
     ) -> None:
-        if backend not in ("reference", "vectorized"):
-            raise ValueError("backend must be 'reference' or 'vectorized'")
         self.grid = grid
         self.goal = goal
         self.profiler = profiler if profiler is not None else PhaseProfiler()
-        self.backend = backend
 
     def successors(
         self, state: Tuple[int, int, int]
@@ -54,27 +48,13 @@ class GridPlanningSpace3D:
         # One collision phase per expansion: check all 26 neighbors.
         with prof.phase("collision"):
             prof.count("collision_cell_checks", len(_MOVES_3D))
-            if self.backend == "vectorized":
-                occupied = grid.occupied_batch(
-                    z + _MOVES_3D_ARR[:, 0],
-                    y + _MOVES_3D_ARR[:, 1],
-                    x + _MOVES_3D_ARR[:, 2],
-                )
-                valid = [
-                    (move, length)
-                    for move, length, occ in zip(
-                        _MOVES_3D, _MOVE_LENGTHS_3D, occupied
-                    )
-                    if not occ
-                ]
-            else:
-                valid = [
-                    ((dz, dy, dx), math.sqrt(dz * dz + dy * dy + dx * dx))
-                    for dz, dy, dx in _MOVES_3D
-                    if not grid.is_occupied(z + dz, y + dy, x + dx)
-                ]
+            valid = [
+                ((dz, dy, dx), math.sqrt(dz * dz + dy * dy + dx * dx))
+                for dz, dy, dx in _MOVES_3D
+                if not grid.is_occupied(z + dz, y + dy, x + dx)
+            ]
         for (dz, dy, dx), length in valid:
-            yield (z + dz, y + dy, x + dx), float(length) * grid.resolution
+            yield (z + dz, y + dy, x + dx), length * grid.resolution
 
     def heuristic(self, state: Tuple[int, int, int]) -> float:
         """Euclidean distance to the goal voxel, in meters."""
@@ -104,16 +84,16 @@ def plan_3d(
     heapq/dict reference — same algorithm, costs, paths, and operation
     counters; preallocated flat storage instead of per-node objects.
     """
-    if backend not in ("reference", "vectorized", "array"):
+    if backend not in ("reference", "array"):
         raise ValueError(
-            "backend must be 'reference', 'vectorized', or 'array'"
+            f"backend must be 'reference' or 'array', got {backend!r}"
         )
     if backend == "array":
         return _plan_3d_array(
             grid, start, goal, epsilon=epsilon, profiler=profiler,
             max_expansions=max_expansions,
         )
-    space = GridPlanningSpace3D(grid, goal, profiler=profiler, backend=backend)
+    space = GridPlanningSpace3D(grid, goal, profiler=profiler)
     return weighted_astar(
         space, start, epsilon=epsilon, profiler=space.profiler,
         max_expansions=max_expansions,
@@ -210,6 +190,7 @@ class Pp3dKernel(Kernel):
     stage = "planning"
     config_cls = Pp3dConfig
     description = "3D A* drone navigation (collision + search bound)"
+    backends = ("reference", "array")
 
     def setup(self, config: Pp3dConfig) -> Pp3dWorkload:
         grid = campus_like_3d(

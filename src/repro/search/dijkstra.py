@@ -111,19 +111,18 @@ def backward_dijkstra_grid(
     Dijkstra *from* the goals yields exactly the forward cost-to-go — the
     backward-Dijkstra heuristic of the paper.
 
-    ``backend`` selects the engine: ``"bucketed"`` runs the Dial-style
-    batched sweep from :mod:`repro.search.grid_core`, ``"reference"``
-    the original scalar heapq loop, and ``"auto"`` (default) uses the
-    bucketed engine whenever the cost field is quantizable (positive
-    finite minimum cost) and falls back to the heap otherwise.
+    ``backend`` selects the engine: ``"reference"`` runs the original
+    scalar heapq loop, and ``"auto"`` (default) runs the Dial-style
+    batched sweep of :func:`repro.search.grid_core.dijkstra_grid_bucketed`
+    whenever the cost field is quantizable (positive finite minimum
+    cost) and falls back to the heap otherwise.
     """
-    if backend not in ("auto", "bucketed", "reference"):
+    if backend not in ("auto", "reference"):
         raise ValueError(
-            "backend must be 'auto', 'bucketed', or 'reference', "
-            f"got {backend!r}"
+            f"backend must be 'auto' or 'reference', got {backend!r}"
         )
     goals = list(goals)  # the heap fallback may need a second pass
-    if backend != "reference":
+    if backend == "auto":
         from repro.search.grid_core import (
             BucketQuantizationError,
             dijkstra_grid_bucketed,
@@ -132,8 +131,7 @@ def backward_dijkstra_grid(
         try:
             return dijkstra_grid_bucketed(traversal_cost, goals, obstacle_mask)
         except BucketQuantizationError:
-            if backend == "bucketed":
-                raise
+            pass
     cost = np.asarray(traversal_cost, dtype=float)
     rows, cols = cost.shape
     blocked = (

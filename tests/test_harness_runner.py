@@ -151,6 +151,35 @@ def test_stages_partition_the_suite():
     assert len(control) == 4
 
 
+#: Each kernel's one optimized tier; every other kernel runs
+#: ``reference`` only.
+_OPTIMIZED_TIER = {
+    "01.pfl": "vectorized",
+    "03.srec": "vectorized",
+    "04.pp2d": "array",
+    "05.pp3d": "array",
+    "06.movtar": "array",
+}
+
+load_all_kernels()
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_kernel_rejects_backends_it_does_not_have(name):
+    cls = registry.get(name)
+    tier = _OPTIMIZED_TIER.get(name)
+    assert cls.backends == ("reference",) + ((tier,) if tier else ())
+    for backend in ("gpu", "vectorized", "array"):
+        if backend in cls.backends:
+            continue
+        config = cls.config_cls(backend=backend)
+        accepted = " | ".join(repr(b) for b in cls.backends)
+        with pytest.raises(ValueError, match=f"accepted: {accepted}$"):
+            cls().run(config)
+        with pytest.raises(ValueError, match=f"{backend!r}"):
+            cls().open_session(config)
+
+
 def test_run_kernel_with_overrides():
     result = run_kernel("cem", iterations=2, samples=4, seed=1)
     assert result.config.iterations == 2

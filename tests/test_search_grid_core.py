@@ -315,7 +315,7 @@ def test_backward_dijkstra_backend_validation_and_fallback():
     with pytest.raises(ValueError, match="backend"):
         backward_dijkstra_grid(cost, [(0, 0)], backend="gpu")
     with pytest.raises(BucketQuantizationError):
-        backward_dijkstra_grid(cost, [(0, 0)], backend="bucketed")
+        dijkstra_grid_bucketed(cost, [(0, 0)])
     # auto falls back to the heapq loop and still answers
     auto = backward_dijkstra_grid(cost, [(0, 0)], backend="auto")
     ref = backward_dijkstra_grid(cost, [(0, 0)], backend="reference")
@@ -328,7 +328,7 @@ def test_backward_dijkstra_auto_is_bitwise_equal_on_unit_costs():
     blocked[5, 5] = False
     cost = np.ones((40, 40))
     ref = backward_dijkstra_grid(cost, [(5, 5)], blocked, backend="reference")
-    fast = backward_dijkstra_grid(cost, [(5, 5)], blocked, backend="bucketed")
+    fast = dijkstra_grid_bucketed(cost, [(5, 5)], blocked)
     assert np.array_equal(ref, fast)
 
 
