@@ -83,7 +83,7 @@ class ModelPredictiveController:
                 b_mats = np.empty((t_len, N_STATE, N_CONTROL))
                 for t in range(t_len):
                     st = BicycleState.from_array(states[t])
-                    a_mats[t], b_mats[t], _ = self.model.linearize(
+                    a_mats[t], b_mats[t] = self.model.jacobians(
                         st, controls[t, 0], controls[t, 1], self.dt
                     )
                 # Backward Riccati pass on the error system.

@@ -108,6 +108,56 @@ def oriented_footprints_collide_batch(
     return result
 
 
+def oriented_footprint_grid_mask(
+    grid: OccupancyGrid2D,
+    theta: float,
+    body_points: np.ndarray,
+    count: Optional[CountFn] = None,
+) -> np.ndarray:
+    """:func:`oriented_footprints_collide_batch` at every cell center.
+
+    Returns the ``(rows, cols)`` verdicts of the footprint at heading
+    ``theta`` placed at the center of each cell, without building the
+    ``rows * cols * p`` world-coordinate batch.  In that batch the world
+    x of sample point ``k`` at cell (r, c) is
+    ``xs[c] + cos * bx[k] - sin * by[k]`` — a function of the column and
+    the point only — and its world y a function of the row and the point
+    only.  So a ``(cols, p)`` column-index table and a ``(rows, p)``
+    row-index table name every cell the batch reads, and the mask is the
+    OR over points of the cell block the two tables select.  Indices
+    outside the grid select a padding row or column that reads occupied.
+
+    The float expressions (cos/sin through the ufuncs on a float64 array
+    included) are the batch's, so the verdicts are bitwise identical, and
+    the reported work is the batch's ``rows * cols * p`` cell checks.
+    """
+    rows, cols = grid.rows, grid.cols
+    res = grid.resolution
+    ox, oy = grid.origin
+    p = len(body_points)
+    if count is not None:
+        count("collision_cell_checks", rows * cols * p)
+    bx = body_points[None, :, 0]
+    by = body_points[None, :, 1]
+    angle = np.full((1, 1), theta, dtype=float)
+    c = np.cos(angle)
+    s = np.sin(angle)
+    xs = ox + (np.arange(cols) + 0.5) * res
+    ys = oy + (np.arange(rows) + 0.5) * res
+    col_idx = np.floor((xs[:, None] + c * bx - s * by - ox) / res).astype(int)
+    row_idx = np.floor((ys[:, None] + s * bx + c * by - oy) / res).astype(int)
+    # Shift in-grid indices by one into a grid with an occupied first row
+    # and column; every out-of-grid index reads that border.
+    col_idx = np.where((col_idx >= 0) & (col_idx < cols), col_idx + 1, 0)
+    row_idx = np.where((row_idx >= 0) & (row_idx < rows), row_idx + 1, 0)
+    padded = np.ones((rows + 1, cols + 1), dtype=bool)
+    padded[1:, 1:] = grid.cells
+    mask = np.zeros((rows, cols), dtype=bool)
+    for k in range(p):
+        mask |= padded.take(row_idx[:, k], axis=0).take(col_idx[:, k], axis=1)
+    return mask
+
+
 def point_collides(
     grid: OccupancyGrid2D, x: float, y: float, count: Optional[CountFn] = None
 ) -> bool:

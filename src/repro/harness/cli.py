@@ -120,10 +120,20 @@ def _cmd_list(argv: List[str]) -> int:
     return 0
 
 
+_RUN_USAGE = (
+    "usage: rtrbench run <kernel> [options]\n"
+    "'rtrbench list' names the kernels; "
+    "'rtrbench run <kernel> --help' lists a kernel's options."
+)
+
+
 def _cmd_run(argv: List[str]) -> int:
     if not argv:
-        print("usage: rtrbench run <kernel> [options]", file=sys.stderr)
+        print(_RUN_USAGE, file=sys.stderr)
         return 2
+    if argv[0] in ("-h", "--help"):
+        print(_RUN_USAGE)
+        return 0
     load_all_kernels()
     name, rest = argv[0], argv[1:]
     try:
@@ -168,7 +178,11 @@ def _cmd_run(argv: List[str]) -> int:
                 expanded.append(str(value))
         rest = expanded + rest[:i] + rest[i + 2 :]
     config = config_from_args(cls.config_cls, rest, prog=f"rtrbench run {name}")
-    result = cls().run(config)
+    try:
+        result = cls().run(config)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(result_summary(result))
     if config.output:
         with open(config.output, "w") as fh:

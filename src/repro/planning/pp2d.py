@@ -19,7 +19,8 @@ from repro.envs.mapgen import city_like
 from repro.geometry.collision import (
     footprint_points,
     oriented_footprint_collides,
-    oriented_footprints_collide_batch,
+    oriented_footprint_grid_mask,
+    oriented_footprints_collide_batch,  # noqa: F401 - perfbench traces this name
 )
 from repro.geometry.grid2d import OccupancyGrid2D
 from repro.harness.config import KernelConfig, option
@@ -143,29 +144,19 @@ def heading_blocked_masks(
     move ``_MOVES[i]`` and placed at the center of cell (r, c), hits an
     obstacle — the same verdict ``GridPlanningSpace2D.state_collides``
     computes per candidate move, evaluated for every cell of the grid
-    in one batched call per heading.  ``collision_cell_checks`` counts
-    the full precompute (rows x cols x 8 poses), so it is *not*
-    comparable with the reference backend's on-demand count; the search
-    counters (expansions, pushes, pops) are.
+    by one :func:`oriented_footprint_grid_mask` call per heading.
+    ``collision_cell_checks`` counts the full precompute (rows x cols x
+    8 poses), so it is *not* comparable with the reference backend's
+    on-demand count; the search counters (expansions, pushes, pops) are.
     """
     prof = profiler if profiler is not None else PhaseProfiler()
-    res = grid.resolution
-    ox, oy = grid.origin
-    rr, cc = np.meshgrid(
-        np.arange(grid.rows), np.arange(grid.cols), indexing="ij"
-    )
-    xs = ox + (cc.ravel() + 0.5) * res
-    ys = oy + (rr.ravel() + 0.5) * res
-    masks = []
     with prof.phase("collision"):
-        for dr, dc in _MOVES:
-            theta = math.atan2(dr, dc)
-            collides = oriented_footprints_collide_batch(
-                grid, xs, ys, np.full(xs.shape, theta), body_points,
-                count=prof.count,
+        return [
+            oriented_footprint_grid_mask(
+                grid, math.atan2(dr, dc), body_points, count=prof.count
             )
-            masks.append(collides.reshape(grid.rows, grid.cols))
-    return masks
+            for dr, dc in _MOVES
+        ]
 
 
 def _plan_2d_array(

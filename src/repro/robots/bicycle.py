@@ -92,13 +92,13 @@ class BicycleModel:
             states[t + 1] = current.as_array()
         return states
 
-    def linearize(
+    def jacobians(
         self, state: BicycleState, a: float, delta: float, dt: float
     ) -> tuple:
-        """Discrete-time Jacobians (A, B, c) of :meth:`step` at a point.
+        """Discrete-time Jacobians (A, B) of :meth:`step` at a point.
 
-        Returns matrices such that ``x' ~= A x + B u + c``; used by the
-        MPC's iterative LQR-style solver.
+        The MPC's iterative LQR-style solver needs only these, not the
+        affine term :meth:`linearize` adds.
         """
         v, theta = state.v, state.theta
         ct, st = math.cos(theta), math.sin(theta)
@@ -119,6 +119,17 @@ class BicycleModel:
                 [dt, 0.0],
             ]
         )
+        return A, B
+
+    def linearize(
+        self, state: BicycleState, a: float, delta: float, dt: float
+    ) -> tuple:
+        """Affine linearization (A, B, c) of :meth:`step` at a point.
+
+        Returns matrices such that ``x' ~= A x + B u + c``, with ``A`` and
+        ``B`` from :meth:`jacobians`.
+        """
+        A, B = self.jacobians(state, a, delta, dt)
         x = state.as_array()
         u = np.array([a, delta])
         next_state = self.step(state, a, delta, dt).as_array()

@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from repro.geometry.grid2d import OccupancyGrid2D
-from repro.geometry.raycast import cast_rays_batch, cast_rays_dda_batch
+from repro.geometry.raycast import cast_ray, cast_rays_batch, cast_rays_dda_batch
 
 
 class Lidar:
@@ -97,8 +97,20 @@ class Lidar:
         theta: float,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        """A noisy scan from the true pose, clipped to [0, max_range]."""
-        ranges = self.expected_ranges(grid, x, y, theta)
+        """A noisy scan from the true pose, clipped to [0, max_range].
+
+        Casts the beams one by one with :func:`cast_ray`, which is
+        bit-identical to the batch marcher behind :meth:`expected_ranges`
+        and, for a single scan's few dozen rays, much cheaper than its
+        per-step array dispatch.  No work counter: this is workload
+        generation, not the measured ray casting.
+        """
+        ranges = np.array(
+            [
+                cast_ray(grid, x, y, float(angle), self.max_range)
+                for angle in self.beam_angles(theta)
+            ]
+        )
         if rng is not None and self.noise_sigma > 0.0:
             ranges = ranges + rng.normal(0.0, self.noise_sigma, size=ranges.shape)
         return np.clip(ranges, 0.0, self.max_range)

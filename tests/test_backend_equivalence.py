@@ -16,15 +16,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.envs.costmap import synthetic_costmap, target_trajectory
 from repro.envs.mapgen import campus_like_3d, city_like, wean_hall_like
 from repro.geometry.collision import (
     footprint_points,
     oriented_footprint_collides,
+    oriented_footprint_grid_mask,
     oriented_footprints_collide_batch,
 )
+from repro.geometry.grid2d import OccupancyGrid2D
 from repro.geometry.kdtree import KDTree, nearest_neighbors_batch
 from repro.geometry.raycast import (
     cast_ray_dda,
@@ -36,6 +38,7 @@ from repro.perception.particle_filter import ParticleFilter
 from repro.planning.moving_target import MovingTargetPlanner
 from repro.planning.pp2d import plan_2d
 from repro.planning.pp3d import far_apart_free_voxels, plan_3d
+from repro.search.grid_core import MOVES_2D_8
 from repro.sensors.lidar import Lidar
 
 
@@ -166,6 +169,64 @@ def test_footprint_batch_counts_match_scalar():
     assert scalar_counts == batch_counts
 
 
+_MOVE_HEADINGS = [math.atan2(dr, dc) for dr, dc in MOVES_2D_8]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 14),
+    cols=st.integers(1, 14),
+    resolution=st.sampled_from([0.25, 0.5, 1.0, 1.7]),
+    ox=st.floats(-6.0, 6.0, allow_nan=False),
+    oy=st.floats(-6.0, 6.0, allow_nan=False),
+    length=st.floats(0.1, 12.0),
+    width=st.floats(0.1, 12.0),
+    theta=st.one_of(
+        st.sampled_from(_MOVE_HEADINGS), st.floats(-2 * math.pi, 2 * math.pi)
+    ),
+    fill=st.floats(0.0, 0.6),
+    seed=st.integers(0, 2**16),
+)
+@example(rows=1, cols=13, resolution=0.5, ox=-2.25, oy=0.3, length=9.0,
+         width=4.0, theta=_MOVE_HEADINGS[1], fill=0.2, seed=0)
+@example(rows=9, cols=1, resolution=1.7, ox=0.1, oy=-3.9, length=2.0,
+         width=1.0, theta=_MOVE_HEADINGS[2], fill=0.0, seed=1)
+def test_grid_mask_equals_batch_at_every_cell_center(
+    rows, cols, resolution, ox, oy, length, width, theta, fill, seed
+):
+    """The per-axis mask builder reproduces the pose batch bitwise.
+
+    Covers 1xN and non-square grids, non-unit resolutions, negative and
+    fractional origins, footprints larger than the map, and both the
+    eight move headings and arbitrary ones; the reported
+    ``collision_cell_checks`` must equal the batch's too.
+    """
+    rng = np.random.default_rng(seed)
+    grid = OccupancyGrid2D(
+        rng.random((rows, cols)) < fill, resolution, (ox, oy)
+    )
+    body = footprint_points(length, width, resolution)
+    rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    xs = ox + (cc.ravel() + 0.5) * resolution
+    ys = oy + (rr.ravel() + 0.5) * resolution
+    batch_counts, mask_counts = {}, {}
+    batch = oriented_footprints_collide_batch(
+        grid, xs, ys, np.full(xs.shape, theta), body,
+        count=lambda k, n: batch_counts.__setitem__(
+            k, batch_counts.get(k, 0) + n
+        ),
+    )
+    mask = oriented_footprint_grid_mask(
+        grid, theta, body,
+        count=lambda k, n: mask_counts.__setitem__(
+            k, mask_counts.get(k, 0) + n
+        ),
+    )
+    assert mask.shape == (rows, cols) and mask.dtype == bool
+    assert np.array_equal(mask, batch.reshape(rows, cols))
+    assert mask_counts == batch_counts
+
+
 # -- planners end to end -------------------------------------------------------
 
 
@@ -204,6 +265,26 @@ def test_pp2d_array_backend_identical_plan(seed):
     assert arr.found == ref.found
     assert arr.path == ref.path
     assert arr.cost == ref.cost  # identical float arithmetic: bitwise
+    for counter in ("astar_expansions", "search_pushes", "search_pops"):
+        assert prof_arr.counters[counter] == prof_ref.counters[counter]
+
+
+def test_pp2d_array_backend_identical_plan_off_unit_grid():
+    """Resolution 0.5 and an off-integer origin: same plan and counters."""
+    from repro.harness.profiler import PhaseProfiler
+    from repro.planning.pp2d import far_apart_free_cells
+
+    city = city_like(rows=80, cols=80, resolution=0.5, seed=4)
+    grid = OccupancyGrid2D(city.cells, city.resolution, (-7.3, 12.25))
+    rng = np.random.default_rng(4)
+    clearance = footprint_points(2.4, 2.4, grid.resolution)
+    start, goal = far_apart_free_cells(grid, rng, clearance)
+    prof_ref, prof_arr = PhaseProfiler(), PhaseProfiler()
+    ref = plan_2d(grid, start, goal, profiler=prof_ref)
+    arr = plan_2d(grid, start, goal, profiler=prof_arr, backend="array")
+    assert ref.found
+    assert arr.path == ref.path
+    assert arr.cost == ref.cost
     for counter in ("astar_expansions", "search_pushes", "search_pops"):
         assert prof_arr.counters[counter] == prof_ref.counters[counter]
 

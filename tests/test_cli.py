@@ -76,6 +76,22 @@ def test_run_unknown_kernel_errors(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_run_help_prints_usage_and_exits_zero(flag, capsys):
+    assert main(["run", flag]) == 0
+    captured = capsys.readouterr()
+    assert "usage: rtrbench run <kernel>" in captured.out
+    assert "error" not in captured.err
+
+
+def test_run_unknown_backend_is_one_error_line(capsys):
+    assert main(["run", "mpc", "--backend", "gpu"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "'gpu'" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_unknown_command_errors(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -162,6 +162,17 @@ def test_bicycle_linearization_is_locally_accurate():
     assert np.allclose(exact2, linear2, atol=1e-3)
 
 
+def test_bicycle_jacobians_equal_linearize_a_and_b():
+    model = BicycleModel()
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        state = BicycleState(*rng.uniform(-5.0, 5.0, 3), v=rng.uniform(0, 15))
+        a0, d0 = rng.uniform(-4.0, 4.0), rng.uniform(-0.8, 0.8)
+        A, B, _ = model.linearize(state, a0, d0, dt=0.1)
+        jA, jB = model.jacobians(state, a0, d0, dt=0.1)
+        assert np.array_equal(A, jA) and np.array_equal(B, jB)
+
+
 def test_bicycle_validation():
     with pytest.raises(ValueError):
         BicycleModel(wheelbase=0.0)

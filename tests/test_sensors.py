@@ -128,6 +128,21 @@ def test_measure_clips_to_range(rng):
     assert (scan <= 5.0).all()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_noiseless_measure_equals_expected_ranges_bitwise(seed):
+    """``measure`` casts per beam; the batch marcher must agree exactly."""
+    grid = wean_hall_like(rows=120, cols=150, resolution=0.25, seed=seed)
+    lidar = Lidar(n_beams=24, max_range=12.0)
+    rng = np.random.default_rng(seed + 10)
+    free = np.argwhere(~grid.cells)
+    for r, c in free[rng.integers(0, len(free), 40)]:
+        x = (c + rng.uniform(0.05, 0.95)) * grid.resolution
+        y = (r + rng.uniform(0.05, 0.95)) * grid.resolution
+        theta = rng.uniform(-math.pi, math.pi)
+        scan = lidar.measure(grid, x, y, theta, rng=None)
+        assert np.array_equal(scan, lidar.expected_ranges(grid, x, y, theta))
+
+
 # -- landmarks -----------------------------------------------------------------------
 
 
