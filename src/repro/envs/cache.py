@@ -330,14 +330,19 @@ class WorkloadCache:
         }
 
     def clear(self, memory_only: bool = False) -> None:
-        """Drop the in-memory layer (and the disk layer unless asked not to)."""
+        """Drop the in-memory layer (and the disk layer unless asked not to).
+
+        The disk layer includes the compiled search core
+        (``_astar-*.so``, see :mod:`repro.search.grid_core`), which the
+        next ``array``-tier search rebuilds.
+        """
         with self._lock:
             self._memory.clear()
         if memory_only or not self.persist:
             return
         if os.path.isdir(self.cache_dir):
             for name in os.listdir(self.cache_dir):
-                if name.endswith(".pkl") or name.endswith(".tmp"):
+                if name.endswith((".pkl", ".tmp", ".so")):
                     try:
                         os.unlink(os.path.join(self.cache_dir, name))
                     except OSError:  # pragma: no cover - races are fine

@@ -4,8 +4,8 @@ Section VII compares the suite's optimized pp2d against PythonRobotics
 and CppRobotics on the small educational map, scaled by factors 1..64.
 Here both contestants run in the same interpreter: the optimized planner
 (:func:`repro.planning.fast_astar.fast_grid_astar` — memoized one-shot
-grid inflation plus the flat-array search core of
-:mod:`repro.search.grid_core`) against
+grid inflation plus the flat-array A* of :mod:`repro.search.grid_core`,
+whose loop is compiled C, as the paper's optimized planner is) against
 :class:`repro.planning.baselines.EducationalAStar` (the P-Rob/C-Rob
 pathologies reproduced faithfully).  Absolute times differ
 from the paper's C++-vs-Python numbers, but the comparison's structure —
@@ -27,6 +27,7 @@ from repro.envs.mapgen import comparison_map
 from repro.harness.reporting import format_table
 from repro.planning.baselines import EducationalAStar, grid_to_obstacle_points
 from repro.planning.fast_astar import fast_grid_astar
+from repro.search.grid_core import load_core
 
 
 @dataclass
@@ -57,6 +58,7 @@ def run_fig21_point(
     base = comparison_map()
     grid = base.scaled(scale) if scale > 1 else base
     start, goal = _endpoints(scale)
+    load_core()  # the first call in a fresh cache dir compiles the core
     t0 = time.perf_counter()
     result = fast_grid_astar(grid, start, goal, robot_radius=0.8)
     optimized_time = time.perf_counter() - t0

@@ -518,7 +518,10 @@ def _cmd_cache(argv: List[str]) -> int:
     )
     parser.add_argument(
         "action", nargs="?", default="stats", choices=("stats", "clear"),
-        help="'stats' (default) prints disk usage; 'clear' empties the cache",
+        help=(
+            "'stats' (default) prints disk usage; 'clear' empties the cache, "
+            "compiled search core included"
+        ),
     )
     parser.add_argument(
         "--memory-only", action="store_true",

@@ -9,8 +9,9 @@ choice targets speed the way the paper's C++ does:
   per-expansion footprint checks;
 * the search itself is :mod:`repro.search.grid_core`'s flat-array A*:
   a halo-padded flat occupancy table, preallocated g/parent/closed
-  storage, and a lazy binary heap — no per-node objects, no dict maps
-  (the exact opposite of the educational baseline's pass-by-value maps).
+  storage, and a lazy binary heap, run by a compiled C loop — no
+  per-node objects, no dict maps (the exact opposite of the educational
+  baseline's pass-by-value maps).
 """
 
 from __future__ import annotations

@@ -5,6 +5,12 @@ pp3d, movtar, prm, and the symbolic planners all reduce to it).  The
 algorithms here operate over *implicit* graphs — a successor function
 rather than materialized adjacency — which is how the paper's kernels
 search environments too large to enumerate.
+
+The ``array`` tier's A* (:func:`astar_flat`) runs in a small C core,
+compiled on first use into the workload cache dir; it takes the
+heuristic as a float64 table over the padded index space
+(:func:`heuristic_table_2d`, :func:`heuristic_table_3d`).  Everything
+else here, including the ``reference`` tier, is pure Python.
 """
 
 from repro.search.astar import SearchResult, astar, weighted_astar
@@ -18,6 +24,8 @@ from repro.search.grid_core import (
     astar_grid_2d,
     astar_grid_3d,
     dijkstra_grid_bucketed,
+    heuristic_table_2d,
+    heuristic_table_3d,
 )
 from repro.search.queues import PriorityQueue
 from repro.search.space import SearchSpace
@@ -36,6 +44,8 @@ __all__ = [
     "astar_grid_2d",
     "astar_grid_3d",
     "dijkstra_grid_bucketed",
+    "heuristic_table_2d",
+    "heuristic_table_3d",
     "PriorityQueue",
     "SearchSpace",
 ]

@@ -30,10 +30,17 @@ open list is chosen to match the cost structure:
   same FIFO tie-breaking, same goal-test-on-pop, same float arithmetic
   — so the two backends return identical costs, paths, and operation
   counters (expansions, pushes, pops); only the data layout differs.
-  Grids are padded with a one-cell occupied halo so the inner loop
-  needs no bounds checks: every flat neighbor offset lands either on a
-  real cell or on the blocked halo, which is exactly the reference
-  semantics of "out of bounds counts as occupied".
+  Grids are padded with a one-cell occupied halo: every flat neighbor
+  offset lands either on a real cell or on the blocked halo, which is
+  exactly the reference semantics of "out of bounds counts as
+  occupied".  The loop itself is C (``_astar.c``), compiled on first
+  use into the workload cache dir and called through :mod:`ctypes`.
+  It stays bitwise exact because heap entries ``(f, ticket)`` are
+  totally ordered (any correct heap pops what ``heapq`` pops), the
+  build forbids fused multiply-adds (``-ffp-contract=off``), and the
+  heuristic arrives as a table computed in Python — in 2D from
+  ``math.hypot``, since ``np.hypot`` rounds differently on some integer
+  offsets.
 
 ``backward_dijkstra_grid`` (movtar's heuristic-table sweep — the
 full-grid recompute whenever the table invalidates) and the pp2d/pp3d
@@ -44,8 +51,15 @@ the ``reference`` backend for equivalence testing.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import heapq
 import math
+import os
+import shlex
+import subprocess
+import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -301,6 +315,14 @@ def dijkstra_grid_bucketed(
 
 # -- flat-array A* ---------------------------------------------------------------
 
+#: C source of the search loop, compiled on first use by :func:`load_core`.
+_CORE_SOURCE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "_astar.c"
+)
+#: ``-ffp-contract=off`` forbids fused multiply-adds, so ``g + epsilon * h``
+#: rounds exactly as the Python reference does.
+_CORE_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
 
 @dataclass
 class FlatSearchResult:
@@ -315,112 +337,206 @@ class FlatSearchResult:
     pops: int = 0
 
 
+def _core_library_path(cache_dir: str) -> str:
+    """Path of the compiled search core for the current source.
+
+    The file name carries a digest of the C source and the compiler
+    flags, so an edited core never loads a stale build.
+    """
+    with open(_CORE_SOURCE, "rb") as fh:
+        source = fh.read()
+    digest = hashlib.sha256(source + " ".join(_CORE_CFLAGS).encode())
+    return os.path.join(cache_dir, f"_astar-{digest.hexdigest()[:16]}.so")
+
+
+def _compile_core(path: str) -> None:
+    """Compile the core to ``path`` with ``$CC`` (default ``cc``)."""
+    compiler = shlex.split(os.environ.get("CC") or "cc")
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    # Compile to a process-unique name and rename it into place, so a
+    # concurrent cold build never loads a half-written library.
+    fd, tmp = tempfile.mkstemp(
+        dir=directory, prefix=f"_astar-{os.getpid()}-", suffix=".tmp"
+    )
+    os.close(fd)
+    try:
+        try:
+            proc = subprocess.run(
+                [*compiler, *_CORE_CFLAGS, "-o", tmp, _CORE_SOURCE],
+                capture_output=True, text=True,
+            )
+        except OSError as exc:
+            raise RuntimeError(
+                f"the array tier's A* core needs a C compiler: cannot run "
+                f"{compiler[0]!r} to build {_CORE_SOURCE} ({exc}); set CC, "
+                f"or use backend='reference'"
+            ) from exc
+        if proc.returncode != 0:
+            raise RuntimeError(
+                f"{compiler[0]!r} failed to build {_CORE_SOURCE} "
+                f"(exit {proc.returncode}):\n{proc.stderr.strip()}"
+            )
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.lru_cache(maxsize=None)
+def load_core() -> Callable[..., int]:
+    """The compiled search loop, built into the cache dir on first use.
+
+    Memoized per process; a failed build is not memoized, so the next
+    call retries it.  A harness that times a single cold call calls
+    this first, to keep the one-time compile out of its measurement.
+    """
+    from repro.envs.cache import default_cache
+
+    path = _core_library_path(default_cache().cache_dir)
+    if not os.path.exists(path):
+        _compile_core(path)
+    fn = ctypes.CDLL(path).rtr_astar_flat
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [
+        i64, ctypes.c_int32, ptr, ptr, ptr, i64, ptr, i64, i64,
+        ctypes.c_double, i64, ptr, ptr, ptr,
+    ]
+    fn.restype = ctypes.c_int
+    return fn
+
+
 def astar_flat(
-    n: int,
-    moves: Sequence[Tuple[int, float, Sequence[int]]],
+    moves: Sequence[Tuple[int, float]],
+    blocked: np.ndarray,
+    heuristic: np.ndarray,
     start: int,
     goal: int,
-    heuristic: Callable[[int], float],
     epsilon: float = 1.0,
     max_expansions: Optional[int] = None,
 ) -> FlatSearchResult:
-    """Weighted A* over a flat index space with preallocated state.
+    """Weighted A* over a flat index space, run by the compiled core.
 
-    ``moves`` is a sequence of ``(flat_offset, step_cost, blocked)``
-    triples — ``blocked`` is a flat truthiness table (a Python list for
-    scalar-access speed) over the same padded index space, allowing a
-    *per-direction* validity table (pp2d's heading-dependent footprint
-    masks) or one shared table (pp3d, fast 2D A*).  The search is the
-    same algorithm as :func:`repro.search.astar.weighted_astar`: lazy
-    decrease-key (re-push, skip superseded entries on pop), FIFO
-    tie-breaking by a global insertion counter, goal test on pop, and
-    identical float arithmetic — so expansion order, costs, and the
-    (pushes, pops, expansions, generated) counters match the heapq
-    reference exactly.  Only the storage differs: flat lists instead of
-    dict-of-tuples maps.
+    ``moves`` lists ``(flat_offset, step_cost)`` pairs.  ``blocked`` is
+    a truthiness table over the same padded index space: shape ``(n,)``
+    for one table shared by every move (pp3d, fast 2D A*), or
+    ``(len(moves), n)`` for a per-direction table (pp2d's
+    heading-dependent footprint masks).  ``heuristic`` is the float64
+    table of h over all ``n`` indices (see :func:`heuristic_table_2d`
+    and :func:`heuristic_table_3d`).
+
+    The search is the same algorithm as
+    :func:`repro.search.astar.weighted_astar`: lazy decrease-key
+    (re-push, skip superseded entries on pop), FIFO tie-breaking by a
+    global insertion counter, goal test on pop, and identical float
+    arithmetic — so expansion order, costs, and the (pushes, pops,
+    expansions, generated) counters match the heapq reference exactly.
+    Only the storage differs: flat C arrays instead of dict-of-tuples
+    maps.
     """
     if epsilon < 1.0:
         raise ValueError("epsilon must be >= 1.0")
-    g = [math.inf] * n
-    parent = [-1] * n
-    closed = bytearray(n)
-    # Latest push's FIFO ticket per node: the flat analogue of the
-    # reference queue's tombstoning.  A decrease-key that leaves f
-    # unchanged (equal-f corridors) would otherwise let the *stale*
-    # entry's earlier ticket win f-ties the reference resolves in favor
-    # of older entries for other nodes — diverging expansion order.
-    live = [-1] * n
-    g[start] = 0.0
-
-    heap: List[Tuple[float, int, int]] = []
-    counter = 0
-    heapq.heappush(heap, (0.0 + epsilon * heuristic(start), counter, start))
-    live[start] = counter
-    pushes = 1
-    pops = 0
-    expansions = 0
-    generated = 1
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    while heap:
-        _, ticket, idx = heappop(heap)
-        if closed[idx] or ticket != live[idx]:
-            continue  # superseded entry: a newer push owns this node
-        pops += 1
-        if idx == goal:
-            path = [idx]
-            while parent[idx] != -1:
-                idx = parent[idx]
-                path.append(idx)
-            path.reverse()
-            return FlatSearchResult(
-                found=True, path=path, cost=g[goal],
-                expansions=expansions, generated=generated,
-                pushes=pushes, pops=pops,
-            )
-        closed[idx] = 1
-        expansions += 1
-        if max_expansions is not None and expansions > max_expansions:
-            break
-        g_here = g[idx]
-        for offset, step, blocked in moves:
-            nidx = idx + offset
-            if blocked[nidx] or closed[nidx]:
-                continue
-            tentative = g_here + step
-            if tentative < g[nidx]:
-                g[nidx] = tentative
-                parent[nidx] = idx
-                counter += 1
-                heappush(heap, (tentative + epsilon * heuristic(nidx),
-                                counter, nidx))
-                live[nidx] = counter
-                pushes += 1
-                generated += 1
+    h = np.ascontiguousarray(heuristic, dtype=np.float64)
+    if h.ndim != 1 or not (0 <= start < len(h) and 0 <= goal < len(h)):
+        raise ValueError("start and goal must index a flat heuristic table")
+    n = len(h)
+    table = np.ascontiguousarray(blocked, dtype=np.uint8)
+    if table.shape == (n,):
+        stride = 0
+    elif table.shape == (len(moves), n):
+        stride = n
+    else:
+        raise ValueError(
+            f"blocked has shape {table.shape}; expected ({n},) or "
+            f"({len(moves)}, {n})"
+        )
+    offsets = np.array([offset for offset, _ in moves], dtype=np.int64)
+    steps = np.array([step for _, step in moves], dtype=np.float64)
+    counters = np.zeros(5, dtype=np.int64)
+    cost = np.full(1, np.inf)
+    path = np.empty(n, dtype=np.int64)
+    # A negative cap stops after the first expansion, exactly as 0 does.
+    cap = -1 if max_expansions is None else max(int(max_expansions), 0)
+    status = load_core()(
+        n, len(moves), offsets.ctypes.data, steps.ctypes.data,
+        table.ctypes.data, stride, h.ctypes.data, int(start), int(goal),
+        float(epsilon), cap, counters.ctypes.data, cost.ctypes.data,
+        path.ctypes.data,
+    )
+    if status < 0:
+        raise MemoryError(f"A* core could not allocate state for {n} nodes")
+    expansions, generated, pushes, pops, length = counters.tolist()
     return FlatSearchResult(
-        found=False, expansions=expansions, generated=generated,
-        pushes=pushes, pops=pops,
+        found=status == 1, path=path[:length].tolist(), cost=float(cost[0]),
+        expansions=expansions, generated=generated, pushes=pushes, pops=pops,
     )
 
 
 # -- padded-grid helpers ---------------------------------------------------------
 
 
-def pad_blocked_2d(cells: np.ndarray) -> List[int]:
-    """Flat occupancy list of a 2D grid with a one-cell occupied halo."""
+def pad_blocked_2d(cells: np.ndarray) -> np.ndarray:
+    """Flat uint8 occupancy of a 2D grid with a one-cell occupied halo."""
     rows, cols = cells.shape
-    padded = np.ones((rows + 2, cols + 2), dtype=bool)
+    padded = np.ones((rows + 2, cols + 2), dtype=np.uint8)
     padded[1:-1, 1:-1] = cells
-    return padded.ravel().tolist()
+    return padded.ravel()
 
 
-def pad_blocked_3d(cells: np.ndarray) -> List[int]:
-    """Flat occupancy list of a 3D grid with a one-voxel occupied halo."""
+def pad_blocked_3d(cells: np.ndarray) -> np.ndarray:
+    """Flat uint8 occupancy of a 3D grid with a one-voxel occupied halo."""
     nz, ny, nx = cells.shape
-    padded = np.ones((nz + 2, ny + 2, nx + 2), dtype=bool)
+    padded = np.ones((nz + 2, ny + 2, nx + 2), dtype=np.uint8)
     padded[1:-1, 1:-1, 1:-1] = cells
-    return padded.ravel().tolist()
+    return padded.ravel()
+
+
+@functools.lru_cache(maxsize=8)
+def _hypot_table(rows: int, cols: int) -> np.ndarray:
+    """Read-only ``math.hypot(dr, dc)`` for ``dr < rows``, ``dc < cols``."""
+    table = np.array(
+        [[math.hypot(dr, dc) for dc in range(cols)] for dr in range(rows)]
+    )
+    table.flags.writeable = False
+    return table
+
+
+def heuristic_table_2d(
+    shape: Tuple[int, int], goal: Tuple[int, int], resolution: float
+) -> np.ndarray:
+    """Flat ``math.hypot(r - goal_r, c - goal_c) * resolution`` table.
+
+    Covers the halo-padded grid of a ``shape`` grid, indexed like
+    :func:`pad_blocked_2d`.  The distances are gathered from a
+    ``math.hypot`` table over absolute offsets, not computed with
+    ``np.hypot``: the two round differently on some integer pairs, and
+    the reference backends use ``math.hypot``.
+    """
+    rows, cols = shape
+    dr = np.abs(np.arange(-1, rows + 1) - goal[0])
+    dc = np.abs(np.arange(-1, cols + 1) - goal[1])
+    table = _hypot_table(rows + 2, cols + 2)
+    return (table[dr[:, None], dc[None, :]] * resolution).ravel()
+
+
+def heuristic_table_3d(
+    shape: Tuple[int, int, int], goal: Tuple[int, int, int], resolution: float
+) -> np.ndarray:
+    """Flat ``sqrt(dz² + dy² + dx²) * resolution`` table, as in pp3d.
+
+    Covers the halo-padded grid of a ``shape`` grid, indexed like
+    :func:`pad_blocked_3d`.  The square sum is an exact integer and
+    IEEE square root is correctly rounded, so every entry equals the
+    reference's ``math.sqrt(...) * resolution`` bitwise.
+    """
+    dz, dy, dx = (
+        np.arange(-1, size + 1) - g for size, g in zip(shape, goal)
+    )
+    squares = (
+        (dz * dz)[:, None, None] + (dy * dy)[None, :, None]
+        + (dx * dx)[None, None, :]
+    )
+    return (np.sqrt(squares.astype(np.float64)) * resolution).ravel()
 
 
 def moves_2d(cols: int, resolution: float) -> List[Tuple[int, float]]:
@@ -460,38 +576,28 @@ def astar_grid_2d(
     resolution: float = 1.0,
     epsilon: float = 1.0,
     max_expansions: Optional[int] = None,
-    blocked_by_move: Optional[Sequence[Sequence[int]]] = None,
+    blocked_by_move: Optional[Sequence[np.ndarray]] = None,
 ) -> Tuple[FlatSearchResult, List[Tuple[int, int]]]:
     """8-connected flat-array A* over a 2D occupancy array.
 
     ``blocked_by_move`` optionally supplies one padded flat validity
-    table per canonical move (heading-dependent footprints); default is
-    the shared occupancy-with-halo table.  Returns the flat result plus
-    the path as (row, col) tuples.
+    table per canonical move (heading-dependent footprints), as a
+    sequence or one ``(8, n)`` block; default is the shared
+    occupancy-with-halo table.  Returns the flat result plus the path
+    as (row, col) tuples.
     """
     rows, cols = cells.shape
     pcols = cols + 2
     if blocked_by_move is None:
-        shared = pad_blocked_2d(cells)
-        blocked_by_move = [shared] * len(MOVES_2D_8)
-    moves = [
-        (offset, step, blocked)
-        for (offset, step), blocked in zip(
-            moves_2d(cols, resolution), blocked_by_move
-        )
-    ]
-    goal_r, goal_c = goal
-    res = resolution
-
-    def heuristic(idx: int) -> float:
-        r, c = divmod(idx, pcols)
-        return math.hypot((r - 1) - goal_r, (c - 1) - goal_c) * res
-
+        blocked = pad_blocked_2d(cells)
+    else:
+        blocked = np.asarray(blocked_by_move, dtype=np.uint8)
     start_idx = (start[0] + 1) * pcols + (start[1] + 1)
-    goal_idx = (goal_r + 1) * pcols + (goal_c + 1)
+    goal_idx = (goal[0] + 1) * pcols + (goal[1] + 1)
     result = astar_flat(
-        (rows + 2) * pcols, moves, start_idx, goal_idx, heuristic,
-        epsilon=epsilon, max_expansions=max_expansions,
+        moves_2d(cols, resolution), blocked,
+        heuristic_table_2d((rows, cols), goal, resolution),
+        start_idx, goal_idx, epsilon=epsilon, max_expansions=max_expansions,
     )
     path = [(idx // pcols - 1, idx % pcols - 1) for idx in result.path]
     return result, path
@@ -514,27 +620,12 @@ def astar_grid_3d(
     nz, ny, nx = cells.shape
     pny, pnx = ny + 2, nx + 2
     plane = pny * pnx
-    blocked = pad_blocked_3d(cells)
-    moves = [
-        (offset, step, blocked)
-        for offset, step in moves_3d(ny, nx, resolution)
-    ]
-    gz, gy, gx = goal
-    res = resolution
-
-    def heuristic(idx: int) -> float:
-        z, rem = divmod(idx, plane)
-        y, x = divmod(rem, pnx)
-        dz = (z - 1) - gz
-        dy = (y - 1) - gy
-        dx = (x - 1) - gx
-        return math.sqrt(dz * dz + dy * dy + dx * dx) * res
-
     start_idx = ((start[0] + 1) * pny + (start[1] + 1)) * pnx + (start[2] + 1)
-    goal_idx = ((gz + 1) * pny + (gy + 1)) * pnx + (gx + 1)
+    goal_idx = ((goal[0] + 1) * pny + (goal[1] + 1)) * pnx + (goal[2] + 1)
     result = astar_flat(
-        (nz + 2) * plane, moves, start_idx, goal_idx, heuristic,
-        epsilon=epsilon, max_expansions=max_expansions,
+        moves_3d(ny, nx, resolution), pad_blocked_3d(cells),
+        heuristic_table_3d((nz, ny, nx), goal, resolution),
+        start_idx, goal_idx, epsilon=epsilon, max_expansions=max_expansions,
     )
     path = [
         (idx // plane - 1, (idx % plane) // pnx - 1, (idx % plane) % pnx - 1)

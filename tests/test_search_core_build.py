@@ -1,0 +1,110 @@
+"""Build and load path of the compiled A* core.
+
+The ``array`` tier compiles ``repro/search/_astar.c`` into the workload
+cache dir on first use.  These tests pin the failure modes: a missing
+or failing compiler must raise a clear error without touching the pure
+Python ``reference`` tier, concurrent cold builds must never load a
+half-written library, and a built library is reused, not rebuilt.
+"""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from repro.envs.cache import WorkloadCache, default_cache, set_default_cache
+from repro.geometry.grid2d import OccupancyGrid2D
+from repro.planning.pp2d import plan_2d
+from repro.search import grid_core
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+# Runs one small array-tier search and prints its outcome.
+_SEARCH_SCRIPT = """
+import numpy as np
+from repro.search.grid_core import astar_grid_2d
+cells = np.zeros((9, 9), dtype=bool)
+cells[2:7, 4] = True
+flat, path = astar_grid_2d(cells, (4, 0), (4, 8))
+print(flat.found, flat.cost, flat.expansions, flat.pushes, flat.pops, path)
+"""
+
+
+@pytest.fixture
+def fresh_core(tmp_path, monkeypatch):
+    """An empty cache dir and no loaded core; restores both afterwards."""
+    previous = default_cache()
+    set_default_cache(WorkloadCache(cache_dir=str(tmp_path / "cache")))
+    grid_core.load_core.cache_clear()
+    yield tmp_path / "cache"
+    grid_core.load_core.cache_clear()
+    set_default_cache(previous)
+
+
+def _small_grid():
+    grid = OccupancyGrid2D.empty(24, 24, resolution=1.0)
+    grid.fill_rect(8, 4, 10, 18)
+    return grid
+
+
+def _run_search(cache_dir, **env):
+    environ = dict(os.environ, RTRBENCH_CACHE_DIR=str(cache_dir),
+                   PYTHONPATH=SRC, **env)
+    return subprocess.Popen(
+        [sys.executable, "-c", _SEARCH_SCRIPT], env=environ,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def test_missing_compiler_fails_array_tier_only(fresh_core, monkeypatch):
+    monkeypatch.setenv("CC", "/nonexistent/bin/cc")
+    grid = _small_grid()
+    ref = plan_2d(grid, (2, 2), (20, 20), robot_length=1.0, robot_width=1.0)
+    assert ref.found
+    with pytest.raises(RuntimeError) as excinfo:
+        plan_2d(grid, (2, 2), (20, 20), robot_length=1.0, robot_width=1.0,
+                backend="array")
+    message = str(excinfo.value)
+    assert "/nonexistent/bin/cc" in message
+    assert grid_core._CORE_SOURCE in message
+    assert not any(name.endswith(".so") for name in os.listdir(fresh_core))
+
+
+def test_failed_compile_reports_compiler_stderr(fresh_core, monkeypatch):
+    monkeypatch.setenv("CC", "cc --no-such-flag-for-this-test")
+    cells = np.zeros((4, 4), dtype=bool)
+    with pytest.raises(RuntimeError, match="no-such-flag-for-this-test"):
+        grid_core.astar_grid_2d(cells, (0, 0), (3, 3))
+    # The failed build leaves no temp file behind.
+    assert os.listdir(fresh_core) == []
+
+
+def test_racing_cold_builds_both_succeed_and_a_rerun_reuses(tmp_path):
+    cache_dir = tmp_path / "race"
+    procs = [_run_search(cache_dir) for _ in range(2)]
+    outputs = [proc.communicate(timeout=120) for proc in procs]
+    for proc, (out, err) in zip(procs, outputs):
+        assert proc.returncode == 0, err
+    assert outputs[0][0] == outputs[1][0]
+    assert outputs[0][0].startswith("True ")
+    names = os.listdir(cache_dir)
+    assert len(names) == 1 and names[0].endswith(".so")
+    built = os.stat(cache_dir / names[0]).st_mtime_ns
+
+    # A second process loads the built library: with no usable
+    # compiler, it could not have rebuilt it.
+    proc = _run_search(cache_dir, CC="/nonexistent/bin/cc")
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert out == outputs[0][0]
+    assert os.stat(cache_dir / names[0]).st_mtime_ns == built
+
+
+def test_cache_clear_removes_built_library(fresh_core):
+    cells = np.zeros((4, 4), dtype=bool)
+    assert grid_core.astar_grid_2d(cells, (0, 0), (3, 3))[0].found
+    assert any(name.endswith(".so") for name in os.listdir(fresh_core))
+    default_cache().clear()
+    assert os.listdir(fresh_core) == []

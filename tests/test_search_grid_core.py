@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.harness.profiler import PhaseProfiler
 from repro.search.astar import weighted_astar
 from repro.search.dijkstra import backward_dijkstra_grid
 from repro.search.grid_core import (
@@ -20,9 +21,14 @@ from repro.search.grid_core import (
     BucketQuantizationError,
     BucketQueue,
     GridSweepStats,
+    astar_flat,
     astar_grid_2d,
     astar_grid_3d,
     dijkstra_grid_bucketed,
+    heuristic_table_2d,
+    heuristic_table_3d,
+    moves_2d,
+    pad_blocked_2d,
 )
 
 
@@ -227,6 +233,155 @@ def test_astar_2d_respects_resolution_and_unreachable():
     space = _Grid2DSpace(cells, (0, 4), resolution=0.25)
     ref = weighted_astar(space, (0, 0))
     assert flat.cost == ref.cost
+
+
+# -- exactness traps of the compiled core ------------------------------------
+
+
+def _np_hypot_disagreements(limit):
+    """Offsets ``0 <= dr, dc <= limit`` where np.hypot != math.hypot."""
+    a = np.arange(limit + 1)
+    fast = np.hypot(a[:, None], a[None, :])
+    exact = np.array([[math.hypot(i, j) for j in range(limit + 1)]
+                      for i in range(limit + 1)])
+    return [tuple(p) for p in np.argwhere(fast != exact).tolist()]
+
+
+@pytest.mark.parametrize("goal", [(0, 0), (59, 47), (30, 12)])
+@pytest.mark.parametrize("res", [1.0, 0.3])
+def test_heuristic_table_2d_is_math_hypot_elementwise(goal, res):
+    rows, cols = 60, 48
+    table = heuristic_table_2d((rows, cols), goal, res)
+    offsets = [
+        ((pr - 1) - goal[0], (pc - 1) - goal[1])
+        for pr in range(rows + 2) for pc in range(cols + 2)
+    ]
+    expected = np.array([math.hypot(dr, dc) * res for dr, dc in offsets])
+    assert np.array_equal(table, expected)
+    # The table covers every offset where np.hypot rounds differently
+    # (which ones depends on the libm; (17, 27) is one on glibc 2.36 with
+    # CPython 3.11), so a table built with np.hypot fails the check above.
+    covered = {(abs(dr), abs(dc)) for dr, dc in offsets}
+    reach = min(max(a for a, _ in covered), max(b for _, b in covered))
+    assert set(_np_hypot_disagreements(reach)) <= covered
+
+
+@pytest.mark.parametrize("goal", [(0, 0, 0), (3, 6, 2)])
+@pytest.mark.parametrize("res", [1.0, 0.35])
+def test_heuristic_table_3d_is_math_sqrt_elementwise(goal, res):
+    nz, ny, nx = 4, 7, 5
+    table = heuristic_table_3d((nz, ny, nx), goal, res)
+    expected = []
+    for z in range(-1, nz + 1):
+        for y in range(-1, ny + 1):
+            for x in range(-1, nx + 1):
+                dz, dy, dx = z - goal[0], y - goal[1], x - goal[2]
+                expected.append(math.sqrt(dz * dz + dy * dy + dx * dx) * res)
+    assert np.array_equal(table, np.array(expected))
+
+
+def _assert_matches_reference_2d(cells, start, goal, epsilon=1.0,
+                                 max_expansions=None):
+    """Flat core vs weighted_astar: found, cost, path and every counter."""
+    prof = PhaseProfiler()
+    ref = weighted_astar(
+        _Grid2DSpace(cells, goal), start, epsilon=epsilon, profiler=prof,
+        max_expansions=max_expansions,
+    )
+    flat, path = astar_grid_2d(
+        cells, start, goal, epsilon=epsilon, max_expansions=max_expansions
+    )
+    assert flat.found == ref.found
+    assert flat.cost == ref.cost
+    assert path == ref.path
+    assert flat.expansions == ref.expansions
+    assert flat.generated == ref.generated
+    assert flat.pushes == prof.counters["search_pushes"]
+    assert flat.pops == prof.counters["search_pops"]
+    return flat
+
+
+@pytest.mark.parametrize("cap", [0, 1, 9, 40, None])
+def test_astar_max_expansions_cutoffs_match_reference(cap):
+    cells, start, goal = _random_grid_2d(5, 12, 12, 0.2)
+    flat = _assert_matches_reference_2d(cells, start, goal,
+                                        max_expansions=cap)
+    if cap is not None and not flat.found:
+        assert flat.expansions == cap + 1  # stopped right after the cap
+
+
+def test_astar_unreachable_goal_matches_reference():
+    cells = np.zeros((7, 9), dtype=bool)
+    cells[:, 4] = True
+    flat = _assert_matches_reference_2d(cells, (3, 0), (3, 8))
+    assert not flat.found
+    assert flat.cost == math.inf
+    assert flat.expansions == 7 * 4  # the whole reachable half
+
+
+class _FlatSpace:
+    """weighted_astar's view of astar_flat's inputs (shared table)."""
+
+    def __init__(self, moves, blocked, h, goal):
+        self.moves = moves
+        self.blocked = blocked.tolist()
+        self.h = h.tolist()
+        self.goal = goal
+
+    def successors(self, idx):
+        for offset, step in self.moves:
+            if not self.blocked[idx + offset]:
+                yield idx + offset, step
+
+    def heuristic(self, idx):
+        return self.h[idx]
+
+    def is_goal(self, idx):
+        return idx == self.goal
+
+
+@pytest.mark.parametrize("epsilon", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "shape, start, goal",
+    [((5, 5), (0, 0), (4, 4)), ((5, 5), (4, 0), (0, 4)),
+     ((6, 6), (0, 0), (5, 5)), ((6, 6), (5, 0), (0, 5)),
+     ((3, 9), (0, 0), (2, 8))],
+)
+def test_astar_flat_equal_f_corridors_match_reference(epsilon, shape, start,
+                                                      goal):
+    # Lifting h by 1e16 rounds every f to a multiple of 2 (times
+    # epsilon), so on an open corridor most decrease-keys leave f
+    # unchanged.  Only the live-ticket test keeps the superseded entry's
+    # earlier ticket from winning those f-ties (epsilon 1.5 on the 5x5
+    # and 6x6 corridors diverges without it).
+    rows, cols = shape
+    pcols = cols + 2
+    moves = moves_2d(cols, 1.0)
+    blocked = pad_blocked_2d(np.zeros(shape, dtype=bool))
+    h = heuristic_table_2d(shape, goal, 1.0) + 1e16
+    start_idx = (start[0] + 1) * pcols + start[1] + 1
+    goal_idx = (goal[0] + 1) * pcols + goal[1] + 1
+    prof = PhaseProfiler()
+    ref = weighted_astar(
+        _FlatSpace(moves, blocked, h, goal_idx), start_idx,
+        epsilon=epsilon, profiler=prof,
+    )
+    flat = astar_flat(moves, blocked, h, start_idx, goal_idx, epsilon=epsilon)
+    assert flat.found and ref.found
+    assert flat.path == ref.path
+    assert flat.cost == ref.cost
+    assert flat.expansions == ref.expansions
+    assert flat.generated == ref.generated
+    assert flat.pushes == prof.counters["search_pushes"]
+    assert flat.pops == prof.counters["search_pops"]
+
+
+def test_astar_2d_rounding_tie_matches_reference():
+    # Found by the hypothesis property above: two paths whose g differ
+    # by an ulp reach one cell with equal f, and the stale entry must
+    # not be expanded in the live one's place.
+    cells, start, goal = _random_grid_2d(1776, 11, 14, 0.28125)
+    _assert_matches_reference_2d(cells, start, goal)
 
 
 # -- BucketQueue unit tests --------------------------------------------------
