@@ -332,9 +332,9 @@ class WorkloadCache:
     def clear(self, memory_only: bool = False) -> None:
         """Drop the in-memory layer (and the disk layer unless asked not to).
 
-        The disk layer includes the compiled search core
-        (``_astar-*.so``, see :mod:`repro.search.grid_core`), which the
-        next ``array``-tier search rebuilds.
+        The disk layer includes the compiled C cores (``_astar-*.so``
+        and ``_raycast-*.so``, see :mod:`repro.native`), which the next
+        ``array``-tier search or ``vectorized`` pfl cast rebuilds.
         """
         with self._lock:
             self._memory.clear()

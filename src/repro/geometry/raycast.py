@@ -12,141 +12,42 @@ Two execution backends live here:
 * the **reference** casters (:func:`cast_ray`, :func:`cast_rays_batch`)
   march along each ray in fixed increments, checking one cell per step —
   the scalar baseline the paper's characterization runs on;
-* the **vectorized** caster (:func:`cast_rays_dda_batch`) traces all rays
-  at once with closed-form Amanatides-Woo grid-crossing arithmetic: every
-  boundary crossing of every ray is computed as one numpy expression, so
-  the per-cell Python loop disappears entirely.
+* the **vectorized** caster (:func:`cast_rays_dda_batch`) runs the exact
+  per-ray traversal :func:`cast_ray_dda` for a whole batch in a small C
+  loop (``_raycast.c``), compiled on first use by :mod:`repro.native`.
+  Its distances and cell-check counter are bitwise those of
+  :func:`cast_ray_dda`.
 
-Both agree within one grid resolution (the equivalence tests pin this);
-the exact per-ray traversal :func:`cast_ray_dda` is the semantic anchor.
+The two backends agree within one grid resolution (the equivalence tests
+pin this); :func:`cast_ray_dda` is the semantic anchor.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-from typing import Callable, Optional, Tuple
+import os
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.geometry.grid2d import OccupancyGrid2D
+from repro.native import load_function
+
+#: C source of the vectorized caster, built on first use by :func:`load_core`.
+_CORE_SOURCE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "_raycast.c"
+)
 
 CountFn = Callable[[str, int], None]
 
-# Occupancy margin (cells) around the map for the vectorized caster: crossing
-# indices that escape the real grid land in padding, which is occupied — the
-# same out-of-bounds rule the scalar casters implement with bounds checks.
-# Also the upper bound on crossings one scan window may enumerate.
-_PAD = 64
 
-# Per-grid derived tables for the vectorized caster, keyed by the identity of
-# the cells array and validated against a content checksum (grids are
-# mutable).  Values: (checksum, shape, padded_flat, padded_flat_T, clear_flat,
-# padded_width, padded_height) — padded_flat_T is the transposed occupancy,
-# which lets the x boundary family index cells with the same single affine
-# form the y family uses on the row-major table.
-_CAST_TABLES: dict = {}
-
-# Tuning constants for the vectorized caster's skip/scan schedule (swept on
-# the benchmark map; the caster is exact for any values, these only move
-# dispatch overhead around).
-_N_SMALL = 5       # crossings per family per scan window, big herds
-_N_BIG = 31        # crossings per family per scan window, tail herds
-_TAIL_SIZE = 1024  # herd size at or below which the big window is used
-_MAX_SPHERE = 16   # max clearance-jump iterations per round
-_FAR_SHIFT = 4     # sphere exits when far rays <= round_size >> this
-_COMPACT_RATIO = 4  # sphere compacts when far rays * this <= round size
-_FAR_CELLS = 3.0    # clearance (cells) above which a ray keeps sphere-jumping
-
-# Persistent scratch arrays for the vectorized caster, grown on demand and
-# reused across calls: the hot buffers are megabyte-scale, and a fresh
-# allocation every call means mmap + page-fault churn that can rival the
-# arithmetic itself on short casts.
-_WS: dict = {}
-
-
-def _ws(name: str, size: int, dtype) -> np.ndarray:
-    """Persistent scratch array of at least ``size`` elements (callers slice)."""
-    arr = _WS.get(name)
-    if arr is None or arr.size < size:
-        arr = np.empty(size, dtype=dtype)
-        _WS[name] = arr
-    return arr
-
-
-def _clearance_cells(cells: np.ndarray) -> np.ndarray:
-    """Per-cell lower bound on the distance (in cells) to the nearest
-    occupied cell, with the map border counting as occupied.
-
-    Euclidean via :func:`scipy.ndimage.distance_transform_edt` when scipy is
-    available; otherwise a Chebyshev distance computed by repeated
-    8-neighbor dilation, which under-estimates the Euclidean distance and is
-    therefore still a safe skip radius.
-    """
-    n_rows, n_cols = cells.shape
-    framed = np.ones((n_rows + 2, n_cols + 2), dtype=bool)
-    framed[1:-1, 1:-1] = cells
-    try:
-        from scipy import ndimage
-
-        return ndimage.distance_transform_edt(~framed)[1:-1, 1:-1]
-    except ImportError:
-        pass
-    dist = np.zeros(framed.shape, dtype=float)
-    reached = framed.copy()
-    radius = 0
-    while not reached.all() and radius < 64:
-        radius += 1
-        grown = reached.copy()
-        grown[1:, :] |= reached[:-1, :]
-        grown[:-1, :] |= reached[1:, :]
-        grown[:, 1:] |= reached[:, :-1]
-        grown[:, :-1] |= reached[:, 1:]
-        grown[1:, 1:] |= reached[:-1, :-1]
-        grown[1:, :-1] |= reached[:-1, 1:]
-        grown[:-1, 1:] |= reached[1:, :-1]
-        grown[:-1, :-1] |= reached[1:, 1:]
-        dist[grown & ~reached] = radius
-        reached = grown
-    dist[~reached] = radius
-    return dist[1:-1, 1:-1]
-
-
-def _cast_tables(grid: OccupancyGrid2D):
-    """Cached (padded occupancy, padded clearance) tables for one grid.
-
-    The clearance table fuses the two per-cell facts the main loop needs
-    into a single gather: 0.0 means occupied (including everything in the
-    padding margin), and a positive value c means free with no occupied
-    cell within c meters (distance-transform lower bound, scaled to meters
-    so the skip phase subtracts one scalar instead of rescaling).
-    """
-    cells = grid.cells
-    checksum = hash(cells.tobytes())
-    key = id(cells)
-    entry = _CAST_TABLES.get(key)
-    if (
-        entry is not None
-        and entry[0] == checksum
-        and entry[1] == cells.shape
-    ):
-        return entry[2:]
-    n_rows, n_cols = cells.shape
-    padded = np.ones((n_rows + 2 * _PAD, n_cols + 2 * _PAD), dtype=bool)
-    padded[_PAD : _PAD + n_rows, _PAD : _PAD + n_cols] = cells
-    clearance = _clearance_cells(cells)
-    clear = np.zeros(padded.shape, dtype=np.float32)
-    clear[_PAD : _PAD + n_rows, _PAD : _PAD + n_cols] = np.where(
-        cells, 0.0, np.maximum(clearance, 1.0) * grid.resolution
-    ).astype(np.float32)
-    if len(_CAST_TABLES) >= 64:
-        _CAST_TABLES.pop(next(iter(_CAST_TABLES)))
-    entry = (
-        checksum, cells.shape, padded.ravel(),
-        np.ascontiguousarray(padded.T).ravel(), clear.ravel(),
-        n_cols + 2 * _PAD, n_rows + 2 * _PAD,
-    )
-    _CAST_TABLES[key] = entry
-    return entry[2:]
+def load_core() -> Callable[..., int]:
+    """The compiled caster (see :func:`repro.native.load_function`)."""
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    return load_function(_CORE_SOURCE, "rtr_cast_rays_dda", i64, (
+        ptr, i64, i64, f64, f64, f64, i64, ptr, ptr, ptr, ptr, f64, ptr,
+    ))
 
 
 def _occupied_cells(
@@ -300,368 +201,39 @@ def cast_rays_dda_batch(
     max_range: float,
     count: Optional[CountFn] = None,
 ) -> np.ndarray:
-    """Vectorized exact ray casting: all rays advance together, no per-cell
-    Python loop.
+    """Exact batch ray casting: :func:`cast_ray_dda` for every ray, in C.
 
-    Two alternating vectorized phases, with an active-ray mask throughout:
-
-    * **skip** — rays in open space jump ``(clearance - 1.5) * resolution``
-      meters at once, where ``clearance`` is a cached distance-transform
-      lower bound on the cell distance to the nearest obstacle.  The jump
-      is provably hit-free, so skipping never changes the answer.
-    * **scan** — rays near an obstacle enumerate every grid-boundary
-      crossing in a short window ahead with closed-form Amanatides-Woo
-      arithmetic: crossing distances ``t = t_first + i * t_delta`` for both
-      boundary families as one ``(rays, crossings)`` array, the entered
-      cell derived from the number of opposite-axis crossings before ``t``
-      (also closed form).  The first occupied entry in the window settles
-      the ray; otherwise it advances a window length and resumes skipping.
-
-    Distances equal :func:`cast_ray_dda` (exact first-boundary hits) up to
-    tie-breaking on exact corner crossings, and agree with the reference
-    marcher within one marching step.  ``count`` receives the number of
-    boundary crossings up to each ray's hit — the same work metric the
-    scalar traversal reports — so the architecture-independent breakdown
-    survives vectorization.
+    The directions are ``np.cos``/``np.sin`` of ``angles``; the compiled
+    core (``_raycast.c``) then runs each ray's Amanatides-Woo traversal
+    with the scalar function's own float expressions, so distances are
+    bitwise equal to :func:`cast_ray_dda`.  ``count`` receives the cells
+    checked over all rays, the sum of the scalar traversal's counters.
+    Raises ``ValueError`` on non-finite origins or angles, and a
+    ``RuntimeError`` naming the compiler if the core cannot be built.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    angles = np.asarray(angles, dtype=float)
-    n = xs.shape[0]
-    if n == 0:
-        return np.full(0, max_range, dtype=float)
-    res = grid.resolution
-    ox, oy = grid.origin
-    (
-        padded_flat, padded_flat_t, clear_flat, padded_width, padded_height
-    ) = _cast_tables(grid)
-    pw = np.int32(padded_width)
-    # Skip-phase constants: a ray standing anywhere in a cell with
-    # clearance c meters cannot hit a wall within c - 1.46 * res meters
-    # (sqrt(2) * res covers both cell-center offsets; 1.46 adds margin for
-    # the float32 table).  "Far" rays (>= 3 cells clear) drive the exit.
-    jump_sub = 1.46 * res
-    far_thr = np.float32(_FAR_CELLS * res)
-
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    ys = np.ascontiguousarray(ys, dtype=np.float64)
+    angles = np.asarray(angles, dtype=np.float64)
+    if not (xs.shape == ys.shape == angles.shape and xs.ndim == 1):
+        raise ValueError("xs, ys and angles must be 1-D arrays of one length")
+    if not (
+        np.isfinite(xs).all()
+        and np.isfinite(ys).all()
+        and np.isfinite(angles).all()
+    ):
+        raise ValueError("ray origins and angles must be finite")
     dir_x = np.cos(angles)
     dir_y = np.sin(angles)
-    # Ray state in *padded cell units*: position(t) = c?0 + t * cv?.  The
-    # +_PAD offset keeps every reachable position positive (rays travel at
-    # most max_range < _PAD cells past the map edge before the occupied
-    # padding stops them), so int truncation is floor everywhere below.
-    inv_res = 1.0 / res
-    cx0 = (xs - ox) * inv_res + float(_PAD)
-    cy0 = (ys - oy) * inv_res + float(_PAD)
-    cvx = dir_x * inv_res
-    cvy = dir_y * inv_res
-    col0 = cx0.astype(np.int32)
-    row0 = cy0.astype(np.int32)
-    start_occupied = clear_flat.take(row0 * pw + col0, mode="clip") == 0.0
-
-    # Flat-index step per crossing, as float64 (exact at these magnitudes):
-    # the x family walks columns of the *transposed* table (stride = padded
-    # height), the y family walks rows of the row-major table (stride =
-    # padded width).  Using the transposed table for the x family makes both
-    # families' cell index one affine expression folded into the floor
-    # argument in the scan chain below.
-    fph = float(padded_height)
-    fpw = float(padded_width)
-    fs_x = np.where(dir_x > 0, fph, -fph)
-    fs_y = np.where(dir_y > 0, fpw, -fpw)
-    has_x = dir_x != 0.0
-    has_y = dir_y != 0.0
-    with np.errstate(divide="ignore"):
-        # rs of 0 (not inf) for axis-parallel rays keeps the crossing
-        # expressions below nan-free: inf + 0 * k == inf.
-        rs_x = np.where(has_x, res / dir_x, 0.0)
-        rs_y = np.where(has_y, res / dir_y, 0.0)
-    t_delta_x = np.abs(rs_x)
-    t_delta_y = np.abs(rs_y)
-    # Affine constant folding the direction bump and the axis-parallel
-    # guard into one per-ray term: t_first = (moved0 - pos) * rs + tb,
-    # where tb is rs for rays moving positive (bump 1), else 0 — i.e.
-    # max(rs, 0) — and +inf if the family never crosses.
-    tb_x = np.where(has_x, np.maximum(rs_x, 0.0), np.inf)
-    tb_y = np.where(has_y, np.maximum(rs_y, 0.0), np.inf)
-
-    # Scan windows: enumerate this many crossings per boundary family per
-    # round.  The small window serves the bulk of the herd (most rays hit
-    # within a few cells of leaving open space); once the surviving herd is
-    # small, one big window settles every straggler at once instead of
-    # paying per-round dispatch overhead on tiny arrays.
-    n_small = _N_SMALL
-    n_big = _N_BIG
-    tail_size = _TAIL_SIZE
-
-    # Scan workspaces: the 2D (crossing, pseudo-ray) work runs over
-    # fixed-size contiguous chunks of the pseudo-ray axis, reusing one
-    # small block buffer per dtype so the whole nine-op chain stays
-    # L2-resident instead of streaming megabytes per pass (which also
-    # keeps the caster fast when other code has just flushed the cache).
-    chunk_cap = 32768
-    buf_f = _ws("scan_f", chunk_cap, np.float64)
-    buf_i = _ws("scan_i", chunk_cap, np.int32)
-    buf_b = _ws("scan_b", chunk_cap, bool)
-    # Per-pseudo-ray 1D vectors for one round, stacked [x-family | y-family]
-    # in halves of persistent buffers (filled per round; no 2n concats).
-    n2 = 2 * n
-    v_td = _ws("v_td", n2, np.float64)
-    v_tf = _ws("v_tf", n2, np.float64)
-    v_a0 = _ws("v_a0", n2, np.float64)
-    v_d0 = _ws("v_d0", n2, np.float64)
-    v_ht = _ws("v_ht", n2, np.float64)
-    v_fb = _ws("v_fb", n2, np.float64)
-    v_hk = _ws("v_hk", n2, np.int32)
-    # Sphere-phase iteration buffers (per-ray, full round size).
-    sp_f1 = _ws("sp_f1", n, np.float64)
-    sp_f2 = _ws("sp_f2", n, np.float64)
-    sp_i1 = _ws("sp_i1", n, np.int32)
-    sp_i2 = _ws("sp_i2", n, np.int32)
-    sp_c = _ws("sp_c", n, np.float32)
-    sp_b1 = _ws("sp_b1", n, bool)
-    sp_b2 = _ws("sp_b2", n, bool)
-    k_idx_all = np.arange(n_big, dtype=float)
-
-    distances = np.full(n, max_range, dtype=float)
-    distances[start_occupied] = 0.0
-    # t_cur doubles as the live flag: settled and capped rays are parked at
-    # exactly max_range (their positions then stay inside the padded map,
-    # so letting them ride along in the sphere phase is harmless and
-    # cheaper than masking them out of every op).
-    t_cur = np.zeros(n)
-    t_cur[start_occupied] = max_range
-    alive = np.nonzero(~start_occupied)[0]
-    max_sphere = _MAX_SPHERE
-    while alive.size:
-        a = alive
-        # Compact the per-ray state once per outer round, then iterate.
-        # The first round usually covers every ray — alias the freshly
-        # built full-size arrays instead of paying a same-size gather
-        # (t_cur is mutated in place there, which is what happens anyway).
-        if a.size == n:
-            cxa, cya, cvxa, cvya, ta = cx0, cy0, cvx, cvy, t_cur
-        else:
-            cxa, cya = cx0[a], cy0[a]
-            cvxa, cvya = cvx[a], cvy[a]
-            ta = t_cur[a]
-        far_lim = max(16, a.size >> _FAR_SHIFT)
-        sz = a.size
-        f1, f2 = sp_f1[:sz], sp_f2[:sz]
-        i1, i2 = sp_i1[:sz], sp_i2[:sz]
-        cb, b1, b2 = sp_c[:sz], sp_b1[:sz], sp_b2[:sz]
-        # ---- sphere phase: branch-free clearance jumps for the whole
-        # herd.  Each iteration is a handful of fixed numpy ops into
-        # persistent buffers with no boolean compaction — dispatch
-        # overhead, not element work, dominates here.  Rays with clearance
-        # code c jump the precomputed (c - 1.5) cells (provably cannot
-        # cross a wall); near-wall and frozen rays creep or hold.  Once the
-        # still-far minority is small the loop compacts down to just those
-        # rays, and exits when nearly everyone is walled-in or capped.
-        iters = 0
-        saved = None  # set when the sphere loop compacts to far rays
-
-        def _sphere_clear():
-            # Clearance at each ray's current position: one fused gather
-            # answers both "occupied" (0.0) and "how far to skip".
-            np.multiply(ta, cvxa, out=f1)
-            np.add(f1, cxa, out=f1)
-            np.multiply(ta, cvya, out=f2)
-            np.add(f2, cya, out=f2)
-            i1[:] = f1  # float -> int32 truncation == floor (positive)
-            i2[:] = f2
-            np.multiply(i2, pw, out=i2)
-            np.add(i2, i1, out=i2)
-            return np.take(clear_flat, i2, mode="clip", out=cb)
-
-        while True:
-            clear = _sphere_clear()
-            iters += 1
-            np.greater_equal(clear, far_thr, out=b1)
-            np.less(ta, max_range, out=b2)
-            np.logical_and(b1, b2, out=b1)
-            n_far = np.count_nonzero(b1)
-            if iters >= max_sphere or n_far <= far_lim:
-                break
-            if saved is None and n_far * _COMPACT_RATIO <= sz:
-                # Far rays are now the minority: compact to them and stop
-                # reprocessing the walled-in majority until the scan.
-                sub = np.nonzero(b1)[0]
-                saved = (ta, cxa, cya, cvxa, cvya, sub)
-                cxa, cya = cxa[sub], cya[sub]
-                cvxa, cvya = cvxa[sub], cvya[sub]
-                ta = ta[sub]
-                clear_sub = clear[sub]
-                sz = sub.size
-                f1, f2 = sp_f1[:sz], sp_f2[:sz]
-                i1, i2 = sp_i1[:sz], sp_i2[:sz]
-                cb, b1, b2 = sp_c[:sz], sp_b1[:sz], sp_b2[:sz]
-                cb[:] = clear_sub
-                clear = cb
-            np.subtract(clear, jump_sub, out=f1)
-            np.maximum(f1, 0.0, out=f1)
-            np.add(ta, f1, out=ta)
-        if saved is not None:
-            # Merge the compacted stragglers back and refresh the cell
-            # clearance for the whole round before classifying.
-            ta_all, cxa, cya, cvxa, cvya, sub = saved
-            ta_all[sub] = ta
-            ta = ta_all
-            sz = a.size
-            f1, f2 = sp_f1[:sz], sp_f2[:sz]
-            i1, i2 = sp_i1[:sz], sp_i2[:sz]
-            cb = sp_c[:sz]
-            clear = _sphere_clear()
-        if ta is not t_cur:
-            t_cur[a] = ta
-        live = ta < max_range
-        # Floating-point advances can land an epsilon inside a wall the
-        # scan saw at t + epsilon; settle those at their current t.
-        occ0 = (clear == 0.0) & live
-        if occ0.any():
-            landed = a[occ0]
-            distances[landed] = ta[occ0]
-            t_cur[landed] = max_range
-        # Everyone still moving scans one exact window from where they
-        # stand (the few still-far stragglers just scan from open space).
-        herd = (clear > 0.0) & live
-        s = a[herd]
-        m = s.size
-        if m:
-            n_window = n_big if m <= tail_size else n_small
-            window_t = (n_window - 1) * res
-            k_idx = k_idx_all[:n_window]
-            # f1/f2/i1 still hold each ray's position (and integer column)
-            # at ta from the classifying _sphere_clear call — reuse them
-            # instead of recomputing position for the herd.
-            t_s = ta[herd]
-            cfx = f1[herd]
-            cfy = f2[herd]
-            cvx_s = cvxa[herd]
-            cvy_s = cvya[herd]
-            scol = i1[herd]
-            srow = cfy.astype(np.int32)
-            m2 = 2 * m
-            # Per-pseudo-ray constants, x family in [:m], y family in [m:].
-            # Crossing times are t = tf + k * td; the other-axis position
-            # at that time is a0 + k * d0 (both affine in k, so the 2D
-            # chain below is two broadcast ops per quantity).
-            td = v_td[:m2]
-            tf = v_tf[:m2]
-            a0 = v_a0[:m2]
-            d0 = v_d0[:m2]
-            fb = v_fb[:m2]
-            np.take(t_delta_x, s, out=td[:m])
-            np.take(t_delta_y, s, out=td[m:])
-            # tf = (moved0 - pos) * rs + tb  (distance to first boundary
-            # crossing of the family, inf if axis-parallel).
-            tfx, tfy = tf[:m], tf[m:]
-            np.subtract(scol, cfx, out=tfx)
-            np.multiply(tfx, rs_x.take(s), out=tfx)
-            np.add(tfx, tb_x.take(s), out=tfx)
-            np.subtract(srow, cfy, out=tfy)
-            np.multiply(tfy, rs_y.take(s), out=tfy)
-            np.add(tfy, tb_y.take(s), out=tfy)
-            # a0/d0: other-axis position as a function of k.  No inf * 0
-            # hazard: tf is only inf when the family is axis-parallel, and
-            # then the *other* axis velocity is nonzero.
-            np.multiply(tf[:m], cvy_s, out=a0[:m])
-            np.add(a0[:m], cfy, out=a0[:m])
-            np.multiply(tf[m:], cvx_s, out=a0[m:])
-            np.add(a0[m:], cfx, out=a0[m:])
-            np.multiply(td[:m], cvy_s, out=d0[:m])
-            np.multiply(td[m:], cvx_s, out=d0[m:])
-            # Fold the integer index terms into the affine position: the
-            # flat index of the cell entered at crossing k is
-            # floor(other_pos(k)) + base + (k + 1) * fs, and base, fs are
-            # exact float64 integers, so floor(pos + base + fs + k * fs)
-            # equals the same sum — one fused affine per element in the
-            # chain below instead of a separate integer chain.  (The x
-            # family indexes the transposed table: base = scol * padded
-            # height, position is the row coordinate.)
-            np.take(fs_x, s, out=fb[:m])
-            np.take(fs_y, s, out=fb[m:])
-            np.add(d0, fb, out=d0)
-            np.add(a0, fb, out=a0)
-            base = v_ht[:m2]  # v_ht is free until the hit-time reduce
-            np.multiply(scol, fph, out=base[:m])
-            np.multiply(srow, fpw, out=base[m:])
-            np.add(a0, base, out=a0)
-            w_cap = np.minimum(window_t, max_range - t_s)
-
-            hk = v_hk[:m2]
-            # Chunked over the pseudo-ray axis: each chunk's chain runs
-            # entirely in the small persistent block buffers.  Positions of
-            # axis-parallel or beyond-window crossings can be inf or huge;
-            # their int32 casts wrap to garbage indices that take() clips,
-            # and the entries are discarded anyway because their crossing
-            # time exceeds the window cap — so only the cast warning needs
-            # suppressing, not the values.
-            bs_max = max(256, chunk_cap // n_window)
-            with np.errstate(invalid="ignore"):
-                for lo, hi, table in (
-                    (0, m, padded_flat_t),
-                    (m, m2, padded_flat),
-                ):
-                    for c0 in range(lo, hi, bs_max):
-                        c1 = min(c0 + bs_max, hi)
-                        bs = c1 - c0
-                        elems = n_window * bs
-                        F = buf_f[:elems].reshape(n_window, bs)
-                        I = buf_i[:elems].reshape(n_window, bs)
-                        B = buf_b[:elems].reshape(n_window, bs)
-                        np.multiply(k_idx[:, None], d0[c0:c1][None, :], out=F)
-                        np.add(F, a0[c0:c1][None, :], out=F)
-                        np.floor(F, out=F)
-                        np.copyto(I, F, casting="unsafe")
-                        table.take(I, mode="clip", out=B)
-                        # Crossing times are monotone in k, so the first
-                        # occupied entry of each pseudo-ray is its window
-                        # hit.  A reverse masked-fill sweep finds it in one
-                        # contiguous pass per window row — far cheaper than
-                        # strided any/argmax reductions over axis 0.  The
-                        # sentinel n_window maps to a time > w_cap (td >=
-                        # res, or tf is inf), so no-hit needs no
-                        # special-casing.
-                        hkb = hk[c0:c1]
-                        hkb.fill(n_window)
-                        for k in range(n_window - 1, -1, -1):
-                            np.copyto(hkb, np.int32(k), where=B[k])
-            ht = v_ht[:m2]
-            np.multiply(hk, td, out=ht)
-            np.add(ht, tf, out=ht)
-            # Hits beyond the window cap are discarded (the next round
-            # re-enumerates them); a 1D compare replaces a 2D valid mask.
-            hit_rel = np.minimum(ht[:m], ht[m:])
-            found = hit_rel <= w_cap
-            settled = s[found]
-            distances[settled] = np.minimum(
-                t_s[found] + hit_rel[found], max_range
-            )
-            t_cur[settled] = max_range  # park: drop below
-            missed = s[~found]
-            t_cur[missed] += w_cap[~found]
-            # Rounding can leave an advanced ray an epsilon short of
-            # max_range; park it (its distance is already max_range).
-            capped = missed[t_cur[missed] >= max_range - 1e-9]
-            t_cur[capped] = max_range
-        alive = a[t_cur[a] < max_range]
+    cells = np.ascontiguousarray(grid.cells, dtype=bool)
+    distances = np.empty(len(xs))
+    ox, oy = grid.origin
+    checks = load_core()(
+        cells.ctypes.data, cells.shape[0], cells.shape[1], grid.resolution,
+        ox, oy, len(xs), xs.ctypes.data, ys.ctypes.data, dir_x.ctypes.data,
+        dir_y.ctypes.data, float(max_range), distances.ctypes.data,
+    )
     if count is not None:
-        # Crossings examined up to (and including) the hit — identical to
-        # the per-ray traversal's counter, computed in closed form from the
-        # ray origins so it is independent of the skip/scan schedule.
-        bump_x = (dir_x > 0).astype(float)
-        bump_y = (dir_y > 0).astype(float)
-        tfx0 = np.where(has_x, (col0 + bump_x - cx0) * rs_x, np.inf)
-        tfy0 = np.where(has_y, (row0 + bump_y - cy0) * rs_y, np.inf)
-        k_max = int(math.ceil(max_range / res)) + 1
-        t_stop = distances
-        nx = np.floor((t_stop - tfx0) / np.where(has_x, t_delta_x, 1.0))
-        ny = np.floor((t_stop - tfy0) / np.where(has_y, t_delta_y, 1.0))
-        checks = (
-            np.clip(nx + 1.0, 0, k_max).sum()
-            + np.clip(ny + 1.0, 0, k_max).sum()
-        )
-        count("raycast_cell_checks", int(checks))
+        count("raycast_cell_checks", checks)
     return distances
 
 

@@ -41,9 +41,9 @@ from repro.geometry.collision import (
 )
 from repro.geometry.kdtree import BatchKDTree, KDTree
 from repro.geometry.raycast import (
-    _cast_tables,
     cast_rays_batch,
     cast_rays_dda_batch,
+    load_core,
 )
 from repro.planning.pp3d import far_apart_free_voxels, plan_3d
 from repro.search.dijkstra import backward_dijkstra_grid
@@ -104,11 +104,10 @@ def bench_raycast(smoke: bool = False, seed: int = 7) -> Dict[str, float]:
     """Time both ray casters on a particle-filter-shaped batch.
 
     Full mode: 256 particles x 60 beams over a 320x400 building map at
-    0.125 m resolution (a standard indoor mapping resolution; the
-    reference marcher's cost grows as 1/resolution while the vectorized
-    caster's clearance jumps are metric, so this is also where the
-    backend choice matters most).  Rays are capped at 12 m like the pfl
-    lidar.
+    0.125 m resolution (a standard indoor mapping resolution; both
+    casters' work grows as 1/resolution: the marcher checks every half
+    cell, the compiled exact traversal every cell it crosses).  Rays are
+    capped at 12 m like the pfl lidar.
     """
     if smoke:
         grid = wean_hall_like(rows=160, cols=200, resolution=0.25, seed=seed)
@@ -135,7 +134,7 @@ def bench_raycast(smoke: bool = False, seed: int = 7) -> Dict[str, float]:
     def count(name: str, k: int) -> None:
         ops_box["n"] += k
 
-    _cast_tables(grid)  # table build is one-time per map; not a per-call cost
+    load_core()  # the first call in a fresh cache dir compiles the core
     ref_out = cast_rays_batch(grid, xs, ys, angles, max_range, count=count)
     vec_out = cast_rays_dda_batch(grid, xs, ys, angles, max_range)
     worst = float(np.abs(ref_out - vec_out).max())

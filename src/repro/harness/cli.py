@@ -520,7 +520,7 @@ def _cmd_cache(argv: List[str]) -> int:
         "action", nargs="?", default="stats", choices=("stats", "clear"),
         help=(
             "'stats' (default) prints disk usage; 'clear' empties the cache, "
-            "compiled search core included"
+            "compiled C cores (A* search, ray casting) included"
         ),
     )
     parser.add_argument(

@@ -34,7 +34,8 @@ open list is chosen to match the cost structure:
   offset lands either on a real cell or on the blocked halo, which is
   exactly the reference semantics of "out of bounds counts as
   occupied".  The loop itself is C (``_astar.c``), compiled on first
-  use into the workload cache dir and called through :mod:`ctypes`.
+  use into the workload cache dir by :mod:`repro.native` and called
+  through :mod:`ctypes`.
   It stays bitwise exact because heap entries ``(f, ticket)`` are
   totally ordered (any correct heap pops what ``heapq`` pops), the
   build forbids fused multiply-adds (``-ffp-contract=off``), and the
@@ -53,17 +54,15 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import heapq
 import math
 import os
-import shlex
-import subprocess
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.native import load_function
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -319,9 +318,6 @@ def dijkstra_grid_bucketed(
 _CORE_SOURCE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "_astar.c"
 )
-#: ``-ffp-contract=off`` forbids fused multiply-adds, so ``g + epsilon * h``
-#: rounds exactly as the Python reference does.
-_CORE_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 @dataclass
@@ -337,73 +333,13 @@ class FlatSearchResult:
     pops: int = 0
 
 
-def _core_library_path(cache_dir: str) -> str:
-    """Path of the compiled search core for the current source.
-
-    The file name carries a digest of the C source and the compiler
-    flags, so an edited core never loads a stale build.
-    """
-    with open(_CORE_SOURCE, "rb") as fh:
-        source = fh.read()
-    digest = hashlib.sha256(source + " ".join(_CORE_CFLAGS).encode())
-    return os.path.join(cache_dir, f"_astar-{digest.hexdigest()[:16]}.so")
-
-
-def _compile_core(path: str) -> None:
-    """Compile the core to ``path`` with ``$CC`` (default ``cc``)."""
-    compiler = shlex.split(os.environ.get("CC") or "cc")
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    # Compile to a process-unique name and rename it into place, so a
-    # concurrent cold build never loads a half-written library.
-    fd, tmp = tempfile.mkstemp(
-        dir=directory, prefix=f"_astar-{os.getpid()}-", suffix=".tmp"
-    )
-    os.close(fd)
-    try:
-        try:
-            proc = subprocess.run(
-                [*compiler, *_CORE_CFLAGS, "-o", tmp, _CORE_SOURCE],
-                capture_output=True, text=True,
-            )
-        except OSError as exc:
-            raise RuntimeError(
-                f"the array tier's A* core needs a C compiler: cannot run "
-                f"{compiler[0]!r} to build {_CORE_SOURCE} ({exc}); set CC, "
-                f"or use backend='reference'"
-            ) from exc
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"{compiler[0]!r} failed to build {_CORE_SOURCE} "
-                f"(exit {proc.returncode}):\n{proc.stderr.strip()}"
-            )
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-@functools.lru_cache(maxsize=None)
 def load_core() -> Callable[..., int]:
-    """The compiled search loop, built into the cache dir on first use.
-
-    Memoized per process; a failed build is not memoized, so the next
-    call retries it.  A harness that times a single cold call calls
-    this first, to keep the one-time compile out of its measurement.
-    """
-    from repro.envs.cache import default_cache
-
-    path = _core_library_path(default_cache().cache_dir)
-    if not os.path.exists(path):
-        _compile_core(path)
-    fn = ctypes.CDLL(path).rtr_astar_flat
+    """The compiled search loop (see :func:`repro.native.load_function`)."""
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [
+    return load_function(_CORE_SOURCE, "rtr_astar_flat", ctypes.c_int, (
         i64, ctypes.c_int32, ptr, ptr, ptr, i64, ptr, i64, i64,
         ctypes.c_double, i64, ptr, ptr, ptr,
-    ]
-    fn.restype = ctypes.c_int
-    return fn
+    ))
 
 
 def astar_flat(

@@ -71,9 +71,10 @@ class Lidar:
 
         Flattens all particle x beam rays into one vectorized cast — this
         is the hot loop the paper measures at 67-78% of pfl time.  With
-        ``backend="vectorized"`` the rays go through the skip/scan DDA
-        caster (:func:`~repro.geometry.raycast.cast_rays_dda_batch`)
-        instead of the lock-step marcher.
+        ``backend="vectorized"`` the rays go through the compiled exact
+        Amanatides-Woo caster
+        (:func:`~repro.geometry.raycast.cast_rays_dda_batch`) instead of
+        the lock-step marcher.
         """
         poses = np.asarray(poses, dtype=float)
         n = len(poses)

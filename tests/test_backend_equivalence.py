@@ -66,18 +66,121 @@ def test_raycast_ranges_within_resolution(seed):
     assert np.abs(ref - vec).max() <= grid.resolution
 
 
+def _scalar_dda(grid, xs, ys, angles, max_range):
+    """Per-ray :func:`cast_ray_dda` distances and their summed counter."""
+    total = {"raycast_cell_checks": 0}
+
+    def count(name, k):
+        total[name] += k
+
+    distances = np.array(
+        [
+            cast_ray_dda(grid, x, y, a, max_range, count=count)
+            for x, y, a in zip(xs, ys, angles)
+        ]
+    )
+    return distances, total["raycast_cell_checks"]
+
+
+def _batch_dda(grid, xs, ys, angles, max_range):
+    """:func:`cast_rays_dda_batch` distances and its counter."""
+    total = {"raycast_cell_checks": 0}
+
+    def count(name, k):
+        total[name] += k
+
+    distances = cast_rays_dda_batch(grid, xs, ys, angles, max_range, count=count)
+    return distances, total["raycast_cell_checks"]
+
+
 def test_raycast_matches_scalar_dda_exactly():
     grid = wean_hall_like(rows=120, cols=150, resolution=0.25, seed=5)
     xs, ys, angles = _random_rays(grid, 300, 42)
     vec = cast_rays_dda_batch(grid, xs, ys, angles, 12.0)
-    scalar = np.array(
-        [
-            cast_ray_dda(grid, x, y, a, 12.0)
-            for x, y, a in zip(xs, ys, angles)
-        ]
+    scalar, _ = _scalar_dda(grid, xs, ys, angles, 12.0)
+    # The compiled core runs the scalar traversal's own float arithmetic.
+    assert np.array_equal(vec, scalar)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 24),
+    cols=st.integers(1, 24),
+    density=st.floats(0.0, 0.5),
+    resolution=st.sampled_from([0.1, 0.25, 0.3, 1.0]),
+    origin=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    max_range=st.floats(0.05, 12.0),
+)
+def test_raycast_batch_matches_scalar_dda_property(
+    seed, rows, cols, density, resolution, origin, max_range
+):
+    rng = np.random.default_rng(seed)
+    grid = OccupancyGrid2D(
+        rng.random((rows, cols)) < density, resolution, origin
     )
-    # Exact traversal either way; 1e-9 absorbs schedule-order float noise.
-    np.testing.assert_allclose(vec, scalar, atol=1e-9)
+    n = 64
+    # Origins cover the map and a one-cell rim outside it; a quarter of
+    # the rays start on exact cell corners or run axis-parallel.
+    xs = origin[0] + rng.uniform(-1.0, cols + 1.0, n) * resolution
+    ys = origin[1] + rng.uniform(-1.0, rows + 1.0, n) * resolution
+    xs[: n // 8] = origin[0] + rng.integers(0, cols + 1, n // 8) * resolution
+    ys[: n // 8] = origin[1] + rng.integers(0, rows + 1, n // 8) * resolution
+    angles = rng.uniform(-np.pi, np.pi, n)
+    angles[n // 8 : n // 4] = rng.choice(
+        [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, np.pi / 4], n // 8
+    )
+    vec, vec_checks = _batch_dda(grid, xs, ys, angles, max_range)
+    scalar, scalar_checks = _scalar_dda(grid, xs, ys, angles, max_range)
+    assert np.array_equal(vec, scalar)
+    assert vec_checks == scalar_checks
+
+
+def test_raycast_edge_cases_match_scalar_dda():
+    grid = OccupancyGrid2D.empty(10, 12, resolution=0.5, origin=(1.0, -2.0))
+    grid.cells[4, 6] = True
+    # In a wall, left of the map, above the map; then from one free cell:
+    # along +x with sin exactly +0.0 and -0.0 (no y border is ever
+    # crossed), up, down, -x, into the wall; last, from the top-right
+    # free cell out through the map corner.
+    xs = np.array([4.25, 0.0, 4.25] + [3.7] * 6 + [6.99])
+    ys = np.array([0.25, 0.0, 9.0] + [0.6] * 6 + [2.99])
+    angles = np.array(
+        [1.0, 0.3, -1.0, 0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, np.pi / 4,
+         np.pi / 4]
+    )
+    assert np.sin(angles[3:5]).tolist() == [0.0, -0.0]
+    vec, vec_checks = _batch_dda(grid, xs, ys, angles, 30.0)
+    scalar, scalar_checks = _scalar_dda(grid, xs, ys, angles, 30.0)
+    assert np.array_equal(vec, scalar)
+    assert vec_checks == scalar_checks
+    assert vec[:3].tolist() == [0.0, 0.0, 0.0]
+    assert vec[3] == vec[4] == pytest.approx(7.0 - 3.7)
+    assert 0.0 < vec[-1] < 30.0
+
+
+def test_raycast_empty_batch():
+    grid = OccupancyGrid2D.empty(4, 4)
+    counters = {}
+
+    def count(name, k):
+        counters[name] = counters.get(name, 0) + k
+
+    out = cast_rays_dda_batch(
+        grid, np.empty(0), np.empty(0), np.empty(0), 5.0, count=count
+    )
+    assert out.shape == (0,)
+    assert counters.get("raycast_cell_checks", 0) == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["xs", "ys", "angles"])
+def test_raycast_rejects_non_finite_input(field, bad):
+    grid = OccupancyGrid2D.empty(4, 4)
+    rays = {"xs": np.full(3, 1.5), "ys": np.full(3, 1.5), "angles": np.zeros(3)}
+    rays[field][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        cast_rays_dda_batch(grid, rays["xs"], rays["ys"], rays["angles"], 5.0)
 
 
 def test_raycast_work_counter_reported():

@@ -157,3 +157,11 @@ def test_kernel_run_profiles_raycast():
     assert result.profiler.fraction("raycast") > 0.4
     assert result.profiler.counters.get("raycast_cell_checks", 0) > 0
     assert "resample" in result.profiler.stats
+
+
+@pytest.mark.parametrize("seed, region", [(2, 0), (3, 1), (0, 2), (1, 3), (0, 4)])
+def test_vectorized_default_config_converges(seed, region):
+    # The map/region pairs of perfbench's localize pool: global
+    # localization with the compiled caster ends within a meter.
+    config = PflConfig(backend="vectorized", seed=seed, region=region)
+    assert PflKernel().run(config).output["error"] < 1.0

@@ -1,10 +1,12 @@
-"""Build and load path of the compiled A* core.
+"""Build and load path of the compiled C cores.
 
-The ``array`` tier compiles ``repro/search/_astar.c`` into the workload
-cache dir on first use.  These tests pin the failure modes: a missing
-or failing compiler must raise a clear error without touching the pure
-Python ``reference`` tier, concurrent cold builds must never load a
-half-written library, and a built library is reused, not rebuilt.
+The ``array`` tier's A* (``repro/search/_astar.c``) and pfl's
+``vectorized`` ray caster (``repro/geometry/_raycast.c``) are compiled
+into the workload cache dir on first use by :mod:`repro.native`.  These
+tests pin the failure modes: a missing or failing compiler must raise a
+clear error without touching the pure Python ``reference`` tiers,
+concurrent cold builds must never load a half-written library, and a
+built library is reused, not rebuilt.
 """
 
 import os
@@ -14,8 +16,11 @@ import sys
 import numpy as np
 import pytest
 
+from repro import native
 from repro.envs.cache import WorkloadCache, default_cache, set_default_cache
+from repro.geometry import raycast
 from repro.geometry.grid2d import OccupancyGrid2D
+from repro.perception.particle_filter import PflConfig, PflKernel
 from repro.planning.pp2d import plan_2d
 from repro.search import grid_core
 
@@ -37,9 +42,9 @@ def fresh_core(tmp_path, monkeypatch):
     """An empty cache dir and no loaded core; restores both afterwards."""
     previous = default_cache()
     set_default_cache(WorkloadCache(cache_dir=str(tmp_path / "cache")))
-    grid_core.load_core.cache_clear()
+    native.load_function.cache_clear()
     yield tmp_path / "cache"
-    grid_core.load_core.cache_clear()
+    native.load_function.cache_clear()
     set_default_cache(previous)
 
 
@@ -69,6 +74,20 @@ def test_missing_compiler_fails_array_tier_only(fresh_core, monkeypatch):
     message = str(excinfo.value)
     assert "/nonexistent/bin/cc" in message
     assert grid_core._CORE_SOURCE in message
+    assert not any(name.endswith(".so") for name in os.listdir(fresh_core))
+
+
+def test_missing_compiler_fails_pfl_vectorized_only(fresh_core, monkeypatch):
+    monkeypatch.setenv("CC", "/nonexistent/bin/cc")
+    config = PflConfig(particles=50, beams=6, steps=2, map_rows=60,
+                       map_cols=80)
+    ref = PflKernel().run(config)
+    assert ref.profiler.counters["raycast_cell_checks"] > 0
+    with pytest.raises(RuntimeError) as excinfo:
+        PflKernel().run(config.replace(backend="vectorized"))
+    message = str(excinfo.value)
+    assert "/nonexistent/bin/cc" in message
+    assert raycast._CORE_SOURCE in message
     assert not any(name.endswith(".so") for name in os.listdir(fresh_core))
 
 
@@ -105,6 +124,10 @@ def test_racing_cold_builds_both_succeed_and_a_rerun_reuses(tmp_path):
 def test_cache_clear_removes_built_library(fresh_core):
     cells = np.zeros((4, 4), dtype=bool)
     assert grid_core.astar_grid_2d(cells, (0, 0), (3, 3))[0].found
-    assert any(name.endswith(".so") for name in os.listdir(fresh_core))
+    grid = OccupancyGrid2D(cells)
+    ones = np.ones(1)
+    assert raycast.cast_rays_dda_batch(grid, ones, ones, ones, 9.0)[0] > 0
+    libraries = sorted(name.split("-")[0] for name in os.listdir(fresh_core))
+    assert libraries == ["_astar", "_raycast"]
     default_cache().clear()
     assert os.listdir(fresh_core) == []
