@@ -23,8 +23,13 @@ def wrap_angle(theta: float) -> float:
 
 
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`wrap_angle` over an array."""
-    return np.mod(np.asarray(theta) + np.pi, 2.0 * np.pi) - np.pi
+    """Vectorized :func:`wrap_angle` over an array, bitwise equal to it.
+
+    ``fmod`` is exact, so ``np.fmod`` and ``math.fmod`` agree bit for bit;
+    an ``np.mod`` form would instead return -pi at odd multiples of pi.
+    """
+    wrapped = np.fmod(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi)
+    return np.where(wrapped <= 0.0, wrapped + 2.0 * np.pi, wrapped) - np.pi
 
 
 @dataclass(frozen=True)

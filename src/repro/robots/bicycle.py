@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -59,20 +60,30 @@ class BicycleModel:
             max(-self.max_steer, min(self.max_steer, delta)),
         )
 
+    def propagate(
+        self, x: float, y: float, theta: float, v: float,
+        a: float, delta: float, dt: float,
+    ) -> tuple:
+        """:meth:`step` on plain floats: the next ``(x, y, theta, v)``.
+
+        The one copy of the plant's Euler arithmetic; :meth:`step`,
+        :meth:`rollout` and the MPC's forward pass all call it, so they
+        agree bit for bit.
+        """
+        a, delta = self.clamp_control(a, delta)
+        return (
+            x + v * math.cos(theta) * dt,
+            y + v * math.sin(theta) * dt,
+            wrap_angle(theta + v / self.wheelbase * math.tan(delta) * dt),
+            max(0.0, min(self.max_speed, v + a * dt)),
+        )
+
     def step(
         self, state: BicycleState, a: float, delta: float, dt: float
     ) -> BicycleState:
         """Integrate one timestep with forward Euler."""
-        a, delta = self.clamp_control(a, delta)
-        v = max(0.0, min(self.max_speed, state.v + a * dt))
-        theta = wrap_angle(
-            state.theta + state.v / self.wheelbase * math.tan(delta) * dt
-        )
         return BicycleState(
-            x=state.x + state.v * math.cos(state.theta) * dt,
-            y=state.y + state.v * math.sin(state.theta) * dt,
-            theta=theta,
-            v=v,
+            *self.propagate(state.x, state.y, state.theta, state.v, a, delta, dt)
         )
 
     def rollout(
@@ -83,14 +94,44 @@ class BicycleModel:
         ``controls`` is ``(T, 2)`` of (a, delta) pairs; row 0 of the result
         is the initial state.
         """
-        controls = np.asarray(controls, dtype=float)
-        states = np.empty((len(controls) + 1, 4))
-        states[0] = state.as_array()
-        current = state
-        for t, (a, delta) in enumerate(controls):
-            current = self.step(current, float(a), float(delta), dt)
-            states[t + 1] = current.as_array()
-        return states
+        current = (state.x, state.y, state.theta, state.v)
+        states = [current]
+        for a, delta in np.asarray(controls, dtype=float).tolist():
+            current = self.propagate(*current, a, delta, dt)
+            states.append(current)
+        return np.array(states, dtype=float)
+
+    def jacobian_stack(
+        self,
+        thetas: Sequence[float],
+        speeds: Sequence[float],
+        deltas: Sequence[float],
+        dt: float,
+    ) -> tuple:
+        """Discrete-time Jacobians (A, B) of :meth:`step` at T points.
+
+        Takes the points' headings, speeds and steering angles as
+        sequences of floats; returns ``(T, 4, 4)`` and ``(T, 4, 2)``
+        stacks, each point's matrices contiguous, built with ``math``
+        scalars in one ``np.array`` call.
+        """
+        wb = self.wheelbase
+        flat = []
+        for theta, v, delta in zip(thetas, speeds, deltas):
+            ct, st = math.cos(theta), math.sin(theta)
+            flat += (
+                1.0, 0.0, -v * st * dt, ct * dt,
+                0.0, 1.0, v * ct * dt, st * dt,
+                0.0, 0.0, 1.0, math.tan(delta) / wb * dt,
+                0.0, 0.0, 0.0, 1.0,
+                0.0, 0.0,
+                0.0, 0.0,
+                0.0, v / (wb * math.cos(delta) ** 2) * dt,
+                dt, 0.0,
+            )
+        ab = np.array(flat, dtype=float).reshape(-1, 24)
+        n = len(ab)
+        return ab[:, :16].reshape(n, 4, 4), ab[:, 16:].reshape(n, 4, 2)
 
     def jacobians(
         self, state: BicycleState, a: float, delta: float, dt: float
@@ -100,26 +141,10 @@ class BicycleModel:
         The MPC's iterative LQR-style solver needs only these, not the
         affine term :meth:`linearize` adds.
         """
-        v, theta = state.v, state.theta
-        ct, st = math.cos(theta), math.sin(theta)
-        tan_d = math.tan(delta)
-        A = np.array(
-            [
-                [1, 0, -v * st * dt, ct * dt],
-                [0, 1, v * ct * dt, st * dt],
-                [0, 0, 1, tan_d / self.wheelbase * dt],
-                [0, 0, 0, 1],
-            ]
+        a_mats, b_mats = self.jacobian_stack(
+            (state.theta,), (state.v,), (delta,), dt
         )
-        B = np.array(
-            [
-                [0.0, 0.0],
-                [0.0, 0.0],
-                [0.0, v / (self.wheelbase * math.cos(delta) ** 2) * dt],
-                [dt, 0.0],
-            ]
-        )
-        return A, B
+        return a_mats[0], b_mats[0]
 
     def linearize(
         self, state: BicycleState, a: float, delta: float, dt: float

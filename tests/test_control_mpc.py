@@ -1,7 +1,10 @@
 """Tests for model predictive control (14.mpc)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.control.mpc import (
     ModelPredictiveController,
@@ -10,12 +13,245 @@ from repro.control.mpc import (
     reference_trajectory,
 )
 from repro.harness.profiler import PhaseProfiler
+from repro.geometry.transforms import wrap_angle
 from repro.robots.bicycle import BicycleModel, BicycleState
+
+
+class FrozenBicycleModel(BicycleModel):
+    """The plant as it was before the float helper, verbatim."""
+
+    def step(self, state, a, delta, dt):
+        a, delta = self.clamp_control(a, delta)
+        v = max(0.0, min(self.max_speed, state.v + a * dt))
+        theta = wrap_angle(
+            state.theta + state.v / self.wheelbase * math.tan(delta) * dt
+        )
+        return BicycleState(
+            x=state.x + state.v * math.cos(state.theta) * dt,
+            y=state.y + state.v * math.sin(state.theta) * dt,
+            theta=theta,
+            v=v,
+        )
+
+    def rollout(self, state, controls, dt):
+        controls = np.asarray(controls, dtype=float)
+        states = np.empty((len(controls) + 1, 4))
+        states[0] = state.as_array()
+        current = state
+        for t, (a, delta) in enumerate(controls):
+            current = self.step(current, float(a), float(delta), dt)
+            states[t + 1] = current.as_array()
+        return states
+
+    def jacobians(self, state, a, delta, dt):
+        v, theta = state.v, state.theta
+        ct, st = math.cos(theta), math.sin(theta)
+        tan_d = math.tan(delta)
+        A = np.array(
+            [
+                [1, 0, -v * st * dt, ct * dt],
+                [0, 1, v * ct * dt, st * dt],
+                [0, 0, 1, tan_d / self.wheelbase * dt],
+                [0, 0, 0, 1],
+            ]
+        )
+        B = np.array(
+            [
+                [0.0, 0.0],
+                [0.0, 0.0],
+                [0.0, v / (self.wheelbase * math.cos(delta) ** 2) * dt],
+                [dt, 0.0],
+            ]
+        )
+        return A, B
+
+
+class FrozenController(ModelPredictiveController):
+    """The per-step solve the batched one is pinned to, verbatim."""
+
+    def solve(self, state, reference):
+        prof = self.profiler
+        t_len = self.horizon
+        controls = np.zeros((t_len, 2))
+        with prof.phase("optimize"):
+            for _ in range(self.iterations):
+                with prof.phase("dynamics"):
+                    states = self.model.rollout(state, controls, self.dt)
+                # Linearize along the nominal trajectory.
+                a_mats = np.empty((t_len, 4, 4))
+                b_mats = np.empty((t_len, 4, 2))
+                for t in range(t_len):
+                    st = BicycleState.from_array(states[t])
+                    a_mats[t], b_mats[t] = self.model.jacobians(
+                        st, controls[t, 0], controls[t, 1], self.dt
+                    )
+                # Backward Riccati pass on the error system.
+                s_mat = self.q.copy()
+                s_vec = self.q @ self._state_error(states[t_len], reference[t_len])
+                k_gains = np.empty((t_len, 2, 4))
+                k_ff = np.empty((t_len, 2))
+                for t in range(t_len - 1, -1, -1):
+                    a, b = a_mats[t], b_mats[t]
+                    btsb = b.T @ s_mat @ b + self.r
+                    inv = np.linalg.inv(btsb)
+                    k_gains[t] = inv @ (b.T @ s_mat @ a)
+                    k_ff[t] = inv @ (b.T @ s_vec + self.r @ controls[t])
+                    a_cl = a - b @ k_gains[t]
+                    s_vec = (
+                        a_cl.T @ (s_vec - s_mat @ b @ k_ff[t])
+                        + self.q @ self._state_error(states[t], reference[t])
+                    )
+                    s_mat = (
+                        a_cl.T @ s_mat @ a_cl
+                        + k_gains[t].T @ self.r @ k_gains[t]
+                        + self.q
+                    )
+                    prof.count("riccati_steps", 1)
+                # Forward pass: apply the affine policy, clamped.
+                new_controls = np.empty_like(controls)
+                current = state
+                for t in range(t_len):
+                    err = self._state_error(
+                        current.as_array(), reference[t]
+                    )
+                    u = controls[t] - k_gains[t] @ err - 0.2 * k_ff[t]
+                    u[0], u[1] = self.model.clamp_control(u[0], u[1])
+                    new_controls[t] = u
+                    with prof.phase("dynamics"):
+                        current = self.model.step(
+                            current, u[0], u[1], self.dt
+                        )
+                controls = new_controls
+        return controls
+
+    @staticmethod
+    def _state_error(state, reference):
+        err = state - reference
+        err[2] = wrap_angle(err[2])
+        return err
+
+
+def _track_both(speed, steps, curvature=0.3, start=(0.0, 0.0, 0.0)):
+    """One episode as the mpc kernel sets it up, on both solves."""
+    reference = reference_trajectory(n_steps=steps, speed=speed,
+                                     curvature=curvature)
+    runs = []
+    for model_cls, controller_cls in (
+        (BicycleModel, ModelPredictiveController),
+        (FrozenBicycleModel, FrozenController),
+    ):
+        prof = PhaseProfiler()
+        controller = controller_cls(
+            model_cls(max_speed=speed * 1.5), profiler=prof
+        )
+        x, y, theta = start
+        out = controller.track(BicycleState(x, y, theta, speed), reference)
+        runs.append((out, prof.counters))
+    return runs
+
+
+def _assert_bitwise_equal(runs):
+    (new, new_counters), (old, old_counters) = runs
+    for key in ("states", "controls", "errors"):
+        assert new[key].dtype == old[key].dtype
+        assert new[key].tobytes() == old[key].tobytes(), key
+    assert new_counters == old_counters
+
+
+@pytest.mark.parametrize("speed", [6.0, 8.0, 10.0])
+def test_solve_bitwise_equals_frozen_on_perfbench_episodes(speed):
+    _assert_bitwise_equal(_track_both(speed, steps=150))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.floats(-0.5, 0.5),
+    st.floats(0.0, 0.6),
+    st.sampled_from([4.0, 8.0, 12.0]),
+)
+def test_solve_bitwise_equals_frozen_property(dx, dy, dtheta, curvature, speed):
+    _assert_bitwise_equal(
+        _track_both(speed, steps=30, curvature=curvature, start=(dx, dy, dtheta))
+    )
+
+
+finite = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+@given(st.lists(st.tuples(finite, finite, st.floats(-1.5, 1.5)), max_size=12))
+def test_jacobian_stack_equals_per_point_jacobians(points):
+    model, frozen = BicycleModel(), FrozenBicycleModel()
+    thetas = [p[0] for p in points]
+    speeds = [p[1] for p in points]
+    deltas = [p[2] for p in points]
+    a_mats, b_mats = model.jacobian_stack(thetas, speeds, deltas, 0.1)
+    assert a_mats.shape == (len(points), 4, 4)
+    assert b_mats.shape == (len(points), 4, 2)
+    for t, (theta, v, delta) in enumerate(points):
+        state = BicycleState(0.0, 0.0, theta, v)
+        for a, b in (model.jacobians(state, 0.0, delta, 0.1),
+                     frozen.jacobians(state, 0.0, delta, 0.1)):
+            assert a_mats[t].tobytes() == a.tobytes()
+            assert b_mats[t].tobytes() == b.tobytes()
+
+
+@given(finite, finite, finite, st.floats(0.0, 20.0), finite,
+       st.floats(-2.0, 2.0))
+def test_propagate_equals_frozen_step(x, y, theta, v, a, delta):
+    model, frozen = BicycleModel(), FrozenBicycleModel()
+    expected = frozen.step(BicycleState(x, y, theta, v), a, delta, 0.1)
+    got = model.propagate(x, y, theta, v, a, delta, 0.1)
+    assert np.array(got).tobytes() == expected.as_array().tobytes()
+    assert model.step(BicycleState(x, y, theta, v), a, delta, 0.1) == expected
 
 
 def test_validation():
     with pytest.raises(ValueError):
         ModelPredictiveController(BicycleModel(), horizon=0)
+    with pytest.raises(ValueError, match="iterations"):
+        ModelPredictiveController(BicycleModel(), iterations=0)
+    for dt in (0.0, -0.1):
+        with pytest.raises(ValueError, match="dt"):
+            ModelPredictiveController(BicycleModel(), dt=dt)
+
+
+@pytest.mark.parametrize("field", ["x", "theta", "v"])
+def test_solve_rejects_non_finite_state(field):
+    controller = ModelPredictiveController(BicycleModel(), horizon=8)
+    ref = reference_trajectory(n_steps=8)
+    state = BicycleState(v=8.0)
+    setattr(state, field, math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        controller.solve(state, ref)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_rejects_non_finite_reference(bad):
+    controller = ModelPredictiveController(BicycleModel(), horizon=8)
+    ref = reference_trajectory(n_steps=8)
+    ref[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        controller.solve(BicycleState(v=8.0), ref)
+
+
+@pytest.mark.parametrize("shape", [(8, 4), (10, 4), (9, 3)])
+def test_solve_rejects_misshapen_reference(shape):
+    controller = ModelPredictiveController(BicycleModel(), horizon=8)
+    with pytest.raises(ValueError, match="reference window"):
+        controller.solve(BicycleState(v=8.0), np.zeros(shape))
+
+
+def test_singular_control_cost_raises_linalg_error():
+    # Zero steering weight at standstill: B's steering column is zero,
+    # so B^T S B + R is singular.
+    controller = ModelPredictiveController(
+        BicycleModel(), horizon=8, r_weights=(0.01, 0.0)
+    )
+    ref = np.zeros((9, 4))
+    with pytest.raises(np.linalg.LinAlgError):
+        controller.solve(BicycleState(v=0.0), ref)
 
 
 def test_reference_trajectory_shape():

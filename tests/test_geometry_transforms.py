@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.geometry.transforms import (
     SE2,
@@ -31,11 +31,22 @@ def test_wrap_angle_preserves_direction(theta):
     assert math.sin(wrap_angle(theta)) == pytest.approx(math.sin(theta), abs=1e-9)
 
 
-def test_wrap_angles_vectorized_matches_scalar():
-    values = np.linspace(-10, 10, 101)
-    vector = wrap_angles(values)
-    for v, w in zip(values, vector):
-        assert w == pytest.approx(wrap_angle(v), abs=1e-9)
+_odd_pis = [k * math.pi for k in (-3.0, -1.0, 1.0, 3.0)]
+
+
+@given(
+    st.lists(
+        st.floats(-1e12, 1e12, allow_nan=False)
+        | st.sampled_from(_odd_pis + [0.0, -0.0, 2.0 * math.pi, 1e300, -1e300]),
+        min_size=1,
+        max_size=20,
+    )
+)
+@example(_odd_pis + [0.0, -0.0, 1e300])
+def test_wrap_angles_vectorized_matches_scalar(values):
+    vector = wrap_angles(np.array(values))
+    scalar = np.array([wrap_angle(v) for v in values])
+    assert vector.tobytes() == scalar.tobytes()
 
 
 @given(coords, coords, angles)
