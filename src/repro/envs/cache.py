@@ -10,16 +10,10 @@ calls with the same parameters share one build; changing any parameter
 (or bumping a generator's schema version) changes the key and invalidates
 the entry — there is no time-based expiry to get wrong.
 
-Three layers back the key:
+Two layers back the key:
 
 * an in-process LRU (``max_memory_items`` entries) serving repeat calls
   within one process at deep-copy cost;
-* an optional **shared-memory plane** (:mod:`repro.harness.shm`): the
-  suite parent publishes large artifacts once into
-  ``multiprocessing.shared_memory`` segments keyed by these same
-  content keys, and pool workers attach zero-copy instead of re-reading
-  the disk store (install with :func:`install_shared_plane`; a
-  per-worker LRU keeps segments attached across tasks);
 * an on-disk pickle store under ``.rtrbench_cache/`` (override with
   ``RTRBENCH_CACHE_DIR``) shared between processes and across runs, so
   parallel suite workers and repeated invocations all reuse one build.
@@ -81,7 +75,6 @@ class CacheStats:
     """Hit/miss accounting, including time spent building vs serving."""
 
     memory_hits: int = 0
-    shm_hits: int = 0
     disk_hits: int = 0
     misses: int = 0
     build_time_s: float = 0.0
@@ -90,14 +83,13 @@ class CacheStats:
 
     @property
     def hits(self) -> int:
-        """Total hits across all three layers."""
-        return self.memory_hits + self.shm_hits + self.disk_hits
+        """Total hits across both layers."""
+        return self.memory_hits + self.disk_hits
 
     def as_dict(self) -> Dict[str, Any]:
         """Plain-dict view for JSON reports."""
         return {
             "memory_hits": self.memory_hits,
-            "shm_hits": self.shm_hits,
             "disk_hits": self.disk_hits,
             "misses": self.misses,
             "build_time_s": self.build_time_s,
@@ -106,55 +98,8 @@ class CacheStats:
         }
 
 
-# -- shared-memory plane (installed by the suite before its pool forks) --------
-
-#: ``{content_key[:24] -> shared-memory segment name}``; empty = no plane.
-_shared_plane: Dict[str, str] = {}
-
-#: Per-process LRU of attached segments (lazy; workers inherit ``None``
-#: across fork and build their own on first attach).
-_segment_cache: Optional[Any] = None
-
-
-def install_shared_plane(mapping: Optional[Mapping[str, str]]) -> None:
-    """Install (or, with ``None``/empty, remove) the shared-memory plane.
-
-    The suite parent publishes its cached workloads via
-    :class:`repro.harness.shm.SharedWorkloadPlane` and installs the
-    resulting ``{content key -> segment name}`` table *before* forking
-    the worker pool, so every worker inherits it; spawned workers get it
-    through the pool's initializer instead.
-    """
-    global _segment_cache
-    _shared_plane.clear()
-    if mapping:
-        _shared_plane.update(mapping)
-    elif _segment_cache is not None:
-        _segment_cache.close()
-        _segment_cache = None
-
-
-def shared_plane_mapping() -> Dict[str, str]:
-    """The installed plane table (empty when no plane is active)."""
-    return dict(_shared_plane)
-
-
-def _attach_from_plane(plane_key: str) -> Any:
-    """Attached (shm-backed, shared) value for a plane key, or ``None``."""
-    name = _shared_plane.get(plane_key)
-    if name is None:
-        return None
-    global _segment_cache
-    if _segment_cache is None:
-        from repro.harness.shm import AttachedSegmentCache
-
-        _segment_cache = AttachedSegmentCache()
-    return _segment_cache.get(name)
-
-
 class WorkloadCache:
-    """Three-layer (memory LRU + shared-memory plane + disk pickle)
-    content-keyed artifact cache."""
+    """Two-layer (memory LRU + disk pickle) content-keyed artifact cache."""
 
     def __init__(
         self,
@@ -233,17 +178,6 @@ class WorkloadCache:
                 self.stats.hit_time_s += time.perf_counter() - t0
                 self._count(category)
                 return value
-        if _shared_plane:
-            value = _attach_from_plane(key[:24])
-            if value is not None:
-                # The attached original stays shm-backed and shared; the
-                # caller gets the usual mutation-safe deep copy.
-                served = copy.deepcopy(value)
-                with self._lock:
-                    self.stats.shm_hits += 1
-                    self.stats.hit_time_s += time.perf_counter() - t0
-                    self._count(category)
-                return served
         if self.persist:
             value = self._disk_get(self._entry_path(category, key))
             if value is not None:
@@ -270,50 +204,19 @@ class WorkloadCache:
             self.stats.per_category.get(category, 0) + 1
         )
 
-    def publish_entries(self, plane: Any) -> int:
-        """Publish every cached artifact into a shared-memory plane.
-
-        The in-memory layer publishes directly; disk entries not already
-        covered are loaded once and published under the key embedded in
-        their filename.  Returns the number of segments published.
-        Publication is opportunistic — a value the plane declines (size
-        budget, unpicklable buffers, no shared memory on this platform)
-        simply stays disk-served.
-        """
-        published = 0
-        with self._lock:
-            memory_entries = [
-                (key[:24], value) for key, value in self._memory.items()
-            ]
-        for plane_key, value in memory_entries:
-            if plane.publish(plane_key, value):
-                published += 1
-        if self.persist and os.path.isdir(self.cache_dir):
-            for name in sorted(os.listdir(self.cache_dir)):
-                if not name.endswith(".pkl") or "-" not in name:
-                    continue
-                plane_key = name[:-4].rsplit("-", 1)[1]
-                if plane_key in plane.mapping():
-                    continue
-                value = self._disk_get(os.path.join(self.cache_dir, name))
-                if value is None:
-                    continue
-                if plane.publish(plane_key, value):
-                    published += 1
-        return published
-
     def disk_stats(self) -> Dict[str, Any]:
         """Entry count and byte usage of the on-disk layer.
 
-        Powers ``rtrbench cache stats``; counts only ``.pkl`` entries
-        (leftover ``.tmp`` files from interrupted writes are ignored —
-        ``clear`` removes them too).
+        Powers ``rtrbench cache stats`` and ``clear``'s report; counts
+        the ``.pkl`` workload entries and the compiled ``.so`` cores,
+        both of which ``clear`` deletes (leftover ``.tmp`` files from
+        interrupted writes are ignored — ``clear`` removes them too).
         """
         entries = 0
         total_bytes = 0
         if self.persist and os.path.isdir(self.cache_dir):
             for name in os.listdir(self.cache_dir):
-                if not name.endswith(".pkl"):
+                if not name.endswith((".pkl", ".so")):
                     continue
                 entries += 1
                 try:

@@ -143,11 +143,7 @@ def _warn_inline_timeout() -> None:
     )
 
 
-def _pool_worker(
-    fn: Callable[[Any], Any],
-    conn: Any,
-    initializer: Optional[Callable[[], None]] = None,
-) -> None:
+def _pool_worker(fn: Callable[[Any], Any], conn: Any) -> None:
     """Worker main loop: serve tasks off the pipe until told to stop.
 
     Protocol: parent sends ``(index, item)`` tuples (``None`` to shut
@@ -155,11 +151,6 @@ def _pool_worker(
     result that cannot pickle is reported as a failure row instead of
     killing the worker, so one bad task never costs a respawn.
     """
-    if initializer is not None:
-        try:
-            initializer()
-        except Exception:  # pragma: no cover - init is best-effort
-            traceback.print_exc()
     while True:
         try:
             message = conn.recv()
@@ -259,11 +250,9 @@ class WorkerPool:
         fn: Callable[[Any], Any],
         jobs: int,
         start_method: Optional[str] = None,
-        initializer: Optional[Callable[[], None]] = None,
     ) -> None:
         self.fn = fn
         self.jobs = max(2, jobs)
-        self.initializer = initializer
         self._ctx = multiprocessing.get_context(
             start_method or _default_start_method()
         )
@@ -284,7 +273,7 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_pool_worker,
-            args=(self.fn, child_conn, self.initializer),
+            args=(self.fn, child_conn),
             daemon=True,
         )
         process.start()
@@ -349,7 +338,6 @@ def map_tasks(
     names: Optional[Sequence[str]] = None,
     start_method: Optional[str] = None,
     priorities: Optional[Sequence[float]] = None,
-    initializer: Optional[Callable[[], None]] = None,
     pool_stats: Optional[Dict[str, Any]] = None,
 ) -> List[TaskResult]:
     """Run ``fn`` over ``items`` on a persistent pool of worker processes.
@@ -361,10 +349,9 @@ def map_tasks(
     dispatch; an expired worker is terminated (and replaced while tasks
     remain) and its task reported with ``timed_out=True``.
     ``priorities`` orders dispatch longest-first (see
-    :func:`schedule_order`).  ``initializer`` runs once in each worker
-    before it serves tasks (and again in any respawned replacement).
-    ``pool_stats``, when given, is filled in place with executor
-    counters: ``workers``, ``respawns``, ``crashes``, ``timeouts``.
+    :func:`schedule_order`).  ``pool_stats``, when given, is filled in
+    place with executor counters: ``workers``, ``respawns``,
+    ``crashes``, ``timeouts``.
     """
     items = list(items)
     if names is None:
@@ -384,8 +371,6 @@ def map_tasks(
     if jobs <= 1:
         if timeout is not None:
             _warn_inline_timeout()
-        if initializer is not None:
-            initializer()
         pool_stats["workers"] = 1
         results_inline: List[Optional[TaskResult]] = [None] * len(items)
         for index in order:
@@ -396,9 +381,7 @@ def map_tasks(
 
     results: List[Optional[TaskResult]] = [None] * len(items)
     pending = deque(order)
-    pool = WorkerPool(
-        fn, jobs, start_method=start_method, initializer=initializer
-    )
+    pool = WorkerPool(fn, jobs, start_method=start_method)
     t_ready = time.perf_counter()
 
     def dispatch(worker: _Worker, index: int) -> None:

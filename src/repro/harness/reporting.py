@@ -221,11 +221,6 @@ def render_suite_report(report: Dict[str, Any]) -> str:
         extras = []
         if executor.get("respawns"):
             extras.append(f"{executor['respawns']} respawns")
-        if executor.get("shm_segments"):
-            extras.append(
-                f"{executor['shm_segments']} shm segments "
-                f"({executor['shm_bytes'] / 1e6:.1f} MB)"
-            )
         utilization = suite.get("worker_utilization")
         share = suite.get("dispatch_overhead_share")
         lines.append(

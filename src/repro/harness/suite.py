@@ -10,11 +10,9 @@ through :func:`repro.harness.parallel.map_tasks`:
   raises or hangs becomes a failure row in the report while the rest of
   the suite completes (the pool respawns lost workers);
 * workload setup goes through the content-keyed cache
-  (:mod:`repro.envs.cache`); with ``jobs > 1`` the parent additionally
-  publishes its cached artifacts into a shared-memory plane
-  (:mod:`repro.harness.shm`) that workers attach zero-copy, and orders
-  dispatch longest-first using per-task durations from the previous run
-  record;
+  (:mod:`repro.envs.cache`), whose on-disk layer every forked worker
+  reads; with ``jobs > 1`` the parent orders dispatch longest-first
+  using per-task durations from the previous run record;
 * the serial baseline is opt-in (``baseline=True`` runs the task list a
   second time, inline) or derived from the latest comparable serial
   record in the result store; either way the run cross-checks per-task
@@ -467,8 +465,8 @@ def run_suite(
 
     With ``jobs > 1`` the task list runs once on a persistent worker
     pool, scheduled longest-first when a previous run record knows the
-    task durations, with the parent's cached workloads published into a
-    shared-memory plane that workers attach zero-copy.  The serial
+    task durations; workers read cached workloads from the cache's disk
+    layer.  The serial
     comparison is **opt-in**: ``baseline=True`` re-runs the task list
     inline (doubling wall time) and cross-checks fingerprints; otherwise
     the comparison is derived from the latest comparable serial record
@@ -477,10 +475,6 @@ def run_suite(
     ``task_filter`` selects a task subset by name glob (see
     :func:`filter_tasks`).
     """
-    import functools
-
-    from repro.envs.cache import default_cache, install_shared_plane
-
     tasks = filter_tasks(
         suite_tasks(smoke=smoke, seed=seed, kernels=kernels), task_filter
     )
@@ -495,95 +489,68 @@ def run_suite(
         store = None
     priorities = _task_priorities(tasks, store)
 
-    plane = None
-    shm_segments = 0
-    shm_bytes = 0
-    initializer = None
-    if jobs > 1:
-        try:
-            from repro.harness.shm import SharedWorkloadPlane
-
-            plane = SharedWorkloadPlane()
-            default_cache().publish_entries(plane)
-            mapping = plane.mapping()
-            shm_segments = len(plane)
-            shm_bytes = plane.total_bytes
-            if mapping:
-                install_shared_plane(mapping)
-                initializer = functools.partial(
-                    install_shared_plane, mapping
-                )
-        except Exception:  # pragma: no cover - plane is an optimization
-            plane = None
-
     pool_stats: Dict[str, Any] = {}
-    try:
-        t0 = time.perf_counter()
-        results = map_tasks(
-            run_suite_task,
-            tasks,
-            jobs=jobs,
-            timeout=timeout,
-            names=names,
-            priorities=priorities,
-            initializer=initializer,
-            pool_stats=pool_stats,
-        )
-        wall_s = time.perf_counter() - t0
-        rows = _rows(results)
+    t0 = time.perf_counter()
+    results = map_tasks(
+        run_suite_task,
+        tasks,
+        jobs=jobs,
+        timeout=timeout,
+        names=names,
+        priorities=priorities,
+        pool_stats=pool_stats,
+    )
+    wall_s = time.perf_counter() - t0
+    rows = _rows(results)
 
-        serial_wall_s = None
-        speedup_reason: Optional[str] = None
-        baseline_source: Optional[str] = None
-        determinism: Dict[str, Any] = {"checked": False}
-        if jobs > 1:
-            if baseline:
-                t0 = time.perf_counter()
-                serial_results = map_tasks(
-                    run_suite_task, tasks, jobs=1, names=names
+    serial_wall_s = None
+    speedup_reason: Optional[str] = None
+    baseline_source: Optional[str] = None
+    determinism: Dict[str, Any] = {"checked": False}
+    if jobs > 1:
+        if baseline:
+            t0 = time.perf_counter()
+            serial_results = map_tasks(
+                run_suite_task, tasks, jobs=1, names=names
+            )
+            serial_wall_s = time.perf_counter() - t0
+            baseline_source = "inline"
+            expected = {
+                r.name: r.value.get("fingerprint")
+                for r in serial_results
+                if r.ok
+            }
+            mismatches = _fingerprint_mismatches(results, expected)
+            determinism = {
+                "checked": True,
+                "matches": not mismatches,
+                "mismatches": mismatches,
+                "source": "inline",
+            }
+        else:
+            found = _find_serial_baseline(
+                store, names, smoke=smoke, seed=seed
+            )
+            if found is None:
+                speedup_reason = (
+                    "no comparable serial baseline in the result "
+                    "store; run once with --baseline (or -j 1) to "
+                    "record one"
                 )
-                serial_wall_s = time.perf_counter() - t0
-                baseline_source = "inline"
-                expected = {
-                    r.name: r.value.get("fingerprint")
-                    for r in serial_results
-                    if r.ok
-                }
-                mismatches = _fingerprint_mismatches(results, expected)
+            else:
+                serial_wall_s = found["serial_wall_s"]
+                baseline_source = f"record:{found['source']}"
+                mismatches = _fingerprint_mismatches(
+                    results, found["fingerprints"]
+                )
                 determinism = {
                     "checked": True,
                     "matches": not mismatches,
                     "mismatches": mismatches,
-                    "source": "inline",
+                    "source": baseline_source,
                 }
-            else:
-                found = _find_serial_baseline(
-                    store, names, smoke=smoke, seed=seed
-                )
-                if found is None:
-                    speedup_reason = (
-                        "no comparable serial baseline in the result "
-                        "store; run once with --baseline (or -j 1) to "
-                        "record one"
-                    )
-                else:
-                    serial_wall_s = found["serial_wall_s"]
-                    baseline_source = f"record:{found['source']}"
-                    mismatches = _fingerprint_mismatches(
-                        results, found["fingerprints"]
-                    )
-                    determinism = {
-                        "checked": True,
-                        "matches": not mismatches,
-                        "mismatches": mismatches,
-                        "source": baseline_source,
-                    }
-        else:
-            speedup_reason = "serial run (jobs <= 1): nothing to compare"
-    finally:
-        install_shared_plane(None)
-        if plane is not None:
-            plane.close()
+    else:
+        speedup_reason = "serial run (jobs <= 1): nothing to compare"
 
     ok_results = [r for r in results if r.ok]
     exec_total = sum(r.exec_s for r in ok_results)
@@ -629,8 +596,6 @@ def run_suite(
                 "scheduling": (
                     "longest-first" if priorities else "input-order"
                 ),
-                "shm_segments": shm_segments,
-                "shm_bytes": shm_bytes,
             },
         },
         "cache": {

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.results.adapters import record_from_payload
 from repro.results.record import RunRecord
@@ -169,6 +169,16 @@ class ResultStore:
 
     @staticmethod
     def _load_file(path: str) -> RunRecord:
+        """Parse one record file; a corrupt file raises a ``ValueError``
+        naming its path (a truncated write, a hand edit, a stray file)."""
         with open(path) as fh:
-            payload: Dict[str, Any] = json.load(fh)
+            try:
+                payload: Any = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise ValueError(f"corrupt record {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"corrupt record {path}: top level is a JSON "
+                f"{type(payload).__name__}, not an object"
+            )
         return record_from_payload(payload)

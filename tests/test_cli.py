@@ -414,6 +414,18 @@ def test_gate_cli_strict_fails_on_empty_store(tmp_path, capsys):
     assert "no records to gate" in capsys.readouterr().err
 
 
+def test_gate_cli_strict_names_a_corrupt_record(seeded_store, capsys):
+    path = seeded_store.latest_path("bench")
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text[:300])
+    code = main(["gate", "--strict", "--results-dir", seeded_store.root])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"corrupt record {path}" in err
+
+
 def test_gate_cli_judges_legacy_fixture_files(tmp_path, capsys):
     results_dir = str(tmp_path / "results")
     # The committed pre-migration bench report clears its floors ...

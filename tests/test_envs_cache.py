@@ -82,9 +82,23 @@ def test_lru_evicts_but_disk_still_serves(tmp_path):
 def test_mutating_a_hit_does_not_poison_the_cache(cache):
     cache.get_or_build("m", {}, lambda: np.zeros(3))
     hit = cache.get_or_build("m", {}, lambda: np.zeros(3))
+    assert cache.stats.memory_hits == 1
     hit[:] = 99.0
     clean = cache.get_or_build("m", {}, lambda: np.zeros(3))
     assert np.array_equal(clean, np.zeros(3))
+    # A disk hit served to a fresh instance (as a forked suite worker
+    # reads it) is just as private: mutating it changes neither that
+    # instance's memory copy nor the stored entry.
+    fresh = WorkloadCache(cache_dir=cache.cache_dir)
+    disk_hit = fresh.get_or_build("m", {}, lambda: pytest.fail("rebuilt"))
+    assert fresh.stats.disk_hits == 1
+    disk_hit[:] = 99.0
+    again = fresh.get_or_build("m", {}, lambda: pytest.fail("rebuilt"))
+    assert fresh.stats.memory_hits == 1
+    assert np.array_equal(again, np.zeros(3))
+    other = WorkloadCache(cache_dir=cache.cache_dir)
+    stored = other.get_or_build("m", {}, lambda: pytest.fail("rebuilt"))
+    assert np.array_equal(stored, np.zeros(3))
 
 
 def test_corrupt_disk_entry_is_rebuilt(tmp_path):

@@ -139,23 +139,6 @@ def test_exec_and_queue_wait_recorded():
         assert r.duration >= r.exec_s  # dispatch overhead is non-negative
 
 
-def _mark_environment():
-    os.environ["RTRBENCH_POOL_MARKER"] = "set"
-
-
-def _read_marker(_x):
-    return os.environ.get("RTRBENCH_POOL_MARKER")
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_initializer_runs_before_tasks(jobs, monkeypatch):
-    monkeypatch.delenv("RTRBENCH_POOL_MARKER", raising=False)
-    results = map_tasks(
-        _read_marker, [0, 1], jobs=jobs, initializer=_mark_environment
-    )
-    assert [r.value for r in results] == ["set", "set"]
-
-
 # -- crash isolation -----------------------------------------------------------
 
 

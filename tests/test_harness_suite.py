@@ -155,6 +155,35 @@ def test_structural_gates_active_even_on_smoke(smoke_report):
     assert by_name["suite.cache-hit-speedup-floor"].status == "skip"
 
 
+def test_pool_workers_serve_a_warm_run_from_the_disk_cache(tmp_path):
+    """A second parallel run builds nothing and reproduces every result.
+
+    Forked workers share only the cache's disk layer, so the first run's
+    builds must reach the second run's workers through it.
+    """
+    from repro.envs.cache import WorkloadCache, default_cache, set_default_cache
+
+    previous = default_cache()
+    set_default_cache(WorkloadCache(cache_dir=str(tmp_path / "cache")))
+    try:
+        runs = [
+            run_suite(jobs=2, smoke=True, results_dir=str(tmp_path / "r"))
+            for _ in range(2)
+        ]
+    finally:
+        set_default_cache(previous)
+    cold, warm = (run["cache"]["workers"] for run in runs)
+    assert cold["misses"] > 0
+    assert warm["misses"] == 0
+    assert warm["disk_hits"] + warm["memory_hits"] > 0
+    fingerprints = [
+        {row["task"]: row["fingerprint"] for row in run["tasks"]}
+        for run in runs
+    ]
+    assert all(row["ok"] for run in runs for row in run["tasks"])
+    assert fingerprints[0] == fingerprints[1]
+
+
 def test_failing_kernel_becomes_failure_row_not_dead_suite():
     report = run_suite(
         jobs=2,

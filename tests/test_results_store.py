@@ -142,6 +142,27 @@ def test_unrecognized_document_raises(store, tmp_path):
         store.load(str(bogus))
 
 
+def test_truncated_record_raises_naming_the_file(store):
+    path = store.save(_record(run_id="20260806T000000Z-aaaaaa"))
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text[: len(text) // 2])
+    with pytest.raises(ValueError, match="corrupt record") as excinfo:
+        store.load(path)
+    assert path in str(excinfo.value)
+    with pytest.raises(ValueError, match="corrupt record"):
+        store.latest("bench")
+
+
+def test_non_object_record_raises_naming_the_file(store, tmp_path):
+    listing = tmp_path / "listing.json"
+    listing.write_text("[1, 2, 3]\n")
+    with pytest.raises(ValueError, match="JSON list, not an object") as exc:
+        store.load(str(listing))
+    assert str(listing) in str(exc.value)
+
+
 def test_current_schema_file_roundtrips_through_store(store, tmp_path):
     record = _record(run_id="20260806T000000Z-aaaaaa")
     path = store.save(record)

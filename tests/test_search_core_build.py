@@ -20,6 +20,7 @@ from repro import native
 from repro.envs.cache import WorkloadCache, default_cache, set_default_cache
 from repro.geometry import raycast
 from repro.geometry.grid2d import OccupancyGrid2D
+from repro.harness.cli import main as cli_main
 from repro.perception.particle_filter import PflConfig, PflKernel
 from repro.planning.pp2d import plan_2d
 from repro.search import grid_core
@@ -121,7 +122,7 @@ def test_racing_cold_builds_both_succeed_and_a_rerun_reuses(tmp_path):
     assert os.stat(cache_dir / names[0]).st_mtime_ns == built
 
 
-def test_cache_clear_removes_built_library(fresh_core):
+def test_cache_clear_removes_built_library(fresh_core, capsys):
     cells = np.zeros((4, 4), dtype=bool)
     assert grid_core.astar_grid_2d(cells, (0, 0), (3, 3))[0].found
     grid = OccupancyGrid2D(cells)
@@ -129,5 +130,11 @@ def test_cache_clear_removes_built_library(fresh_core):
     assert raycast.cast_rays_dda_batch(grid, ones, ones, ones, 9.0)[0] > 0
     libraries = sorted(name.split("-")[0] for name in os.listdir(fresh_core))
     assert libraries == ["_astar", "_raycast"]
-    default_cache().clear()
+    # `cache stats` and `cache clear` count the libraries they delete.
+    size = sum(os.path.getsize(fresh_core / name)
+               for name in os.listdir(fresh_core))
+    stats = default_cache().disk_stats()
+    assert (stats["entries"], stats["bytes"]) == (2, size)
+    assert cli_main(["cache", "clear"]) == 0
+    assert f"cleared 2 entries ({size} bytes)" in capsys.readouterr().out
     assert os.listdir(fresh_core) == []
