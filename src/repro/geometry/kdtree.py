@@ -34,7 +34,8 @@ class KDTree:
 
     Points inserted incrementally descend to a leaf (no rebalancing — the
     RRT insertion order is random, which keeps the tree near-balanced in
-    expectation).  ``visits`` accumulates nodes touched across queries.
+    expectation); :meth:`pop` undoes the latest insert.  ``visits``
+    accumulates nodes touched across queries.
     """
 
     def __init__(self, dimensions: int) -> None:
@@ -44,6 +45,8 @@ class KDTree:
         self._root: Optional[_Node] = None
         self._size = 0
         self.visits = 0
+        # Per insert, the (parent, side) its leaf hangs from (None: the root).
+        self._links: List[Optional[Tuple[_Node, str]]] = []
 
     def __len__(self) -> int:
         return self._size
@@ -60,6 +63,7 @@ class KDTree:
         if self._root is None:
             self._root = _Node(pt, data, axis=0)
             self._size = 1
+            self._links.append(None)
             return
         node = self._root
         while True:
@@ -67,14 +71,32 @@ class KDTree:
             if pt[axis] < node.point[axis]:
                 if node.left is None:
                     node.left = _Node(pt, data, (axis + 1) % self.dimensions)
+                    self._links.append((node, "left"))
                     break
                 node = node.left
             else:
                 if node.right is None:
                     node.right = _Node(pt, data, (axis + 1) % self.dimensions)
+                    self._links.append((node, "right"))
                     break
                 node = node.right
         self._size += 1
+
+    def pop(self) -> None:
+        """Remove the most recently inserted point still in the tree.
+
+        Undoes :meth:`insert` last-in first-out: that point's node is a
+        leaf, because every later insert was popped before it.
+        """
+        if not self._links:
+            raise IndexError("pop() with no inserted point left")
+        link = self._links.pop()
+        if link is None:
+            self._root = None
+        else:
+            parent, side = link
+            setattr(parent, side, None)
+        self._size -= 1
 
     @staticmethod
     def build(

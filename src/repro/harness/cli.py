@@ -632,7 +632,7 @@ def _cmd_compare(argv: List[str]) -> int:
         prog="rtrbench compare",
         description=(
             "Metric-by-metric delta between two run records (store "
-            "references or file paths; legacy BENCH_*.json load too), "
+            "references or RunRecord file paths such as BENCH_*.json), "
             "with a relative noise tolerance."
         ),
     )

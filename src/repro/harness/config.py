@@ -22,31 +22,18 @@ C = TypeVar("C", bound="KernelConfig")
 class RTTaskDefaults:
     """Default periodic-task parameters for one kernel (milliseconds).
 
-    ``deadline_ms`` defaults to the period (implicit-deadline tasks, the
+    The default deadline is the period (implicit-deadline tasks, the
     common model for robot control loops).  ``step_period_ms`` is the
     per-iteration release period for steppable kernels run with
     ``granularity="step"`` (one job = one ``step()`` on a persistent
     session); ``None`` means auto-calibrate from unpaced steps.
-    ``suite_jobs`` / ``suite_jobs_smoke`` are the measured job counts
-    ``rtrbench suite`` schedules for this kernel's rt tasks.
     """
 
     period_ms: float
-    deadline_ms: Optional[float] = None
     step_period_ms: Optional[float] = None
-    suite_jobs: int = 25
-    suite_jobs_smoke: int = 8
-
-    def resolved_deadline_ms(self) -> float:
-        """The effective deadline: explicit value or the period itself."""
-        return self.period_ms if self.deadline_ms is None else self.deadline_ms
-
-    def resolved_suite_jobs(self, smoke: bool) -> int:
-        """Measured rt jobs the suite schedules in the given mode."""
-        return self.suite_jobs_smoke if smoke else self.suite_jobs
 
 
-#: Per-kernel default periods/deadlines for ``rtrbench rt``.  Stylized
+#: Per-kernel default periods for ``rtrbench rt``.  Stylized
 #: from each pipeline stage's natural rate — perception at sensor rate,
 #: planners at replanning cadence, controllers at actuation rate — then
 #: scaled to this Python reproduction's measured default-config ROI
@@ -81,7 +68,7 @@ RT_FALLBACK_DEFAULTS = RTTaskDefaults(period_ms=1_000.0)
 
 
 def rt_defaults(kernel_name: str) -> RTTaskDefaults:
-    """Default period/deadline for a kernel (full paper id, e.g. ``04.pp2d``)."""
+    """Default periods for a kernel (full paper id, e.g. ``04.pp2d``)."""
     return RT_KERNEL_DEFAULTS.get(kernel_name, RT_FALLBACK_DEFAULTS)
 
 

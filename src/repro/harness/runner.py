@@ -57,10 +57,10 @@ class StepSession:
     advances monotonically; once :attr:`exhausted`, :meth:`finish` runs
     the kernel's ``finalize`` exactly once and caches ``output``.
 
-    The batch path (``Kernel.run_roi`` of a steppable kernel) and the
-    per-iteration real-time path (:mod:`repro.rt.run` with
-    ``granularity="step"``) drive the same session object, so both
-    produce bitwise-identical outputs from identical configurations.
+    The batch path (``Kernel.run_roi`` of a steppable kernel) and every
+    real-time job (:mod:`repro.rt.run`) drive the same session object,
+    so both produce bitwise-identical outputs from identical
+    configurations.
     """
 
     kernel: "Kernel"
@@ -197,7 +197,9 @@ class Kernel:
 
         ``state=None`` builds the workload via :meth:`setup` first (an
         explicit ``state`` lets callers reuse one workload across many
-        episodes — the persistent-session real-time mode).
+        episodes — the per-step real-time mode).  The one place a
+        session is built: the inherited :meth:`run_roi` opens its
+        session here too.
         """
         if config is None:
             config = self.config_cls()
@@ -223,11 +225,7 @@ class Kernel:
         """
         if not self.is_steppable():
             raise NotImplementedError
-        session = StepSession(
-            kernel=self, config=config, state=state, profiler=profiler
-        )
-        session.payload = self.begin_roi(config, state, profiler)
-        session.total_steps = int(self.num_steps(config, state))
+        session = self.open_session(config, state, profiler)
         while not session.exhausted:
             session.step()
         return session.finish()

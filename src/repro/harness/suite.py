@@ -72,6 +72,10 @@ RT_SUITE_KERNELS_SMOKE = (
     ("13.dmp", "step"),
 )
 
+#: Measured jobs per rt task, full and ``--smoke``.
+RT_SUITE_JOBS = 25
+RT_SUITE_JOBS_SMOKE = 8
+
 
 def _fingerprint(payload: Any) -> str:
     """Short stable digest of a task's timing-free output."""
@@ -129,8 +133,6 @@ def suite_tasks(
         }
         for scale in scales
     )
-    from repro.harness.config import rt_defaults
-
     tasks.extend(
         {
             "section": "rt",
@@ -142,7 +144,7 @@ def suite_tasks(
             "kernel": kernel,
             "granularity": granularity,
             "smoke": smoke,
-            "jobs": rt_defaults(kernel).resolved_suite_jobs(smoke),
+            "jobs": RT_SUITE_JOBS_SMOKE if smoke else RT_SUITE_JOBS,
         }
         for kernel, granularity in (
             RT_SUITE_KERNELS_SMOKE if smoke else RT_SUITE_KERNELS

@@ -12,8 +12,9 @@ distances as both edge costs and heuristic.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,23 +109,46 @@ class ProbabilisticRoadmap:
         self._tree.insert(q, index)
         return index
 
+    def _remove_last(self) -> None:
+        """Undo the latest :meth:`_add_and_connect` (last in, first out)."""
+        index = len(self.nodes) - 1
+        for j, _ in self.edges.pop(index):
+            # The edge to ``index`` is the newest entry on ``j``'s list.
+            self.edges[j].pop()
+        self.nodes.pop()
+        self._tree.pop()
+
     # -- online phase -------------------------------------------------------------
 
-    def query(
+    @contextmanager
+    def attached(
         self, start: np.ndarray, goal: np.ndarray
-    ) -> Tuple[SearchResult, List[np.ndarray]]:
-        """Online planning: attach start/goal, A* over the roadmap.
+    ) -> Iterator[Tuple[int, int]]:
+        """Wire start and goal into the roadmap for one search.
 
-        Returns the raw search result plus the joint-space waypoints.
+        Yields their node indices.  On exit both inserts are undone, so
+        nodes, edges and KD-tree are as the query found them and every
+        query plans on the same roadmap.
         """
-        prof = self.profiler
-        start = np.asarray(start, dtype=float)
-        goal = np.asarray(goal, dtype=float)
         for name, q in (("start", start), ("goal", goal)):
             if self.workspace.config_collides(self.arm, q):
                 raise ValueError(f"{name} configuration collides")
         start_idx = self._add_and_connect(start)
         goal_idx = self._add_and_connect(goal)
+        try:
+            yield start_idx, goal_idx
+        finally:
+            self._remove_last()
+            self._remove_last()
+
+    def search(
+        self, start_idx: int, goal_idx: int
+    ) -> Tuple[SearchResult, List[np.ndarray]]:
+        """A* over the roadmap between two of its nodes.
+
+        Returns the raw search result plus the joint-space waypoints.
+        """
+        prof = self.profiler
         roadmap = self
 
         class _RoadmapSpace:
@@ -142,6 +166,15 @@ class ProbabilisticRoadmap:
         result = astar(_RoadmapSpace(), start_idx, profiler=prof)
         waypoints = [self.nodes[i] for i in result.path] if result.found else []
         return result, waypoints
+
+    def query(
+        self, start: np.ndarray, goal: np.ndarray
+    ) -> Tuple[SearchResult, List[np.ndarray]]:
+        """Online planning: attach start/goal, A* over the roadmap."""
+        start = np.asarray(start, dtype=float)
+        goal = np.asarray(goal, dtype=float)
+        with self.attached(start, goal) as (start_idx, goal_idx):
+            return self.search(start_idx, goal_idx)
 
 
 def find_free_configuration(
@@ -273,12 +306,16 @@ class PrmKernel(Kernel):
     ) -> dict:
         # Swap in the ROI profiler so online phases are measured separately
         # from the offline build (which the paper treats as paid once).
-        state.roadmap.profiler = profiler
-        result, waypoints = state.roadmap.query(state.start, state.goal)
+        roadmap = state.roadmap
+        roadmap.profiler = profiler
+        with roadmap.attached(state.start, state.goal) as ends:
+            result, waypoints = roadmap.search(*ends)
+            # The graph as searched: the roadmap plus both query nodes.
+            nodes, edges = roadmap.n_nodes, roadmap.n_edges
         return {
             "result": result,
             "waypoints": waypoints,
-            "roadmap_nodes": state.roadmap.n_nodes,
-            "roadmap_edges": state.roadmap.n_edges,
+            "roadmap_nodes": nodes,
+            "roadmap_edges": edges,
             "offline_time": state.offline_profiler.total_time(),
         }

@@ -20,7 +20,6 @@ never the other way around.
 from repro.results.adapters import (
     record_from_bench,
     record_from_experiment,
-    record_from_payload,
     record_from_rt,
     record_from_suite,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "pinned_thread_env",
     "record_from_bench",
     "record_from_experiment",
-    "record_from_payload",
     "record_from_rt",
     "record_from_suite",
     "render_gate_results",

@@ -1,12 +1,9 @@
 """Producer payloads -> :class:`~repro.results.record.RunRecord`.
 
-One adapter per producer, used in two places: at production time (the
-``rtrbench`` commands convert their freshly computed nested payload into
-a record, attaching the live environment fingerprint) and at load time
-(:mod:`repro.results.store` routes the three pre-record report layouts —
-schema generation 0 — through the same adapters with an *unknown*
-environment, so every historical ``BENCH_*.json`` remains loadable,
-comparable, and gateable).
+One adapter per producer: the ``rtrbench`` commands convert their
+freshly computed nested payload into a record, attaching the live
+environment fingerprint; the nested payload itself rides along as the
+record's ``detail``.
 
 The measurement names minted here are the layer's public contract: gate
 declarations and ``rtrbench compare`` address metrics by these dotted
@@ -70,7 +67,7 @@ _BENCH_FIELD_UNITS = {
 
 def record_from_bench(
     results: Mapping[str, Mapping[str, float]],
-    smoke: Optional[bool] = None,
+    smoke: bool = False,
     seed: Optional[int] = None,
     jobs: Optional[int] = None,
     env: Optional[EnvironmentFingerprint] = None,
@@ -79,9 +76,6 @@ def record_from_bench(
 
     Mints ``<phase>.speedup`` / ``<phase>.reference_s`` /
     ``<phase>.vectorized_s`` / ``<phase>.ops`` measurements per phase.
-    ``smoke=None`` (a legacy report: the old layout never recorded its
-    mode) leaves the record untagged, which is exactly how the old
-    checker treated the same data — floors applied.
     """
     measurements: Dict[str, Measurement] = {}
     for phase, row in results.items():
@@ -92,13 +86,11 @@ def record_from_bench(
                 measurements[f"{phase}.ops"] = _count(value)
             elif key in _BENCH_FIELD_UNITS:
                 measurements[f"{phase}.{key}"] = _BENCH_FIELD_UNITS[key](value)
-    provenance: Dict[str, Any] = {"phases": sorted(results)}
+    provenance: Dict[str, Any] = {"phases": sorted(results), "smoke": smoke}
     if seed is not None:
         provenance["seed"] = seed
     if jobs is not None:
         provenance["jobs"] = jobs
-    if smoke is not None:
-        provenance["smoke"] = smoke
     return RunRecord(
         kind="bench",
         environment=_env(env),
@@ -116,7 +108,7 @@ def record_from_suite(
     report: Mapping[str, Any],
     env: Optional[EnvironmentFingerprint] = None,
 ) -> RunRecord:
-    """Record for a ``run_suite`` report (the old ``BENCH_suite.json``)."""
+    """Record for a ``run_suite`` report (``rtrbench suite``)."""
     suite = report["suite"]
     measurements: Dict[str, Measurement] = {
         "suite.task_count": _count(suite["task_count"]),
@@ -198,7 +190,7 @@ def record_from_rt(
     report: Mapping[str, Any],
     env: Optional[EnvironmentFingerprint] = None,
 ) -> RunRecord:
-    """Record for a ``run_rt`` report (the old ``BENCH_rt.json``)."""
+    """Record for a ``run_rt`` report (``rtrbench rt``)."""
     rt = report["rt"]
     measurements: Dict[str, Measurement] = {
         "rt.period_ms": Measurement(float(rt["period_ms"]), unit="ms"),
@@ -301,47 +293,3 @@ def record_from_experiment(
         measurements={"experiment.wall_s": _seconds(wall_s)},
         detail={"experiment": experiment_id, "payload": _jsonable(payload)},
     )
-
-
-# -- legacy dispatch -----------------------------------------------------------
-
-
-def detect_schema(payload: Mapping[str, Any]) -> str:
-    """Classify a loaded JSON document: ``record`` or a legacy layout."""
-    if "schema_version" in payload:
-        return "record"
-    keys = set(payload)
-    if {"rt", "conditions", "slo"} <= keys:
-        return "rt"
-    if {"suite", "cache", "tasks"} <= keys:
-        return "suite"
-    if payload and all(
-        isinstance(row, Mapping) and "speedup" in row
-        for row in payload.values()
-    ):
-        return "bench"
-    raise ValueError(
-        "unrecognized report document: neither a RunRecord nor one of the "
-        "three legacy BENCH_*.json layouts"
-    )
-
-
-def record_from_payload(payload: Mapping[str, Any]) -> RunRecord:
-    """Load any supported document — current or legacy — as a record.
-
-    Legacy documents get an :meth:`EnvironmentFingerprint.unknown`
-    environment (they never recorded one) and a ``legacy-schema`` tag so
-    downstream tooling can tell upgraded history from native records.
-    """
-    schema = detect_schema(payload)
-    if schema == "record":
-        return RunRecord.from_dict(payload)
-    if schema == "bench":
-        record = record_from_bench(payload)
-    elif schema == "suite":
-        record = record_from_suite(payload)
-    else:
-        record = record_from_rt(payload)
-    record.schema_version = 0
-    record.tags.append("legacy-schema")
-    return record

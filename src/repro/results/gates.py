@@ -10,10 +10,10 @@ a stored baseline (``baseline`` + ``max_regression``).  The engine
 (:func:`evaluate_gates`) is the single generic interpreter, so a new
 subsystem adds gates by appending dicts, not by writing another checker.
 
-:data:`DEFAULT_GATES` carries the suite's shipped policy and reproduces
-every pass/fail verdict the three retired ad-hoc checkers gave on the
-same data (``tests/test_results_gates.py`` proves this against frozen
-copies of the old logic on pre-migration fixtures).
+:data:`DEFAULT_GATES` carries the suite's shipped policy, the successor
+of the three retired ad-hoc checkers (``tests/test_results_gates.py``
+pins its per-gate verdicts on the committed ``BENCH_*.json`` records and
+on perturbations of them that trip each check).
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ DEFAULT_GATES: List[Dict[str, Any]] = [
      "metric": "nn.speedup", "op": ">=", "threshold": 2.0,
      "on_missing": "fail", "skip_tags": ["smoke"]},
     # Flat-array search core floors (PR 7).  ``on_missing: skip`` (not
-    # fail): pre-PR-7 bench records have no search_* metrics and the
-    # shipped policy must keep reproducing their legacy verdicts.
+    # fail): bench records stored before the search core existed carry
+    # no search_* metrics and keep the verdicts they had.
     {"name": "bench.search-dijkstra-speedup-floor", "kind": "bench",
      "metric": "search_dijkstra.speedup", "op": ">=", "threshold": 5.0,
      "on_missing": "skip", "skip_tags": ["smoke"]},

@@ -10,14 +10,9 @@ the gate engine and the comparator can address metrics as data without
 knowing any producer's nested report layout; the producer's full nested
 payload rides along untouched in ``detail`` for the human renderers.
 
-Schema generations:
-
-* 0 — the three ad-hoc report layouts (``BENCH_hotpaths.json``,
-  ``BENCH_suite.json``, ``BENCH_rt.json``) written before this layer
-  existed; :mod:`repro.results.adapters` upgrades them on load.
-* 2 — the current ``RunRecord`` document (1 is skipped so a missing
-  ``schema_version`` key can never be confused with the first typed
-  generation).
+The document is schema generation 2, the only one
+:meth:`RunRecord.from_dict` reads: the untyped report layouts that came
+before it (generation 0) and any other ``schema_version`` are rejected.
 """
 
 from __future__ import annotations
@@ -129,7 +124,7 @@ class EnvironmentFingerprint:
 
     @classmethod
     def unknown(cls) -> "EnvironmentFingerprint":
-        """Placeholder for legacy reports that recorded no environment."""
+        """Placeholder for records built without a captured environment."""
         return cls()
 
 
@@ -271,28 +266,39 @@ class RunRecord:
     def from_dict(cls, payload: Mapping[str, Any]) -> "RunRecord":
         """Rebuild a record from its ``to_dict`` document.
 
-        Rejects pre-record (legacy) layouts — those go through
-        :func:`repro.results.adapters.record_from_payload` instead.
+        Raises ``ValueError`` for anything but a well-formed generation-2
+        document: a missing ``schema_version``/``kind`` (an untyped
+        report layout), another ``schema_version``, or a measurement
+        without a numeric ``value``.
         """
         if "schema_version" not in payload or "kind" not in payload:
             raise ValueError(
-                "not a RunRecord document (missing schema_version/kind); "
-                "use repro.results.adapters.record_from_payload for legacy "
-                "reports"
+                "not a RunRecord document (missing schema_version/kind)"
             )
+        if payload["schema_version"] != RECORD_SCHEMA_VERSION:
+            raise ValueError(
+                f"unsupported schema_version {payload['schema_version']!r} "
+                f"(this build reads only {RECORD_SCHEMA_VERSION})"
+            )
+        measurements = {}
+        for name, m in (payload.get("measurements", {}) or {}).items():
+            try:
+                measurements[name] = Measurement.from_dict(m)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"malformed measurement {name!r}: needs a numeric "
+                    f"'value' ({type(exc).__name__}: {exc})"
+                ) from exc
         return cls(
             kind=payload["kind"],
             run_id=payload.get("run_id", ""),
             created_at=payload.get("created_at", ""),
-            schema_version=int(payload["schema_version"]),
+            schema_version=RECORD_SCHEMA_VERSION,
             environment=EnvironmentFingerprint.from_dict(
                 payload.get("environment", {}) or {}
             ),
             provenance=dict(payload.get("provenance", {}) or {}),
             tags=list(payload.get("tags", []) or []),
-            measurements={
-                name: Measurement.from_dict(m)
-                for name, m in (payload.get("measurements", {}) or {}).items()
-            },
+            measurements=measurements,
             detail=dict(payload.get("detail", {}) or {}),
         )

@@ -16,11 +16,11 @@ always names a complete file.  ``RTRBENCH_RESULTS_DIR`` relocates the
 store (tests point it at a temp directory).
 
 Loading accepts plain paths as well as store references —
-``bench@latest`` (or just ``bench``), ``bench@<run_id>`` — and routes
-pre-record documents (the three legacy ``BENCH_*.json`` layouts) through
-:func:`repro.results.adapters.record_from_payload`, so the whole history
-of a repository stays readable regardless of which schema generation
-wrote each file.
+``bench@latest`` (or just ``bench``), ``bench@<run_id>`` — and reads
+only :class:`~repro.results.record.RunRecord` documents (schema
+generation 2).  A file that is not one — bad JSON, an untyped report
+layout, another ``schema_version``, a malformed measurement — raises a
+``ValueError`` naming its path.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import os
 import tempfile
 from typing import Any, List, Optional
 
-from repro.results.adapters import record_from_payload
 from repro.results.record import RunRecord
 
 DEFAULT_RESULTS_DIR = ".rtrbench_results"
@@ -140,7 +139,7 @@ class ResultStore:
     def load(self, ref: str) -> RunRecord:
         """Load a record by path or store reference.
 
-        Accepted forms: a filesystem path (current or legacy schema),
+        Accepted forms: a filesystem path,
         ``<kind>`` / ``<kind>@latest`` (newest record of that kind), and
         ``<kind>@<run_id>``.
         """
@@ -169,8 +168,9 @@ class ResultStore:
 
     @staticmethod
     def _load_file(path: str) -> RunRecord:
-        """Parse one record file; a corrupt file raises a ``ValueError``
-        naming its path (a truncated write, a hand edit, a stray file)."""
+        """Parse one record file; a corrupt or foreign file raises a
+        ``ValueError`` naming its path (a truncated write, a hand edit, a
+        stray file, a record of another schema generation)."""
         with open(path) as fh:
             try:
                 payload: Any = json.load(fh)
@@ -181,4 +181,7 @@ class ResultStore:
                 f"corrupt record {path}: top level is a JSON "
                 f"{type(payload).__name__}, not an object"
             )
-        return record_from_payload(payload)
+        try:
+            return RunRecord.from_dict(payload)
+        except ValueError as exc:
+            raise ValueError(f"unreadable record {path}: {exc}") from exc

@@ -4,8 +4,8 @@ RTRBench's subject is *real-time* robotics, but a single ROI wall-clock
 number says nothing about the properties that define real-time behavior:
 response-time distributions, release jitter, and deadline misses under
 load.  This package runs any registered kernel as a **periodic task** —
-a release loop fires jobs at a configurable period, each job executes
-one kernel iteration through the existing runner/ROI machinery — and
+a release loop fires jobs at a configurable period, each job advancing
+the kernel's step session by one step or one whole episode — and
 reports latency quantiles (exact, from a mergeable log-bucketed
 histogram), release jitter, deadline-miss rate, and an SLO verdict,
 optionally under CPU / memory-bandwidth antagonist load.

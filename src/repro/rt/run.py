@@ -8,43 +8,51 @@ with latency quantiles, release jitter, deadline-miss rate, an SLO
 verdict, and a phase breakdown with per-phase min/max durations from
 the shared profiler stats.
 
-Two execution granularities (``granularity=``):
+Every periodic job is one call of a :class:`SessionJob`, which advances
+a :class:`~repro.harness.runner.StepSession` (a batch kernel is a
+one-step session): the job that finds no live episode opens one, and
+the job that runs an episode's last step finalizes it.  The execution
+granularity (``granularity=``) decides only two things:
 
-* ``"run"`` — each periodic job is one ``Kernel._run_once`` (setup +
-  full ROI, the same path every other experiment uses).  The original
-  model; works for every kernel.
-* ``"step"`` — each periodic job is one ``step()`` on a persistent
-  :class:`~repro.harness.runner.StepSession` over a workload built
-  once.  This is the RT-Bench periodic-application model at the
-  kernel's natural iteration rate (one scan, one control tick, one CEM
-  generation...), so deadline/SLO accounting becomes per-iteration and
-  slow kernels like pfl and mpc are rt-schedulable.  When a session
-  exhausts its episode, the next job finalizes it and opens a fresh
-  episode on the same workload state — that episode-boundary job also
-  pays the kernel's ``begin_roi``, exactly like a deployed system
-  re-initializing between missions.
+* ``"run"`` — a job runs the whole episode, and every episode builds its
+  own workload (``open_session(config, state=None)`` runs ``setup``):
+  setup + full ROI, what ``Kernel.run`` pays per repeat.  Works for
+  every kernel.
+* ``"step"`` — a job runs one step, and every episode reuses one
+  workload built up front.  This is the RT-Bench periodic-application
+  model at the kernel's natural iteration rate (one scan, one control
+  tick, one CEM generation...), so deadline/SLO accounting becomes
+  per-iteration and slow kernels like pfl and mpc are rt-schedulable.
+  The job that opens an episode also pays the kernel's ``begin_roi``,
+  exactly like a deployed system re-initializing between missions.
+
+Warmup jobs stay out of every statistic, the phase breakdown included.
 
 The CI contract — outside smoke mode the unloaded SLO must pass, and an
 antagonist run must actually degrade p99 latency — is expressed as the
 ``rt.*`` gate declarations in :data:`repro.results.gates.DEFAULT_GATES`
 and enforced by ``rtrbench gate`` over the record that ``rtrbench rt``
-emits (the ``check_rt_floors`` checker that used to live here); step
-records additionally carry the ``rt.step.*`` measurements their own
-``rt.step-*`` gates judge.
+emits; step records additionally carry the ``rt.step.*`` measurements
+their own ``rt.step-*`` gates judge.
 """
 
 from __future__ import annotations
 
 import statistics
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.harness.config import KernelConfig, rt_defaults
 from repro.harness.profiler import PhaseProfiler
-from repro.harness.runner import Kernel, load_all_kernels, registry
+from repro.harness.runner import (
+    Kernel,
+    StepSession,
+    load_all_kernels,
+    registry,
+)
 from repro.rt.histogram import LatencyHistogram
 from repro.rt.interference import AntagonistPool
-from repro.rt.scheduler import JobOutput, PeriodicScheduler
+from repro.rt.scheduler import PeriodicScheduler
 from repro.rt.slo import SLOPolicy, evaluate_slo, summarize_jobs
 
 #: Valid execution granularities, in documentation order.
@@ -63,46 +71,68 @@ CALIBRATION_HEADROOM = 2.0
 CALIBRATION_MIN_PERIOD_S = 1e-3
 
 
-def calibrate_period_s(
-    kernel: Kernel,
-    config: KernelConfig,
-    samples: int = 3,
-    granularity: str = "run",
-    state: Any = None,
-) -> float:
+class SessionJob:
+    """The one periodic job: advance a step session of ``kernel``.
+
+    Each call runs one step, or every step of the episode when
+    ``whole_episode``.  A call that finds no live episode opens one on
+    ``state`` (``None`` builds a fresh workload per episode through
+    :meth:`Kernel.setup`); the call that runs an episode's last step
+    finalizes it.  Every session reports into ``profiler``.
+    """
+
+    def __init__(
+        self,
+        kernel: Kernel,
+        config: KernelConfig,
+        state: Any,
+        whole_episode: bool,
+    ) -> None:
+        self.kernel = kernel
+        self.config = config
+        self.state = state
+        self.whole_episode = whole_episode
+        self.profiler = PhaseProfiler()
+        self.session: Optional[StepSession] = None
+        self.episodes = 0
+
+    def __call__(self) -> float:
+        """Run one job; returns the wall clock of the steps it ran."""
+        session = self.session
+        if session is None or session.finalized:
+            session = self.kernel.open_session(
+                self.config, state=self.state, profiler=self.profiler
+            )
+            if session.total_steps < 1:
+                raise ValueError(
+                    f"kernel {self.kernel.name} produced an empty episode"
+                )
+            self.session = session
+            self.episodes += 1
+        t0 = time.monotonic()
+        session.step()
+        while self.whole_episode and not session.exhausted:
+            session.step()
+        wall = time.monotonic() - t0
+        if session.exhausted:
+            session.finish()
+        return wall
+
+
+def calibrate_period_s(job: Callable[[], Any], samples: int = 3) -> float:
     """Measure unpaced job wall clock and pick a schedulable period.
 
-    One untimed job warms the workload cache, then the median of
-    ``samples`` timed jobs — a full setup + ROI run for
-    ``granularity="run"``, one session step (exactly what a periodic
-    step job costs) for ``granularity="step"`` — is scaled by
-    :data:`CALIBRATION_HEADROOM`, a period the unloaded machine can
-    hold without being trivially loose.
+    One untimed call warms the workload cache, then the median of
+    ``samples`` timed calls of the periodic job itself is scaled by
+    :data:`CALIBRATION_HEADROOM`, a period the unloaded machine can hold
+    without being trivially loose.
     """
-    if granularity == "step":
-        if state is None:
-            state = kernel.setup(config)
-        session = kernel.open_session(config, state=state)
-        if session.total_steps < 1:
-            raise ValueError(
-                f"kernel {kernel.name} produced an empty episode; "
-                "cannot calibrate a step period"
-            )
-        session.step()  # untimed warm step (pays begin_roi cache effects)
-        walls = []
-        for _ in range(max(1, samples)):
-            if session.exhausted:
-                session = kernel.open_session(config, state=state)
-            t0 = time.monotonic()
-            session.step()
-            walls.append(time.monotonic() - t0)
-    else:
-        kernel._run_once(config)
-        walls = []
-        for _ in range(max(1, samples)):
-            t0 = time.monotonic()
-            kernel._run_once(config)
-            walls.append(time.monotonic() - t0)
+    job()
+    walls = []
+    for _ in range(max(1, samples)):
+        t0 = time.monotonic()
+        job()
+        walls.append(time.monotonic() - t0)
     return max(
         CALIBRATION_MIN_PERIOD_S,
         CALIBRATION_HEADROOM * statistics.median(walls),
@@ -131,84 +161,40 @@ def _phase_block(profiler: PhaseProfiler) -> Dict[str, Any]:
 
 
 def run_condition(
-    kernel: Kernel,
-    config: KernelConfig,
+    job: SessionJob,
     period_s: float,
     deadline_s: float,
     jobs: int,
     warmup: int = 0,
     overrun: str = "skip",
-    granularity: str = "run",
-    state: Any = None,
 ) -> Dict[str, Any]:
-    """One periodic run of ``kernel`` under the current machine condition.
+    """One periodic run of ``job`` under the current machine condition.
 
-    ``granularity="run"``: every job is a fresh setup + full ROI.
-    ``granularity="step"``: jobs advance a persistent step session over
-    the caller-provided ``state``; exhausted episodes are finalized and
-    reopened in place.  The per-step phase breakdown aggregates every
-    step the condition executed (warmup steps share their episode's
-    profiler, so unlike run granularity they are not excluded from the
-    phase stats — only from the latency/response statistics).
+    ``roi_ms`` summarizes the wall clock of the steps each measured job
+    ran; the phase breakdown covers the measured jobs only (the shared
+    profiler is cleared when the first measured job starts).
     """
-    aggregate = PhaseProfiler()
     roi_hist = LatencyHistogram()
 
-    if granularity == "step":
-        box: Dict[str, Any] = {"session": None, "episodes": 0}
-
-        def job(index: int) -> JobOutput:
-            session = box["session"]
-            if session is None or session.exhausted:
-                if session is not None:
-                    session.finish()
-                session = kernel.open_session(
-                    config, state=state, profiler=aggregate
-                )
-                if session.total_steps < 1:
-                    raise ValueError(
-                        f"kernel {kernel.name} produced an empty episode"
-                    )
-                box["session"] = session
-                box["episodes"] += 1
-            t0 = time.monotonic()
-            step_index = session.step()
-            wall = time.monotonic() - t0
-            if index >= warmup:
-                roi_hist.record(wall)
-            return JobOutput(
-                meta={
-                    "episode": box["episodes"] - 1,
-                    "step": step_index,
-                }
-            )
-
-    else:
-
-        def job(index: int) -> None:
-            result = kernel._run_once(config)
-            if index >= warmup:
-                aggregate.merge(result.profiler)
-                roi_hist.record(result.roi_time)
+    def periodic(index: int) -> None:
+        if index == warmup:
+            job.profiler.reset()
+        wall = job()
+        if index >= warmup:
+            roi_hist.record(wall)
 
     scheduler = PeriodicScheduler(
         period_s=period_s, deadline_s=deadline_s, overrun=overrun
     )
-    schedule = scheduler.run(job, jobs=jobs, warmup=warmup)
+    schedule = scheduler.run(periodic, jobs=jobs, warmup=warmup)
     summary = summarize_jobs(
         schedule.records, deadline_s, schedule.skipped_releases
     )
     summary["roi_ms"] = roi_hist.summary(scale=1e3)
     summary["busy_s"] = sum(r.latency_s for r in schedule.measured())
-    summary["phase_breakdown"] = _phase_block(aggregate)
-    if granularity == "step":
-        session = box["session"]
-        if session is not None and session.exhausted:
-            session.finish()
-        summary["episodes"] = box["episodes"]
-        summary["last_episode_steps"] = (
-            0 if session is None else session.steps_done
-        )
+    summary["phase_breakdown"] = _phase_block(job.profiler)
+    summary["episodes"] = job.episodes
+    summary["last_episode_steps"] = job.session.steps_done
     return summary
 
 
@@ -229,19 +215,18 @@ def run_rt(
 ) -> Dict[str, Any]:
     """Run a registered kernel as a periodic task; return the rt report.
 
-    ``granularity="run"`` schedules full kernel runs as jobs;
+    ``granularity="run"`` schedules whole episodes as jobs;
     ``granularity="step"`` (steppable kernels only) schedules single
-    iterations on a persistent session over one shared workload.
-    ``period_ms=None`` takes the kernel's default from
-    :data:`repro.harness.config.RT_KERNEL_DEFAULTS` (``period_ms`` for
-    run granularity, ``step_period_ms`` for step granularity, falling
-    back to auto-calibration when the kernel has no step default);
-    ``period_ms=0`` always auto-calibrates from unpaced warmup jobs.
-    ``deadline_ms`` defaults to the period (implicit deadline).  With
-    ``antagonists > 0`` the run executes twice — unloaded, then under
-    the antagonist pool — and the report records both conditions side by
-    side with degradation ratios.  ``overrides`` patch the kernel's
-    configuration, mirroring ``rtrbench run`` flags.
+    iterations over one shared workload.  ``period_ms=None`` takes the
+    kernel's default from :data:`repro.harness.config.RT_KERNEL_DEFAULTS`
+    (``period_ms`` for run granularity, ``step_period_ms`` for step
+    granularity, falling back to auto-calibration when the kernel has no
+    step default); ``period_ms=0`` always auto-calibrates from unpaced
+    jobs.  ``deadline_ms`` defaults to the period (implicit deadline).
+    With ``antagonists > 0`` the run executes twice — unloaded, then
+    under the antagonist pool — and the report records both conditions
+    side by side with degradation ratios.  ``overrides`` patch the
+    kernel's configuration, mirroring ``rtrbench run`` flags.
     """
     if granularity not in GRANULARITIES:
         raise ValueError(
@@ -251,7 +236,8 @@ def run_rt(
     load_all_kernels()
     cls = registry.get(kernel)
     instance = cls()
-    if granularity == "step" and not cls.is_steppable():
+    per_step = granularity == "step"
+    if per_step and not cls.is_steppable():
         raise ValueError(
             f"kernel {cls.name} is not steppable; use granularity='run'"
         )
@@ -262,63 +248,31 @@ def run_rt(
 
     jobs = (12 if smoke else 50) if jobs is None else int(jobs)
     warmup = (1 if smoke else 3) if warmup is None else max(0, int(warmup))
-    defaults = rt_defaults(cls.name)
-    # Step granularity builds the workload once, outside every job.
-    state = instance.setup(config) if granularity == "step" else None
-    calibrated = False
-    if period_ms is None:
-        if granularity == "step":
-            if defaults.step_period_ms is not None:
-                period_s = defaults.step_period_ms / 1e3
-            else:
-                period_s = calibrate_period_s(
-                    instance, config, granularity="step", state=state
-                )
-                calibrated = True
-        else:
-            period_s = defaults.period_ms / 1e3
-    elif period_ms <= 0.0:
-        period_s = calibrate_period_s(
-            instance, config, granularity=granularity, state=state
-        )
-        calibrated = True
-    else:
-        period_s = period_ms / 1e3
-    if deadline_ms is None:
-        deadline_s = (
-            period_s
-            if calibrated or period_ms is not None or granularity == "step"
-            else defaults.resolved_deadline_ms() / 1e3
-        )
-    else:
-        deadline_s = deadline_ms / 1e3
+    # Per-step jobs share one workload built up front; run jobs build
+    # theirs per episode, as every ``Kernel.run`` repeat does.
+    state = instance.setup(config) if per_step else None
 
+    def new_job() -> SessionJob:
+        return SessionJob(instance, config, state, whole_episode=not per_step)
+
+    if period_ms is None:
+        defaults = rt_defaults(cls.name)
+        period_ms = defaults.step_period_ms if per_step else defaults.period_ms
+    calibrated = period_ms is None or period_ms <= 0.0
+    period_s = calibrate_period_s(new_job()) if calibrated else period_ms / 1e3
+    deadline_s = period_s if deadline_ms is None else deadline_ms / 1e3
+
+    unloaded = new_job()
     conditions: Dict[str, Any] = {
         "unloaded": run_condition(
-            instance,
-            config,
-            period_s,
-            deadline_s,
-            jobs=jobs,
-            warmup=warmup,
-            overrun=overrun,
-            granularity=granularity,
-            state=state,
+            unloaded, period_s, deadline_s, jobs, warmup, overrun
         )
     }
     degradation: Optional[Dict[str, float]] = None
     if antagonists > 0:
         with AntagonistPool(antagonists, kind=antagonist_kind):
             loaded = run_condition(
-                instance,
-                config,
-                period_s,
-                deadline_s,
-                jobs=jobs,
-                warmup=warmup,
-                overrun=overrun,
-                granularity=granularity,
-                state=state,
+                new_job(), period_s, deadline_s, jobs, warmup, overrun
             )
         loaded["antagonists"] = antagonists
         loaded["antagonist_kind"] = antagonist_kind
@@ -340,27 +294,23 @@ def run_rt(
     policy = SLOPolicy(deadline_s=deadline_s, max_miss_rate=max_miss_rate)
     verdict = evaluate_slo(conditions["unloaded"], policy)
 
-    rt_block: Dict[str, Any] = {
-        "kernel": cls.name,
-        "stage": cls.stage,
-        "granularity": granularity,
-        "period_ms": period_s * 1e3,
-        "deadline_ms": deadline_s * 1e3,
-        "jobs": jobs,
-        "warmup": warmup,
-        "overrun": overrun,
-        "smoke": smoke,
-        "calibrated": calibrated,
-        "antagonists": antagonists,
-        "antagonist_kind": antagonist_kind if antagonists else None,
-        "config": config.describe(),
-    }
-    if granularity == "step":
-        rt_block["steps_per_episode"] = int(
-            instance.num_steps(config, state)
-        )
     return {
-        "rt": rt_block,
+        "rt": {
+            "kernel": cls.name,
+            "stage": cls.stage,
+            "granularity": granularity,
+            "period_ms": period_s * 1e3,
+            "deadline_ms": deadline_s * 1e3,
+            "jobs": jobs,
+            "warmup": warmup,
+            "overrun": overrun,
+            "smoke": smoke,
+            "calibrated": calibrated,
+            "antagonists": antagonists,
+            "antagonist_kind": antagonist_kind if antagonists else None,
+            "config": config.describe(),
+            "steps_per_episode": unloaded.session.total_steps,
+        },
         "conditions": conditions,
         "degradation": degradation,
         "slo": {"policy": policy.as_dict(), **verdict.as_dict()},

@@ -29,23 +29,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 #: Valid overrun policies, in documentation order.
 OVERRUN_POLICIES = ("skip", "queue")
-
-
-@dataclass
-class JobOutput:
-    """Wrapper a job function may return to annotate its record.
-
-    ``value`` is stored in ``ScheduleResult.outputs`` (when kept) and
-    ``meta`` lands on the job's :class:`JobRecord` — e.g. which session
-    episode and step index a per-iteration real-time job executed.
-    """
-
-    value: Any = None
-    meta: Optional[Dict[str, Any]] = None
 
 
 @dataclass
@@ -56,8 +43,7 @@ class JobRecord:
     deadline compares against; ``latency_s`` (completion minus actual
     start) is pure service time; ``jitter_s`` (actual start minus
     scheduled release) is the release-time error the scheduler itself
-    introduced — sleep overshoot or a queued backlog.  ``meta`` is the
-    job function's own annotation (via :class:`JobOutput`), if any.
+    introduced — sleep overshoot or a queued backlog.
     """
 
     index: int
@@ -65,7 +51,6 @@ class JobRecord:
     start_s: float
     end_s: float
     warmup: bool = False
-    meta: Optional[Dict[str, Any]] = None
 
     @property
     def response_s(self) -> float:
@@ -100,10 +85,6 @@ class ScheduleResult:
     overrun: str
     records: List[JobRecord] = field(default_factory=list)
     skipped_releases: int = 0
-    outputs: List[Any] = field(default_factory=list)
-    #: True when the loop ended before its job budget — the job function
-    #: raised ``StopIteration`` (no more work to release).
-    stopped_early: bool = False
 
     def measured(self) -> List[JobRecord]:
         """The non-warmup jobs, in release order."""
@@ -126,15 +107,10 @@ class ScheduleResult:
 class PeriodicScheduler:
     """Release jobs on a fixed period and record per-job timing.
 
-    ``job_fn`` receives the job index and may return an output (kept in
-    ``ScheduleResult.outputs`` for non-warmup jobs); returning a
-    :class:`JobOutput` additionally attaches its ``meta`` dict to the
-    job's record.  Raising ``StopIteration`` from ``job_fn`` ends the
-    loop cleanly before the job budget — the aborted release produces no
-    record and the result is flagged ``stopped_early``.  ``warmup`` jobs
-    run first, on the same release grid, but are excluded from
-    statistics — they absorb cache warming and JIT-ish first-run
-    effects.
+    ``job_fn`` receives the job index; its return value is ignored.
+    ``warmup`` jobs run first, on the same release grid, but are
+    excluded from statistics — they absorb cache warming and JIT-ish
+    first-run effects.
     """
 
     def __init__(
@@ -165,7 +141,6 @@ class PeriodicScheduler:
         job_fn: Callable[[int], Any],
         jobs: int,
         warmup: int = 0,
-        keep_outputs: bool = False,
     ) -> ScheduleResult:
         """Execute ``warmup + jobs`` periodic releases of ``job_fn``."""
         if jobs < 1:
@@ -185,16 +160,8 @@ class PeriodicScheduler:
                 self._sleep(release - now)
                 now = self._clock()
             start = now
-            try:
-                output = job_fn(index)
-            except StopIteration:
-                result.stopped_early = True
-                break
+            job_fn(index)
             end = self._clock()
-            meta = None
-            if isinstance(output, JobOutput):
-                meta = output.meta
-                output = output.value
             is_warmup = index < warmup
             result.records.append(
                 JobRecord(
@@ -203,11 +170,8 @@ class PeriodicScheduler:
                     start_s=start - t0,
                     end_s=end - t0,
                     warmup=is_warmup,
-                    meta=meta,
                 )
             )
-            if keep_outputs and not is_warmup:
-                result.outputs.append(output)
             if self.overrun == "queue":
                 grid += 1
             else:

@@ -216,7 +216,7 @@ def test_suite_smoke_writes_report(tmp_path, capsys):
     assert document["schema_version"] >= 2
     assert "smoke" in document["tags"]
     assert document["measurements"]["suite.failures"]["value"] == 0.0
-    # The nested legacy report survives as the record's detail payload.
+    # The nested report survives as the record's detail payload.
     report = document["detail"]
     assert set(report) == {"suite", "cache", "determinism", "tasks"}
     assert report["suite"]["jobs"] == 2
@@ -321,7 +321,20 @@ def test_cache_clear_memory_only_keeps_disk(isolated_cache, capsys):
 
 # -- report / compare / gate ---------------------------------------------------
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+#: The committed schema-v2 records at the repository root.
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HOTPATHS = os.path.join(REPO, "BENCH_hotpaths.json")
+SUITE = os.path.join(REPO, "BENCH_suite.json")
+
+
+def _hotpaths_copy(tmp_path, name, mutate):
+    """A mutated copy of the committed bench record; returns its path."""
+    with open(HOTPATHS) as fh:
+        document = json.load(fh)
+    mutate(document)
+    path = tmp_path / name
+    path.write_text(json.dumps(document))
+    return str(path)
 
 
 @pytest.fixture
@@ -378,25 +391,31 @@ def test_report_unknown_ref_errors(seeded_store, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_compare_legacy_fixture_against_itself(capsys):
-    fixture = f"{FIXTURES}/legacy_BENCH_hotpaths.json"
-    assert main(["compare", fixture, fixture]) == 0
+def test_compare_committed_record_against_itself(capsys):
+    assert main(["compare", HOTPATHS, HOTPATHS]) == 0
     out = capsys.readouterr().out
     assert "raycast.speedup" in out
 
 
 def test_compare_fail_on_regression_exits_nonzero(tmp_path, capsys):
-    fixture = f"{FIXTURES}/legacy_BENCH_hotpaths.json"
-    slower = tmp_path / "slower.json"
-    with open(fixture) as fh:
-        payload = json.load(fh)
-    payload["raycast"]["speedup"] = payload["raycast"]["speedup"] / 10.0
-    slower.write_text(json.dumps(payload))
-    code = main(
-        ["compare", fixture, str(slower), "--fail-on-regression"]
-    )
+    def slow_down(document):
+        document["measurements"]["raycast.speedup"]["value"] /= 10.0
+
+    slower = _hotpaths_copy(tmp_path, "slower.json", slow_down)
+    code = main(["compare", HOTPATHS, slower, "--fail-on-regression"])
     assert code == 1
     assert "REGRESSED" in capsys.readouterr().out
+
+
+def test_compare_names_a_record_of_another_schema(tmp_path, capsys):
+    future = _hotpaths_copy(
+        tmp_path, "future.json",
+        lambda document: document.__setitem__("schema_version", 7),
+    )
+    assert main(["compare", HOTPATHS, future]) == 2
+    err = capsys.readouterr().err
+    assert f"unreadable record {future}" in err
+    assert "schema_version 7" in err
 
 
 def test_gate_cli_passes_stored_record(seeded_store, capsys):
@@ -426,20 +445,32 @@ def test_gate_cli_strict_names_a_corrupt_record(seeded_store, capsys):
     assert f"corrupt record {path}" in err
 
 
-def test_gate_cli_judges_legacy_fixture_files(tmp_path, capsys):
+def test_gate_cli_judges_committed_record_files(tmp_path, capsys):
     results_dir = str(tmp_path / "results")
-    # The committed pre-migration bench report clears its floors ...
-    code = main(
-        ["gate", f"{FIXTURES}/legacy_BENCH_hotpaths.json",
-         "--results-dir", results_dir]
-    )
+    # The committed records clear every gate that applies to them ...
+    code = main(["gate", HOTPATHS, SUITE, "--results-dir", results_dir])
     assert code == 0
-    # ... while the suite report's 1-core parallel speedup fails its
-    # floor, exactly as the retired checker ruled on the same file.
-    code = main(
-        ["gate", f"{FIXTURES}/legacy_BENCH_suite.json",
-         "--results-dir", results_dir]
+    # ... while a raycast speedup under its floor fails exactly that gate.
+    slow = _hotpaths_copy(
+        tmp_path, "slow.json",
+        lambda document: document["measurements"]["raycast.speedup"]
+        .__setitem__("value", 4.9),
     )
+    assert main(["gate", slow, "--results-dir", results_dir]) == 1
+    out = capsys.readouterr().out
+    failed = [line.split()[0] for line in out.splitlines()
+              if "  FAIL  " in line]
+    assert failed == ["bench.raycast-speedup-floor"]
+
+
+def test_gate_cli_strict_names_a_malformed_measurement(tmp_path, capsys):
+    broken = _hotpaths_copy(
+        tmp_path, "broken.json",
+        lambda document: document["measurements"]["nn.speedup"].pop("value"),
+    )
+    results_dir = str(tmp_path / "results")
+    code = main(["gate", "--strict", broken, "--results-dir", results_dir])
     assert code == 1
-    err = capsys.readouterr().out
-    assert "suite.parallel-speedup-floor" in err
+    err = capsys.readouterr().err
+    assert f"unreadable record {broken}" in err
+    assert "nn.speedup" in err

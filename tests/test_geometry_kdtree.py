@@ -62,6 +62,29 @@ def test_incremental_nearest_matches_brute_force(points, q):
 
 
 @settings(max_examples=60, deadline=None)
+@given(point_lists, point_lists, queries)
+def test_pop_undoes_the_latest_inserts(points, extra, q):
+    tree = KDTree(3)
+    for i, p in enumerate(points):
+        tree.insert(p, data=i)
+    before = tree.k_nearest(q, len(points))
+    for p in extra:
+        tree.insert(p, data=-1)
+    for _ in extra:
+        tree.pop()
+    assert len(tree) == len(points)
+    # Same points, same payloads, same traversal: the tree is restored.
+    after = tree.k_nearest(q, len(points))
+    assert [(d, i) for _, i, d in after] == [(d, i) for _, i, d in before]
+    assert tree.visits == 2 * len(points)
+    for _ in points:
+        tree.pop()
+    assert len(tree) == 0
+    with pytest.raises(IndexError):
+        tree.pop()
+
+
+@settings(max_examples=60, deadline=None)
 @given(point_lists, queries)
 def test_built_nearest_matches_brute_force(points, q):
     tree = KDTree.build(np.asarray(points))

@@ -23,8 +23,8 @@ FIELDS = (
 #: These gates fail when their metric is absent (``on_missing: fail``).
 FLOORS = {"raycast": 5.0, "collision": 3.0, "nn": 2.0}
 
-#: Search-core floors (PR 7): ``on_missing: skip`` so the shipped policy
-#: still reproduces legacy verdicts on records that predate the metrics.
+#: Search-core floors: ``on_missing: skip`` so records that
+#: predate the metrics keep their verdicts.
 SEARCH_FLOORS = {"search_dijkstra": 5.0, "search_pp3d": 2.0}
 
 
@@ -90,7 +90,7 @@ def test_run_bench_record_mints_phase_measurements():
         speedup = record.metric(f"{phase}.speedup")
         assert speedup is not None and speedup > 0.0
         assert record.metric(f"{phase}.ops") > 0
-    # The nested legacy layout survives as the record's detail payload.
+    # The nested report survives as the record's detail payload.
     assert set(record.detail) == set(PHASES)
 
 
@@ -141,7 +141,7 @@ def test_speedup_gates_flag_missing_phase():
     assert len(failures) == len(FLOORS)
     assert all("absent" in r.reason for r in failures)
     # The search floors step aside instead: records that predate the
-    # search metrics must keep their legacy verdicts.
+    # search metrics must keep their verdicts.
     search_names = {f"bench.{p.replace('_', '-')}-speedup-floor"
                     for p in SEARCH_FLOORS}
     skipped = {r.gate for r in outcomes if r.status == "skip"}

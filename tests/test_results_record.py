@@ -60,6 +60,10 @@ def test_record_roundtrip_through_json():
 def test_from_dict_rejects_legacy_documents():
     with pytest.raises(ValueError, match="schema_version"):
         RunRecord.from_dict({"raycast": {"speedup": 6.5}})
+    document = _sample_record().to_dict()
+    document["schema_version"] = 0
+    with pytest.raises(ValueError, match="unsupported schema_version 0"):
+        RunRecord.from_dict(document)
 
 
 def test_metric_access():
@@ -90,7 +94,7 @@ _VALUES = st.floats(
         ),
         max_size=8,
     ),
-    tags=st.lists(st.sampled_from(["smoke", "full", "legacy-schema"]),
+    tags=st.lists(st.sampled_from(["smoke", "full", "single-core"]),
                   max_size=2, unique=True),
 )
 def test_record_roundtrip_property(measurements, tags):

@@ -1,4 +1,4 @@
-"""The append-only result store, including the legacy-schema loader."""
+"""The append-only result store and its strict schema-v2 loader."""
 
 from __future__ import annotations
 
@@ -8,14 +8,10 @@ import os
 import pytest
 
 from repro.results import (
-    EnvironmentFingerprint,
     Measurement,
     ResultStore,
     RunRecord,
 )
-
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
-
 
 def _record(kind="bench", value=6.0, run_id=""):
     return RunRecord(
@@ -93,53 +89,50 @@ def test_stored_file_is_pretty_printed_json(store):
     assert payload["measurements"]["raycast.speedup"]["value"] == 6.0
 
 
-# -- legacy-schema loading -----------------------------------------------------
+# -- loading only well-formed schema-v2 records --------------------------------
 
 
-def test_legacy_bench_fixture_loads_as_record(store):
-    record = store.load(f"{FIXTURES}/legacy_BENCH_hotpaths.json")
-    assert record.kind == "bench"
-    assert record.schema_version == 0
-    assert record.has_tag("legacy-schema")
-    assert record.environment == EnvironmentFingerprint.unknown()
-    assert record.metric("raycast.speedup") == pytest.approx(5.3627, rel=1e-3)
-    assert record.metric("nn.ops") > 0
-
-
-def test_legacy_suite_fixture_loads_as_record(store):
-    record = store.load(f"{FIXTURES}/legacy_BENCH_suite.json")
-    assert record.kind == "suite"
-    assert record.schema_version == 0
-    assert record.has_tag("legacy-schema")
-    assert record.metric("suite.failures") == 0.0
-    assert record.metric("suite.parallel_speedup") == pytest.approx(
-        0.7264, rel=1e-3
-    )
-    assert record.metric("determinism.match") == 1.0
-    assert record.metric("cache.hit_speedup") == pytest.approx(
-        19.85, rel=1e-2
-    )
-
-
-def test_legacy_rt_fixture_loads_as_record(store):
-    record = store.load(f"{FIXTURES}/legacy_BENCH_rt.json")
-    assert record.kind == "rt"
-    assert record.schema_version == 0
-    assert record.has_tag("legacy-schema")
-    assert record.metric("slo.pass") == 1.0
-    assert record.metric("degradation.p99_ratio") == pytest.approx(
-        4.158, rel=1e-3
-    )
-    assert record.metric("unloaded.response_p99_ms") > 0.0
-    # The untouched legacy payload rides along for the human renderers.
-    assert set(record.detail) == {"rt", "conditions", "degradation", "slo"}
+def _write(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
 
 
 def test_unrecognized_document_raises(store, tmp_path):
-    bogus = tmp_path / "bogus.json"
-    bogus.write_text(json.dumps({"hello": "world"}))
-    with pytest.raises(ValueError, match="unrecognized report document"):
-        store.load(str(bogus))
+    path = _write(tmp_path, "bogus.json", {"hello": "world"})
+    with pytest.raises(ValueError, match="not a RunRecord document") as exc:
+        store.load(path)
+    assert path in str(exc.value)
+
+
+def test_untyped_report_layout_raises_naming_the_file(store, tmp_path):
+    # The pre-record BENCH_hotpaths.json layout: phase -> metric rows.
+    path = _write(
+        tmp_path, "old_hotpaths.json",
+        {"raycast": {"reference_s": 1.0, "vectorized_s": 0.2,
+                     "speedup": 5.0, "ops": 10}},
+    )
+    with pytest.raises(ValueError, match="missing schema_version") as exc:
+        store.load(path)
+    assert path in str(exc.value)
+
+
+def test_other_schema_version_raises_naming_the_file(store, tmp_path):
+    document = _record().to_dict()
+    document["schema_version"] = 7
+    path = _write(tmp_path, "future.json", document)
+    with pytest.raises(ValueError, match="schema_version 7") as exc:
+        store.load(path)
+    assert path in str(exc.value)
+
+
+def test_malformed_measurement_raises_naming_the_file(store, tmp_path):
+    document = _record().to_dict()
+    del document["measurements"]["raycast.speedup"]["value"]
+    path = _write(tmp_path, "no_value.json", document)
+    with pytest.raises(ValueError, match="raycast.speedup") as exc:
+        store.load(path)
+    assert path in str(exc.value)
 
 
 def test_truncated_record_raises_naming_the_file(store):
@@ -168,5 +161,4 @@ def test_current_schema_file_roundtrips_through_store(store, tmp_path):
     path = store.save(record)
     reloaded = store.load(path)
     assert reloaded.schema_version == record.schema_version
-    assert not reloaded.has_tag("legacy-schema")
     assert reloaded.measurements == record.measurements

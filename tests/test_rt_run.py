@@ -151,6 +151,24 @@ def test_unknown_kernel_raises():
         run_rt("no-such-kernel", jobs=1, smoke=True)
 
 
+def test_batch_kernel_runs_one_episode_per_job():
+    """A batch kernel's job is a one-step session on its own workload;
+    the warmup job's episode is counted but its phases are not."""
+    from repro.harness.runner import run_kernel
+
+    report = run_rt("16.bo", smoke=True, warmup=1)
+    rt = report["rt"]
+    unloaded = report["conditions"]["unloaded"]
+    assert rt["steps_per_episode"] == 1
+    assert unloaded["episodes"] == rt["jobs"] + rt["warmup"]
+    assert unloaded["last_episode_steps"] == 1
+    per_run = run_kernel("16.bo").profiler.stats
+    phases = unloaded["phase_breakdown"]["phases"]
+    assert phases.keys() == per_run.keys()
+    for name, stats in phases.items():
+        assert stats["calls"] == rt["jobs"] * per_run[name].calls, name
+
+
 # -- step granularity ----------------------------------------------------------
 
 
@@ -195,6 +213,14 @@ def test_step_report_tracks_episode_reopening(step_report):
 
     assert unloaded["episodes"] == math.ceil(total_steps / steps_per_episode)
     assert 0 < unloaded["last_episode_steps"] <= steps_per_episode
+
+
+def test_step_warmup_stays_out_of_the_phase_breakdown(step_report):
+    phases = step_report["conditions"]["unloaded"]["phase_breakdown"]
+    # One rollout integration per measured step; the 2 warmup steps'
+    # integrations are left out, as run granularity leaves out its
+    # warmup runs.
+    assert phases["phases"]["integrate"]["calls"] == 12
 
 
 def test_step_record_mints_step_measurements(step_report):
@@ -326,7 +352,7 @@ def test_cli_rt_smoke_end_to_end(tmp_path, capsys):
     assert document["schema_version"] >= 2
     assert "unloaded.response_p99_ms" in document["measurements"]
     assert "slo.pass" in document["measurements"]
-    # The nested legacy report survives as the record's detail payload.
+    # The nested report survives as the record's detail payload.
     report = document["detail"]
     assert set(report) == {"rt", "conditions", "degradation", "slo"}
     unloaded = report["conditions"]["unloaded"]

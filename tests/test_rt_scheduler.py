@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.rt.scheduler import JobOutput, JobRecord, PeriodicScheduler
+from repro.rt.scheduler import JobRecord, PeriodicScheduler
 
 
 class FakeClock:
@@ -34,7 +34,6 @@ def run_with_durations(durations, period=10.0, deadline=None, overrun="skip",
 
     def job(index):
         clock.now += next(queue)
-        return index
 
     scheduler = PeriodicScheduler(
         period_s=period,
@@ -43,9 +42,7 @@ def run_with_durations(durations, period=10.0, deadline=None, overrun="skip",
         clock=clock,
         sleep=clock.sleep,
     )
-    result = scheduler.run(
-        job, jobs=len(durations) - warmup, warmup=warmup, keep_outputs=True
-    )
+    result = scheduler.run(job, jobs=len(durations) - warmup, warmup=warmup)
     return result, clock
 
 
@@ -111,17 +108,6 @@ def test_warmup_jobs_recorded_but_excluded_from_stats():
     # The warmup job overran by 4 periods but charges no skips/misses.
     assert result.skipped_releases == 0
     assert result.miss_count() == 0
-    # Warmup jobs produce no outputs either.
-    assert result.outputs == [1, 2]
-
-
-def test_outputs_kept_only_on_request():
-    clock = FakeClock()
-    scheduler = PeriodicScheduler(
-        period_s=1.0, clock=clock, sleep=clock.sleep
-    )
-    result = scheduler.run(lambda i: i * 2, jobs=3)
-    assert result.outputs == []
 
 
 def test_deterministic_under_fake_clock():
@@ -151,53 +137,6 @@ def test_invalid_parameters_raise():
     )
     with pytest.raises(ValueError, match="jobs"):
         scheduler.run(lambda i: None, jobs=0)
-
-
-def test_job_output_meta_lands_on_the_record():
-    clock = FakeClock()
-    scheduler = PeriodicScheduler(
-        period_s=1.0, clock=clock, sleep=clock.sleep
-    )
-    result = scheduler.run(
-        lambda i: JobOutput(value=i * 2, meta={"episode": 0, "step": i}),
-        jobs=3,
-        keep_outputs=True,
-    )
-    # The wrapper is transparent: outputs carry the value, records the meta.
-    assert result.outputs == [0, 2, 4]
-    assert [r.meta for r in result.records] == [
-        {"episode": 0, "step": 0},
-        {"episode": 0, "step": 1},
-        {"episode": 0, "step": 2},
-    ]
-    assert not result.stopped_early
-
-
-def test_plain_outputs_leave_meta_unset():
-    clock = FakeClock()
-    scheduler = PeriodicScheduler(
-        period_s=1.0, clock=clock, sleep=clock.sleep
-    )
-    result = scheduler.run(lambda i: i, jobs=2, keep_outputs=True)
-    assert result.outputs == [0, 1]
-    assert all(r.meta is None for r in result.records)
-
-
-def test_stop_iteration_ends_the_schedule_early():
-    clock = FakeClock()
-    scheduler = PeriodicScheduler(
-        period_s=1.0, clock=clock, sleep=clock.sleep
-    )
-
-    def job(index):
-        if index == 2:
-            raise StopIteration
-        return index
-
-    result = scheduler.run(job, jobs=10, keep_outputs=True)
-    assert result.stopped_early
-    assert result.outputs == [0, 1]
-    assert len(result.records) == 2  # the stopping release leaves no record
 
 
 def test_real_monotonic_clock_smoke():

@@ -338,17 +338,51 @@ def test_manual_stepping_matches_frozen_implementation(
     assert session.profiler.counters == frozen_prof.counters
 
 
-@pytest.mark.parametrize("name,frozen,overrides", CASES, ids=CASE_IDS)
-def test_reopened_session_replays_the_episode(name, frozen, overrides):
+#: Small configurations for every registered kernel: a reopened session
+#: over one workload must replay the first episode exactly.
+REPLAY_CONFIGS = {
+    **{name: overrides for name, _, overrides in CASES},
+    "04.pp2d": dict(rows=64, cols=64),
+    "05.pp3d": dict(nx=32, ny=32, nz=8),
+    "06.movtar": dict(rows=32, cols=32, horizon=64),
+    "07.prm": dict(samples=60),
+    "08.rrt": dict(samples=200),
+    "09.rrtstar": dict(samples=150, star_samples=150),
+    "10.rrtpp": dict(samples=200, shortcut_iterations=10),
+    "11.sym-blkw": dict(blocks=3),
+    "12.sym-fext": dict(locations=3),
+    "16.bo": dict(iterations=4, candidates=64),
+    "17.rrtconnect": dict(samples=200),
+}
+
+REPLAY_CASES = [
+    (name, backend)
+    for name in registry.names()
+    for backend in registry.get(name).backends
+]
+
+
+@pytest.mark.parametrize(
+    "name,backend",
+    REPLAY_CASES,
+    ids=[
+        name if backend == "reference" else f"{name}-{backend}"
+        for name, backend in REPLAY_CASES
+    ],
+)
+def test_reopened_session_replays_the_episode(name, backend):
     """A second episode over the same state reproduces the first."""
-    kernel, config, state = _make(name, overrides)
+    kernel, config, state = _make(
+        name, dict(REPLAY_CONFIGS[name], backend=backend)
+    )
     first = kernel.open_session(config, state=state)
     while not first.exhausted:
         first.step()
+    first_output = first.finish()
     second = kernel.open_session(config, state=state)
     while not second.exhausted:
         second.step()
-    assert_bitwise_equal(second.finish(), first.finish())
+    assert_bitwise_equal(second.finish(), first_output)
     assert second.profiler.counters == first.profiler.counters
 
 
