@@ -219,11 +219,11 @@ class BatchKDTree:
     A thin wrapper over :class:`scipy.spatial.cKDTree` (imported on first
     use, so processes that never batch-query never load it).  The tree
     computes each candidate distance as a direct sum of squared coordinate
-    differences, the same arithmetic as :meth:`KDTree.nearest`, so its
-    distances are bit-identical to the instrumented tree's.  Build it once
-    per point set and query it many times: ICP queries one tree per
-    iteration.  The reported work is ``nn_queries``, one per query point
-    (the C tree does not expose node visits).
+    differences, the same arithmetic as :meth:`KDTree.nearest` and
+    :func:`_tree_distances`, so its distances are bit-identical to both.
+    Build it once per point set and query it many times: ICP queries one
+    tree per iteration.  The reported work is ``nn_queries``, one per
+    query point (the C tree does not expose node visits).
     """
 
     def __init__(self, points: np.ndarray) -> None:
@@ -237,12 +237,10 @@ class BatchKDTree:
         if not np.isfinite(points).all():
             raise ValueError("points must be finite")
         self.dimensions = points.shape[1]
+        self.points = points
         self._tree = cKDTree(points)
 
-    def query(
-        self, queries: np.ndarray, count: Optional[CountFn] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Each query's closest point: returns ``(indices, distances)``."""
+    def _checked(self, queries: np.ndarray) -> np.ndarray:
         queries = np.asarray(queries, dtype=float)
         if queries.ndim != 2 or queries.shape[1] != self.dimensions:
             raise ValueError(
@@ -250,10 +248,126 @@ class BatchKDTree:
             )
         if not np.isfinite(queries).all():
             raise ValueError("queries must be finite")
+        return queries
+
+    def query(
+        self, queries: np.ndarray, count: Optional[CountFn] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each query's closest point: returns ``(indices, distances)``."""
+        queries = self._checked(queries)
         if count is not None:
             count("nn_queries", len(queries))
         distances, indices = self._tree.query(queries)
         return indices, distances
+
+
+def _tree_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance between matching rows of ``a`` and ``b``.
+
+    Squares are summed left to right (``(dx*dx + dy*dy) + dz*dz`` in 3D)
+    before the square root: the arithmetic of :class:`BatchKDTree`, so a
+    distance computed here equals the tree's for the same pair bit for
+    bit.
+    """
+    diff = a - b
+    squares = diff * diff
+    total = squares[:, 0]
+    for axis in range(1, squares.shape[1]):
+        total = total + squares[:, axis]
+    return np.sqrt(total)
+
+
+#: :class:`CertifiedNN`'s safety margin per unit of coordinate magnitude.
+CERTIFICATE_MARGIN = 2.0**-40
+
+
+class CertifiedNN:
+    """Exact nearest neighbors of a query cloud that moves between calls.
+
+    ICP queries one target tree with the same source points every
+    iteration, and late iterations move each point far less than the gap
+    between its nearest and second-nearest target points.  A point
+    queried at position ``a`` (its *anchor*) records its match ``m`` and
+    second-nearest distance ``d2``.  At a later position ``p``, every
+    other target point ``q`` satisfies
+    ``|p - q| >= |a - q| - |p - a| >= d2 - |p - a|`` (triangle
+    inequality), so ``m`` is still the strictly unique nearest when
+    ``|p - m| + eps < d2 - |p - a| - eps``.  Such a point keeps its match
+    and only its distance is recomputed, with :func:`_tree_distances`;
+    every other point is queried again (nearest two) and re-anchored.
+
+    ``eps`` absorbs rounding.  Every distance involved is at most
+    ``2 sqrt(d) M``, where ``M`` is the largest coordinate magnitude of
+    the target and of every query cloud seen so far.  Each computed
+    distance is within a few units in the last place (ulps) of its exact
+    value, and the tree's pruning bounds within a few ulps per tree
+    level.  ``eps = CERTIFICATE_MARGIN * M``, about 8192 ulps of ``M``,
+    covers both with room to spare; it grows with a cloud's offset from
+    the origin instead of being a fixed length.
+
+    Where a re-queried point's two nearest distances lie within ``eps``
+    of each other, the tree's single-nearest answer decides which of
+    them is the match, and the point is never certified from that
+    anchor.  Each call therefore returns exactly what
+    ``tree.query(queries)`` returns: the same indices and the same
+    distance bits.  Counters: ``nn_queries`` (points sent to the tree;
+    a tie's single-nearest follow-up belongs to the same point) and
+    ``nn_reused`` (points whose match was certified), which sum to the
+    number of query points.
+    """
+
+    def __init__(self, tree: BatchKDTree) -> None:
+        self.tree = tree
+        self._scale = float(np.abs(tree.points).max())
+        self._anchors: Optional[np.ndarray] = None
+        self._matches = np.empty(0, dtype=np.intp)
+        self._second = np.empty(0)
+
+    def query(
+        self, queries: np.ndarray, count: Optional[CountFn] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each query's closest point: returns ``(indices, distances)``.
+
+        Row ``i`` of every call is the same moving point; the number of
+        rows is fixed by the first call.
+        """
+        queries = self.tree._checked(queries)
+        if self._anchors is None:
+            self._anchors = queries.copy()
+            self._matches = np.zeros(len(queries), dtype=np.intp)
+            self._second = np.full(len(queries), -np.inf)
+        elif queries.shape != self._anchors.shape:
+            raise ValueError(
+                f"queries must keep the shape {self._anchors.shape} "
+                "of the first call"
+            )
+        self._scale = max(self._scale, float(np.abs(queries).max(initial=0.0)))
+        eps = CERTIFICATE_MARGIN * self._scale
+        points = self.tree.points
+        distances = _tree_distances(queries, points[self._matches])
+        moved = _tree_distances(queries, self._anchors)
+        certified = distances + eps < self._second - moved - eps
+        stale = np.flatnonzero(~certified)
+        if len(stale):
+            fresh = queries[stale]
+            pair_d, pair_i = self.tree._tree.query(fresh, k=2)
+            nearest, second = pair_d[:, 0], pair_d[:, 1]
+            matches = pair_i[:, 0]
+            tied = np.flatnonzero(second - nearest <= eps)
+            if len(tied):
+                nearest[tied], matches[tied] = self.tree._tree.query(
+                    fresh[tied]
+                )
+                # Every other point lies at least ``nearest`` away.
+                second[tied] = nearest[tied]
+            self._anchors[stale] = fresh
+            self._matches[stale] = matches
+            self._second[stale] = second
+            distances[stale] = nearest
+        if count is not None:
+            count("nn_queries", len(stale))
+            count("nn_reused", len(queries) - len(stale))
+        return self._matches.copy(), distances
 
 
 def nearest_neighbors_batch(

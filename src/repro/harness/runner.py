@@ -126,8 +126,9 @@ class Kernel:
 
     :attr:`backends` lists the ``config.backend`` values the kernel
     implements: ``reference`` plus at most one optimized tier.  Every
-    execution path (:meth:`run`, :meth:`open_session`) rejects any
-    other value before building the workload.
+    execution path (:meth:`run`, :meth:`open_session`) passes the config
+    through :meth:`check_config` before building the workload, which
+    rejects any other backend and whatever else a kernel cannot run.
     """
 
     name: str = "kernel"
@@ -142,8 +143,12 @@ class Kernel:
         return cls.step is not Kernel.step
 
     @classmethod
-    def check_backend(cls, config: KernelConfig) -> None:
-        """Reject a ``config.backend`` outside :attr:`backends`."""
+    def check_config(cls, config: KernelConfig) -> None:
+        """Reject a config this kernel cannot run (``ValueError``).
+
+        The base rejects a ``config.backend`` outside :attr:`backends`;
+        kernels extend it with their own limits.
+        """
         if config.backend not in cls.backends:
             accepted = " | ".join(repr(b) for b in cls.backends)
             raise ValueError(
@@ -203,7 +208,7 @@ class Kernel:
         """
         if config is None:
             config = self.config_cls()
-        self.check_backend(config)
+        self.check_config(config)
         if state is None:
             state = self.setup(config)
         if profiler is None:
@@ -232,7 +237,7 @@ class Kernel:
 
     def _run_once(self, config: KernelConfig) -> KernelResult:
         """One setup + ROI execution under a fresh profiler."""
-        self.check_backend(config)
+        self.check_config(config)
         t0 = time.perf_counter()
         state = self.setup(config)
         setup_time = time.perf_counter() - t0

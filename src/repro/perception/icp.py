@@ -22,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.geometry.kdtree import BatchKDTree, KDTree
+from repro.geometry.kdtree import BatchKDTree, CertifiedNN, KDTree
 from repro.geometry.transforms import RigidTransform3D
 from repro.harness.profiler import PhaseProfiler
 
@@ -159,15 +159,19 @@ def icp(
 
     ``backend="vectorized"`` ignores ``correspondence``: it builds one
     exact C kd-tree (:class:`~repro.geometry.kdtree.BatchKDTree`) over
-    ``target`` per call and batch-queries it every iteration.  Its
-    distances use the same direct sum of squared differences as the
-    ``"kdtree"`` matcher, so the registration (iterations, error history,
-    transform) is bit-identical to ``correspondence="kdtree"``.  The
-    ``"brute"`` matcher's expanded-form distances
-    (``|q|^2 - 2 q.p + |p|^2``) pick the same correspondences but carry
-    cancellation error of ~1e-8 in the reported RMS.  Work counters:
-    the reference matchers report ``nn_node_visits``, the vectorized
-    backend ``nn_queries`` (one per query point).
+    ``target`` per call and matches through
+    :class:`~repro.geometry.kdtree.CertifiedNN`, which re-queries the
+    tree only for points whose previous match it cannot prove is still
+    the nearest.  Its distances use the same direct sum of squared
+    differences as the ``"kdtree"`` matcher, so the registration
+    (iterations, error history, transform) is bit-identical to
+    ``correspondence="kdtree"``.  The ``"brute"`` matcher's expanded-form
+    distances (``|q|^2 - 2 q.p + |p|^2``) pick the same correspondences
+    but carry cancellation error of ~1e-8 in the reported RMS.  Work
+    counters: the reference matchers report ``nn_node_visits``, the
+    vectorized backend ``nn_queries`` (points sent to the tree) and
+    ``nn_reused`` (points whose match was certified); the two sum to
+    iterations times ``len(source)``.
 
     Raises ``ValueError`` when ``source`` or ``target`` holds a NaN or
     infinite coordinate, on both backends.
@@ -192,7 +196,7 @@ def icp(
 
     with prof.phase("correspondence"):
         if backend == "vectorized":
-            tree = BatchKDTree(target)
+            tree = CertifiedNN(BatchKDTree(target))
         elif correspondence == "kdtree":
             tree = KDTree.build(target)
         else:

@@ -13,7 +13,7 @@ and ``fusion`` (model update).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -25,12 +25,25 @@ from repro.harness.runner import Kernel, registry
 from repro.perception.icp import icp
 
 
+#: Voxel keys pack into one int64 as three 21-bit fields, so each
+#: integer key must lie strictly within ``±_KEY_LIMIT``.
+_KEY_BITS = 21
+_KEY_LIMIT = 1 << (_KEY_BITS - 1)
+
+#: Rows the fused-model buffer starts with; it doubles when full.
+_INITIAL_CAPACITY = 1024
+
+
 class SceneReconstruction:
     """Incremental point-based scene model built by ICP registration.
 
     ``integrate`` aligns a new scan to the current model and merges the
     aligned points, deduplicating at ``fusion_voxel`` resolution so the
     model grows with *scene coverage* rather than frame count.
+
+    The model is a float64 row buffer, one row per voxel in the order the
+    voxels were first observed, plus a sorted index from packed voxel key
+    to row.
     """
 
     def __init__(
@@ -48,7 +61,12 @@ class SceneReconstruction:
         self.icp_subsample = int(icp_subsample)
         self.backend = backend
         self.profiler = profiler if profiler is not None else PhaseProfiler()
-        self._voxels: Dict[Tuple[int, int, int], np.ndarray] = {}
+        # Zero-filled, so two models holding the same voxels compare equal
+        # buffer and all.
+        self._buffer = np.zeros((_INITIAL_CAPACITY, 3))
+        self._count = 0
+        self._keys = np.empty(0, dtype=np.int64)  # sorted packed keys
+        self._key_rows = np.empty(0, dtype=np.int64)  # row of each key
         self.poses: List[RigidTransform3D] = []
 
     # -- model access -----------------------------------------------------------
@@ -56,13 +74,11 @@ class SceneReconstruction:
     @property
     def n_points(self) -> int:
         """Number of fused model points."""
-        return len(self._voxels)
+        return self._count
 
     def model_points(self) -> np.ndarray:
-        """The fused model as an ``(n, 3)`` array."""
-        if not self._voxels:
-            return np.empty((0, 3))
-        return np.vstack(list(self._voxels.values()))
+        """The fused model as an ``(n, 3)`` array (a copy)."""
+        return self._buffer[: self._count].copy()
 
     # -- integration ---------------------------------------------------------------
 
@@ -70,16 +86,29 @@ class SceneReconstruction:
         """Register one scan against the model and fuse it.
 
         The first scan defines the world frame.  Returns the estimated
-        camera pose of the scan.
+        camera pose of the scan.  Raises ``ValueError`` before touching
+        the model when the scan is not a non-empty ``(n, 3)`` array of
+        finite coordinates.
         """
         prof = self.profiler
         scan_points = np.asarray(scan_points, dtype=float)
-        if not self._voxels:
+        if (
+            scan_points.ndim != 2
+            or scan_points.shape[1] != 3
+            or len(scan_points) == 0
+        ):
+            raise ValueError(
+                "scan must be a non-empty (n, 3) array, got shape "
+                f"{scan_points.shape}"
+            )
+        if not np.isfinite(scan_points).all():
+            raise ValueError("scan points must be finite")
+        if self._count == 0:
             pose = RigidTransform3D.identity()
             self._fuse(scan_points)
             self.poses.append(pose)
             return pose
-        model = self.model_points()
+        model = self._buffer[: self._count]
         rng = np.random.default_rng(len(self.poses))
         src = scan_points
         if len(src) > self.icp_subsample:
@@ -111,15 +140,70 @@ class SceneReconstruction:
         on lattice-aligned coordinates sit mid-voxel instead of exactly on
         a boundary — otherwise sub-millimeter registration jitter flips
         half of a planar scene into neighboring voxels every frame.
+
+        A voxel new to the model takes the next row, in the order its key
+        first appears in the scan, and starts at that first point.  Every
+        later hit folds in as ``0.5 * (row + point)``, one rank at a time,
+        so the hits on one voxel fold in scan order.
         """
-        keys = np.floor(world_points / self.fusion_voxel + 0.5).astype(int)
-        for key, point in zip(map(tuple, keys), world_points):
-            existing = self._voxels.get(key)
-            if existing is None:
-                self._voxels[key] = point.copy()
-            else:
-                self._voxels[key] = 0.5 * (existing + point)
+        scaled = np.floor(world_points / self.fusion_voxel + 0.5)
+        if not (np.abs(scaled) < _KEY_LIMIT).all():
+            raise ValueError(
+                f"a scan point lies more than {_KEY_LIMIT - 1} voxels from "
+                f"the origin at fusion_voxel={self.fusion_voxel}"
+            )
+        keys = scaled.astype(np.int64) + _KEY_LIMIT
+        packed = (
+            (keys[:, 0] << (2 * _KEY_BITS))
+            | (keys[:, 1] << _KEY_BITS)
+            | keys[:, 2]
+        )
+        voxels, first, inverse = np.unique(
+            packed, return_index=True, return_inverse=True
+        )
+        slots = np.searchsorted(self._keys, voxels)
+        known = slots < len(self._keys)
+        known[known] = self._keys[slots[known]] == voxels[known]
+        voxel_rows = np.empty(len(voxels), dtype=np.int64)
+        voxel_rows[known] = self._key_rows[slots[known]]
+        new = np.flatnonzero(~known)  # in key order
+        arrival = new[np.argsort(first[new])]  # in scan order
+        voxel_rows[arrival] = self._count + np.arange(len(new))
+        self._keys = np.insert(self._keys, slots[new], voxels[new])
+        self._key_rows = np.insert(self._key_rows, slots[new], voxel_rows[new])
+        self._reserve(self._count + len(new))
+        self._count += len(new)
+
+        rows = voxel_rows[inverse]
+        seeds = first[new]
+        self._buffer[rows[seeds]] = world_points[seeds]
+        # Rank of each point among its voxel's hits, in scan order.
+        by_voxel = np.argsort(inverse, kind="stable")
+        hits = np.bincount(inverse)
+        rank = np.empty(len(world_points), dtype=np.int64)
+        rank[by_voxel] = np.arange(len(world_points)) - np.repeat(
+            np.cumsum(hits) - hits, hits
+        )
+        rank[seeds] = -1
+        folds = np.flatnonzero(rank >= 0)
+        folds = folds[np.argsort(rank[folds], kind="stable")]
+        for group in np.split(folds, np.flatnonzero(np.diff(rank[folds])) + 1):
+            target = rows[group]
+            self._buffer[target] = 0.5 * (
+                self._buffer[target] + world_points[group]
+            )
         self.profiler.count("fused_points", len(world_points))
+
+    def _reserve(self, rows: int) -> None:
+        """Grow the buffer (doubling) until it holds ``rows`` rows."""
+        capacity = len(self._buffer)
+        if rows <= capacity:
+            return
+        while capacity < rows:
+            capacity *= 2
+        grown = np.zeros((capacity, 3))
+        grown[: self._count] = self._buffer[: self._count]
+        self._buffer = grown
 
 
 # -- workload -----------------------------------------------------------------------
@@ -175,6 +259,17 @@ class SrecKernel(Kernel):
     config_cls = SrecConfig
     description = "ICP scene reconstruction (memory/NN bound)"
     backends = ("reference", "vectorized")
+
+    @classmethod
+    def check_config(cls, config: SrecConfig) -> None:
+        """An episode needs at least one frame of at least one point."""
+        super().check_config(config)
+        for name in ("frames", "scan_points"):
+            if getattr(config, name) < 1:
+                raise ValueError(
+                    f"kernel {cls.name} needs {name} >= 1, "
+                    f"got {getattr(config, name)}"
+                )
 
     def setup(self, config: SrecConfig) -> SrecWorkload:
         return make_srec_workload(

@@ -245,6 +245,7 @@ def run_rt(
         config = cls.config_cls(**overrides) if overrides else cls.config_cls()
     elif overrides:
         config = config.replace(**overrides)
+    cls.check_config(config)
 
     jobs = (12 if smoke else 50) if jobs is None else int(jobs)
     warmup = (1 if smoke else 3) if warmup is None else max(0, int(warmup))

@@ -27,7 +27,12 @@ from repro.geometry.collision import (
     oriented_footprints_collide_batch,
 )
 from repro.geometry.grid2d import OccupancyGrid2D
-from repro.geometry.kdtree import KDTree, nearest_neighbors_batch
+from repro.geometry.kdtree import (
+    BatchKDTree,
+    CertifiedNN,
+    KDTree,
+    nearest_neighbors_batch,
+)
 from repro.geometry.raycast import (
     cast_ray_dda,
     cast_rays_batch,
@@ -568,6 +573,144 @@ def test_icp_rejects_non_finite_input(backend, cloud, bad):
                 clouds["source"], clouds["target"], backend=backend,
                 correspondence=correspondence,
             )
+
+
+def _rotation_z(angle):
+    return np.array(
+        [
+            [math.cos(angle), -math.sin(angle), 0.0],
+            [math.sin(angle), math.cos(angle), 0.0],
+            [0.0, 0.0, 1.0],
+        ]
+    )
+
+
+def _converging_clouds(source, steps, angle, shift):
+    """Clouds closing on ``source`` as ICP does: the pose error halves."""
+    centre = source.mean(axis=0)
+    return [
+        (source - centre) @ _rotation_z(angle * 0.5**t).T
+        + centre
+        + np.asarray(shift) * 0.5**t
+        for t in range(steps)
+    ]
+
+
+def _certified_against_fresh(target, clouds):
+    """Every call's ``(idx, dist)`` equals a fresh query; returns counters."""
+    tree = BatchKDTree(target)
+    matcher = CertifiedNN(tree)
+    counters = {}
+
+    def count(name, k):
+        counters[name] = counters.get(name, 0) + k
+
+    for cloud in clouds:
+        idx, dist = matcher.query(cloud, count=count)
+        want_idx, want_dist = tree.query(cloud)
+        np.testing.assert_array_equal(idx, want_idx)
+        assert dist.tobytes() == want_dist.tobytes()
+    assert counters["nn_queries"] + counters["nn_reused"] == sum(
+        len(cloud) for cloud in clouds
+    )
+    return counters
+
+
+def test_certified_nn_defers_exact_ties_to_the_single_query():
+    """Duplicated target points tie exactly; the k=1 answer decides."""
+    rng = np.random.default_rng(5)
+    base = rng.random((150, 3))
+    target = np.vstack([base, base[:60][::-1], base[:20]])
+    source = base[rng.permutation(150)[:120]]
+    counters = _certified_against_fresh(
+        target, _converging_clouds(source, 12, 0.2, (0.05, -0.03, 0.02))
+    )
+    assert counters["nn_reused"] > 0
+
+
+def test_certified_nn_one_point_target():
+    """k=2 on one point returns an infinite second distance."""
+    rng = np.random.default_rng(6)
+    source = rng.random((50, 3))
+    counters = _certified_against_fresh(
+        rng.random((1, 3)),
+        _converging_clouds(source, 6, 0.5, (0.4, 0.1, -0.2)),
+    )
+    assert counters == {"nn_queries": 50, "nn_reused": 250}
+
+
+def test_certified_nn_far_from_the_origin():
+    """The margin scales with coordinate magnitude (a 1e6 m offset)."""
+    rng = np.random.default_rng(7)
+    target = rng.random((300, 3)) + 1e6
+    source = target[rng.permutation(300)[:200]]
+    counters = _certified_against_fresh(
+        target, _converging_clouds(source, 12, 0.1, (0.03, 0.02, -0.01))
+    )
+    assert counters["nn_reused"] > counters["nn_queries"] // 2
+
+
+def test_certified_nn_large_misalignment_requeries():
+    rng = np.random.default_rng(8)
+    target = rng.random((300, 3))
+    source = target[rng.permutation(300)[:200]]
+    clouds = _converging_clouds(source, 8, 2.5, (1.5, -1.0, 0.5))
+    counters = _certified_against_fresh(target, clouds)
+    assert counters["nn_queries"] > 4 * 200
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_target=st.integers(1, 200),
+    duplicates=st.integers(0, 40),
+    offset=st.sampled_from([0.0, -3.0, 1e3, 1e6]),
+    angle=st.floats(-1.0, 1.0),
+    shift=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+)
+def test_certified_nn_matches_fresh_query_property(
+    seed, n_target, duplicates, offset, angle, shift
+):
+    rng = np.random.default_rng(seed)
+    target = rng.random((n_target, 3)) + offset
+    target = np.vstack([target, target[rng.integers(0, n_target, duplicates)]])
+    source = target[rng.integers(0, len(target), 60)]
+    _certified_against_fresh(
+        target, _converging_clouds(source, 8, angle, shift)
+    )
+
+
+def test_certified_nn_rejects_a_cloud_of_another_shape():
+    matcher = CertifiedNN(BatchKDTree(np.eye(3)))
+    matcher.query(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="shape"):
+        matcher.query(np.zeros((5, 3)))
+
+
+def test_icp_nn_counters_cover_every_point_iteration():
+    from repro.harness.profiler import PhaseProfiler
+
+    source, target = _offset_cloud()
+    prof = PhaseProfiler()
+    result = icp(source, target, max_iterations=10, backend="vectorized",
+                 profiler=prof)
+    total = prof.counters["nn_queries"] + prof.counters["nn_reused"]
+    assert total == result.iterations * len(source)
+    assert prof.counters["nn_reused"] > 0
+
+
+def test_srec_nn_counters_cover_every_point_iteration():
+    """One NN answer per scan point per ICP iteration (one SVD each)."""
+    from repro.perception.scene_recon import SrecConfig, SrecKernel
+
+    config = SrecConfig(backend="vectorized", frames=4, scan_points=500,
+                        scene_points=3000, icp_iterations=8)
+    result = SrecKernel().run(config)
+    counters = result.profiler.counters
+    assert counters["nn_queries"] + counters["nn_reused"] == (
+        counters["svd_solves"] * config.scan_points
+    )
+    assert counters["nn_reused"] > 0
 
 
 def test_srec_vectorized_matches_reference_on_perfbench_pool():
