@@ -122,40 +122,84 @@ def oriented_footprint_grid_mask(
     x of sample point ``k`` at cell (r, c) is
     ``xs[c] + cos * bx[k] - sin * by[k]`` — a function of the column and
     the point only — and its world y a function of the row and the point
-    only.  So a ``(cols, p)`` column-index table and a ``(rows, p)``
-    row-index table name every cell the batch reads, and the mask is the
-    OR over points of the cell block the two tables select.  Indices
-    outside the grid select a padding row or column that reads occupied.
+    only.  So per point a column-index table over the columns and a
+    row-index table over the rows name every cell the batch reads (see
+    :func:`_footprint_index_tables`), and the mask is the OR over points
+    of the cell block the two tables select.  Indices outside the grid
+    read an occupied border.
 
-    The float expressions (cos/sin through the ufuncs on a float64 array
-    included) are the batch's, so the verdicts are bitwise identical, and
-    the reported work is the batch's ``rows * cols * p`` cell checks.
+    Most points read a constant shift of the grid (their tables are
+    ``arange`` plus a constant), so their block is a slice of the grid
+    padded with an occupied border as wide as the largest shift.  Only
+    the other points, which fractional resolutions and origins produce,
+    gather their block through the tables.  The float expressions are
+    the batch's, so the verdicts are bitwise identical, and the reported
+    work is the batch's ``rows * cols * p`` cell checks.
+    """
+    rows, cols = grid.rows, grid.cols
+    if count is not None:
+        count("collision_cell_checks", rows * cols * len(body_points))
+    mask = np.zeros((rows, cols), dtype=bool)
+    if mask.size == 0:
+        return mask
+    row_idx, col_idx, shifted = _footprint_index_tables(
+        grid, theta, body_points
+    )
+    # A shift past the grid reads only border, so clamp it to the grid
+    # size; the border is at least one cell wide for the gathered points.
+    dr = np.clip(row_idx[shifted, 0], -rows, rows)
+    dc = np.clip(col_idx[shifted, 0], -cols, cols)
+    br = max(1, int(np.abs(dr).max(initial=0)))
+    bc = max(1, int(np.abs(dc).max(initial=0)))
+    padded = np.ones((rows + 2 * br, cols + 2 * bc), dtype=bool)
+    padded[br : br + rows, bc : bc + cols] = grid.cells
+    for r0, c0 in zip((dr + br).tolist(), (dc + bc).tolist()):
+        mask |= padded[r0 : r0 + rows, c0 : c0 + cols]
+    # The rest gather: in-grid indices move into the padded grid, every
+    # out-of-grid one reads its first (border) row or column.
+    for rk, ck in zip(row_idx[~shifted], col_idx[~shifted]):
+        rk = np.where((rk >= 0) & (rk < rows), rk + br, 0)
+        ck = np.where((ck >= 0) & (ck < cols), ck + bc, 0)
+        mask |= padded.take(rk, axis=0).take(ck, axis=1)
+    return mask
+
+
+def _footprint_index_tables(
+    grid: OccupancyGrid2D, theta: float, body_points: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell tables of :func:`oriented_footprint_grid_mask`, one row a point.
+
+    Returns ``(row_idx, col_idx, shifted)``: the ``(q, rows)`` row and
+    ``(q, cols)`` column indices (before any bounds handling) that the
+    footprint's sample points read at heading ``theta`` from every cell
+    center, with points whose two tables equal an earlier point's left
+    out (``q <= p``), and whether each kept point's tables are
+    ``arange`` plus a constant.  The float expressions (cos/sin through
+    the ufuncs on a float64 array included) are
+    :func:`oriented_footprints_collide_batch`'s.
     """
     rows, cols = grid.rows, grid.cols
     res = grid.resolution
     ox, oy = grid.origin
-    p = len(body_points)
-    if count is not None:
-        count("collision_cell_checks", rows * cols * p)
-    bx = body_points[None, :, 0]
-    by = body_points[None, :, 1]
+    bx = body_points[:, 0:1]
+    by = body_points[:, 1:2]
     angle = np.full((1, 1), theta, dtype=float)
     c = np.cos(angle)
     s = np.sin(angle)
     xs = ox + (np.arange(cols) + 0.5) * res
     ys = oy + (np.arange(rows) + 0.5) * res
-    col_idx = np.floor((xs[:, None] + c * bx - s * by - ox) / res).astype(int)
-    row_idx = np.floor((ys[:, None] + s * bx + c * by - oy) / res).astype(int)
-    # Shift in-grid indices by one into a grid with an occupied first row
-    # and column; every out-of-grid index reads that border.
-    col_idx = np.where((col_idx >= 0) & (col_idx < cols), col_idx + 1, 0)
-    row_idx = np.where((row_idx >= 0) & (row_idx < rows), row_idx + 1, 0)
-    padded = np.ones((rows + 1, cols + 1), dtype=bool)
-    padded[1:, 1:] = grid.cells
-    mask = np.zeros((rows, cols), dtype=bool)
-    for k in range(p):
-        mask |= padded.take(row_idx[:, k], axis=0).take(col_idx[:, k], axis=1)
-    return mask
+    col_idx = np.floor((xs + c * bx - s * by - ox) / res).astype(int)
+    row_idx = np.floor((ys + s * bx + c * by - oy) / res).astype(int)
+    first = {}
+    for k, (rk, ck) in enumerate(zip(row_idx, col_idx)):
+        first.setdefault((rk.tobytes(), ck.tobytes()), k)
+    keep = list(first.values())
+    row_idx = row_idx[keep]
+    col_idx = col_idx[keep]
+    shifted = (np.diff(row_idx) == 1).all(axis=1) & (
+        np.diff(col_idx) == 1
+    ).all(axis=1)
+    return row_idx, col_idx, shifted
 
 
 def point_collides(

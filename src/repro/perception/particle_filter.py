@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.envs.mapgen import wean_hall_like
+from repro.geometry import raycast
 from repro.geometry.grid2d import OccupancyGrid2D
 from repro.geometry.transforms import SE2
 from repro.harness.config import KernelConfig, option
@@ -341,6 +342,8 @@ class PflKernel(Kernel):
     backends = ("reference", "vectorized")
 
     def setup(self, config: PflConfig) -> PflWorkload:
+        if config.backend == "vectorized":
+            raycast.load_core()  # builds the ray caster here, not in the ROI
         return make_pfl_workload(
             region=config.region,
             n_steps=config.steps,

@@ -272,6 +272,9 @@ class SrecKernel(Kernel):
                 )
 
     def setup(self, config: SrecConfig) -> SrecWorkload:
+        if config.backend == "vectorized":
+            # BatchKDTree's lazy import, paid here rather than in the ROI.
+            import scipy.spatial  # noqa: F401
         return make_srec_workload(
             n_frames=config.frames,
             scene_points=config.scene_points,

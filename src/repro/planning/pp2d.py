@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.harness.config import KernelConfig, option
 from repro.harness.profiler import PhaseProfiler
 from repro.harness.runner import Kernel, registry
 from repro.search.astar import SearchResult, weighted_astar
-from repro.search.grid_core import MOVES_2D_8, astar_grid_2d, pad_blocked_2d
+from repro.search.grid_core import MOVES_2D_8, astar_grid_2d, load_core
 
 _MOVES: Tuple[Tuple[int, int], ...] = MOVES_2D_8
 
@@ -137,26 +137,32 @@ def heading_blocked_masks(
     grid: OccupancyGrid2D,
     body_points: np.ndarray,
     profiler: Optional[PhaseProfiler] = None,
-) -> List[np.ndarray]:
-    """Per-heading destination-invalid masks for the canonical 8 moves.
+) -> np.ndarray:
+    """Per-heading destination-invalid tables for the canonical 8 moves.
 
-    ``masks[i][r, c]`` is True when the robot footprint, oriented along
-    move ``_MOVES[i]`` and placed at the center of cell (r, c), hits an
-    obstacle — the same verdict ``GridPlanningSpace2D.state_collides``
-    computes per candidate move, evaluated for every cell of the grid
-    by one :func:`oriented_footprint_grid_mask` call per heading.
-    ``collision_cell_checks`` counts the full precompute (rows x cols x
-    8 poses), so it is *not* comparable with the reference backend's
-    on-demand count; the search counters (expansions, pushes, pops) are.
+    Returns one ``(8, (rows + 2) * (cols + 2))`` uint8 block.  Row ``i``
+    is move ``_MOVES[i]``'s flat table over the grid with a one-cell halo
+    (laid out as :func:`repro.search.grid_core.pad_blocked_2d`): an
+    interior entry is 1 when the robot
+    footprint, oriented along the move and placed at that cell's center,
+    hits an obstacle — the same verdict
+    ``GridPlanningSpace2D.state_collides`` computes per candidate move,
+    evaluated for every cell of the grid by one
+    :func:`oriented_footprint_grid_mask` call per heading — and the halo
+    is 1.  ``collision_cell_checks`` counts the full precompute (rows x
+    cols x 8 poses), so it is *not* comparable with the reference
+    backend's on-demand count; the search counters (expansions, pushes,
+    pops) are.
     """
     prof = profiler if profiler is not None else PhaseProfiler()
+    rows, cols = grid.rows, grid.cols
     with prof.phase("collision"):
-        return [
-            oriented_footprint_grid_mask(
+        block = np.ones((len(_MOVES), rows + 2, cols + 2), dtype=np.uint8)
+        for table, (dr, dc) in zip(block, _MOVES):
+            table[1:-1, 1:-1] = oriented_footprint_grid_mask(
                 grid, math.atan2(dr, dc), body_points, count=prof.count
             )
-            for dr, dc in _MOVES
-        ]
+        return block.reshape(len(_MOVES), -1)
 
 
 def _plan_2d_array(
@@ -172,8 +178,7 @@ def _plan_2d_array(
     """pp2d on the flat-array core with precomputed heading masks."""
     prof = profiler if profiler is not None else PhaseProfiler()
     body_points = footprint_points(robot_length, robot_width, grid.resolution)
-    masks = heading_blocked_masks(grid, body_points, profiler=prof)
-    blocked_by_move = [pad_blocked_2d(mask) for mask in masks]
+    blocked_by_move = heading_blocked_masks(grid, body_points, profiler=prof)
     with prof.phase("search"):
         flat, path = astar_grid_2d(
             grid.cells, start, goal, resolution=grid.resolution,
@@ -265,6 +270,8 @@ class Pp2dKernel(Kernel):
     backends = ("reference", "array")
 
     def setup(self, config: Pp2dConfig) -> Pp2dWorkload:
+        if config.backend == "array":
+            load_core()  # builds the search core here, not in the ROI
         if config.map_file:
             from repro.envs.movingai import load_movingai
 

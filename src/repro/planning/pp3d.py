@@ -20,7 +20,7 @@ from repro.harness.config import KernelConfig, option
 from repro.harness.profiler import PhaseProfiler
 from repro.harness.runner import Kernel, registry
 from repro.search.astar import SearchResult, weighted_astar
-from repro.search.grid_core import MOVES_3D_26, astar_grid_3d
+from repro.search.grid_core import MOVES_3D_26, astar_grid_3d, load_core
 
 _MOVES_3D: Tuple[Tuple[int, int, int], ...] = MOVES_3D_26
 
@@ -193,6 +193,8 @@ class Pp3dKernel(Kernel):
     backends = ("reference", "array")
 
     def setup(self, config: Pp3dConfig) -> Pp3dWorkload:
+        if config.backend == "array":
+            load_core()  # builds the search core here, not in the ROI
         grid = campus_like_3d(
             nx=config.nx,
             ny=config.ny,

@@ -18,6 +18,16 @@
  * offset that leaves [0, n) counts as blocked, which a one-cell occupied
  * halo around the grid never needs.
  *
+ * Only the nodes the search touches are ever written.  state, one byte
+ * per node, comes from calloc: UNSEEN (0) until the node's first push,
+ * then OPEN, then CLOSED once expanded.  An UNSEEN node's g is +inf, so
+ * it is compared as tentative < INFINITY; g, parent and live are read
+ * only after the push that writes them, so they are never initialized.
+ * A large calloc maps fresh zero pages, so a query faults in only the
+ * pages of the state it searches, with no O(n) set-up per call.  The
+ * UNSEEN test reads the byte the CLOSED test already loaded, so it adds
+ * no memory traffic to the search.
+ *
  * Returns 1 if the goal was reached, 0 if not, -1 if out of memory.
  * counters receives expansions, generated, pushes, pops and the path
  * length; path receives the node indices from start to goal.
@@ -26,6 +36,8 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+
+enum { UNSEEN = 0, OPEN = 1, CLOSED = 2 };
 
 typedef struct {
     double f;
@@ -71,23 +83,20 @@ int rtr_astar_flat(int64_t n, int32_t n_moves, const int64_t *offsets,
     double *g = malloc((size_t)n * sizeof *g);
     int64_t *parent = malloc((size_t)n * sizeof *parent);
     int64_t *live = malloc((size_t)n * sizeof *live);
-    uint8_t *closed = calloc((size_t)n, 1);
+    uint8_t *state = calloc((size_t)n, 1);
     int64_t cap = 1024, size = 0;
     entry_t *heap = malloc((size_t)cap * sizeof *heap);
     int64_t counter = 0, pushes = 1, pops = 0, expansions = 0, generated = 1;
     int found = 0;
-    if (!g || !parent || !live || !closed || !heap) {
+    if (!g || !parent || !live || !state || !heap) {
         found = -1;
         goto done;
     }
-    for (int64_t i = 0; i < n; i++) {
-        g[i] = INFINITY;
-        parent[i] = -1;
-        live[i] = -1;
-    }
     g[start] = 0.0;
+    parent[start] = -1;
     heap[size++] = (entry_t){0.0 + epsilon * h[start], counter, start};
     live[start] = counter;
+    state[start] = OPEN;
 
     while (size > 0) {
         entry_t top = heap[0];
@@ -96,22 +105,24 @@ int rtr_astar_flat(int64_t n, int32_t n_moves, const int64_t *offsets,
             sift_down(heap, size);
         }
         int64_t idx = top.idx;
-        if (closed[idx] || top.ticket != live[idx]) continue;
+        if (state[idx] == CLOSED || top.ticket != live[idx]) continue;
         pops++;
         if (idx == goal) {
             found = 1;
             break;
         }
-        closed[idx] = 1;
+        state[idx] = CLOSED;
         expansions++;
         if (max_expansions >= 0 && expansions > max_expansions) break;
         double g_here = g[idx];
         for (int32_t m = 0; m < n_moves; m++) {
             int64_t nidx = idx + offsets[m];
             if ((uint64_t)nidx >= (uint64_t)n) continue;
-            if (blocked[m * blocked_stride + nidx] || closed[nidx]) continue;
+            if (blocked[m * blocked_stride + nidx]) continue;
+            uint8_t seen = state[nidx];
+            if (seen == CLOSED) continue;
             double tentative = g_here + steps[m];
-            if (tentative < g[nidx]) {
+            if (tentative < (seen == UNSEEN ? INFINITY : g[nidx])) {
                 g[nidx] = tentative;
                 parent[nidx] = idx;
                 counter++;
@@ -129,6 +140,7 @@ int rtr_astar_flat(int64_t n, int32_t n_moves, const int64_t *offsets,
                     (entry_t){tentative + epsilon * h[nidx], counter, nidx};
                 sift_up(heap, size++);
                 live[nidx] = counter;
+                state[nidx] = OPEN;
                 pushes++;
                 generated++;
             }
@@ -153,7 +165,7 @@ done:
     free(g);
     free(parent);
     free(live);
-    free(closed);
+    free(state);
     free(heap);
     return found;
 }

@@ -468,11 +468,16 @@ def heuristic_table_3d(
     dz, dy, dx = (
         np.arange(-1, size + 1) - g for size, g in zip(shape, goal)
     )
-    squares = (
-        (dz * dz)[:, None, None] + (dy * dy)[None, :, None]
-        + (dx * dx)[None, None, :]
+    # One full-size float64 array: the exact integer square sums are
+    # written into it, then rooted and scaled in place.
+    table = np.empty(tuple(size + 2 for size in shape))
+    np.add(
+        (dz * dz)[:, None, None] + (dy * dy)[None, :, None],
+        (dx * dx)[None, None, :], out=table,
     )
-    return (np.sqrt(squares.astype(np.float64)) * resolution).ravel()
+    np.sqrt(table, out=table)
+    table *= resolution
+    return table.ravel()
 
 
 def moves_2d(cols: int, resolution: float) -> List[Tuple[int, float]]:

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.envs.costmap import synthetic_costmap, target_trajectory
 from repro.envs.mapgen import campus_like_3d, city_like, wean_hall_like
 from repro.geometry.collision import (
+    _footprint_index_tables,
     footprint_points,
     oriented_footprint_collides,
     oriented_footprint_grid_mask,
@@ -279,6 +280,25 @@ def test_footprint_batch_counts_match_scalar():
 
 _MOVE_HEADINGS = [math.atan2(dr, dc) for dr, dc in MOVES_2D_8]
 
+# Mask builder inputs whose points all read a constant shift of the grid
+# (integer resolution and origin), and inputs where most points gather
+# (resolution 0.1 with a fractional origin) and a few still shift.
+_ALL_SHIFT_MASK = dict(rows=12, cols=10, resolution=1.0, ox=0.0, oy=0.0,
+                       length=4.8, width=1.8, theta=_MOVE_HEADINGS[4],
+                       fill=0.3, seed=2)
+_GATHER_MASK = dict(rows=14, cols=14, resolution=0.1, ox=0.37, oy=-1.13,
+                    length=0.9, width=0.5, theta=_MOVE_HEADINGS[3],
+                    fill=0.3, seed=3)
+
+
+def _mask_inputs(rows, cols, resolution, ox, oy, length, width, fill, seed,
+                 **_):
+    rng = np.random.default_rng(seed)
+    grid = OccupancyGrid2D(
+        rng.random((rows, cols)) < fill, resolution, (ox, oy)
+    )
+    return grid, footprint_points(length, width, resolution)
+
 
 @settings(max_examples=150, deadline=None)
 @given(
@@ -299,21 +319,21 @@ _MOVE_HEADINGS = [math.atan2(dr, dc) for dr, dc in MOVES_2D_8]
          width=4.0, theta=_MOVE_HEADINGS[1], fill=0.2, seed=0)
 @example(rows=9, cols=1, resolution=1.7, ox=0.1, oy=-3.9, length=2.0,
          width=1.0, theta=_MOVE_HEADINGS[2], fill=0.0, seed=1)
+@example(**_ALL_SHIFT_MASK)
+@example(**_GATHER_MASK)
 def test_grid_mask_equals_batch_at_every_cell_center(
     rows, cols, resolution, ox, oy, length, width, theta, fill, seed
 ):
     """The per-axis mask builder reproduces the pose batch bitwise.
 
     Covers 1xN and non-square grids, non-unit resolutions, negative and
-    fractional origins, footprints larger than the map, and both the
-    eight move headings and arbitrary ones; the reported
+    fractional origins, footprints larger than the map, both the eight
+    move headings and arbitrary ones, and both ways a point's cells are
+    read (shifted slice and gather); the reported
     ``collision_cell_checks`` must equal the batch's too.
     """
-    rng = np.random.default_rng(seed)
-    grid = OccupancyGrid2D(
-        rng.random((rows, cols)) < fill, resolution, (ox, oy)
-    )
-    body = footprint_points(length, width, resolution)
+    grid, body = _mask_inputs(rows, cols, resolution, ox, oy, length, width,
+                              fill, seed)
     rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     xs = ox + (cc.ravel() + 0.5) * resolution
     ys = oy + (rr.ravel() + 0.5) * resolution
@@ -333,6 +353,19 @@ def test_grid_mask_equals_batch_at_every_cell_center(
     assert mask.shape == (rows, cols) and mask.dtype == bool
     assert np.array_equal(mask, batch.reshape(rows, cols))
     assert mask_counts == batch_counts
+
+
+def test_grid_mask_examples_take_the_slice_and_the_gather_path():
+    """The two examples above run both of the mask builder's read paths."""
+    def paths(example):
+        grid, body = _mask_inputs(**example)
+        _, _, shifted = _footprint_index_tables(grid, example["theta"], body)
+        return int(shifted.sum()), int((~shifted).sum())
+
+    sliced, gathered = paths(_ALL_SHIFT_MASK)
+    assert sliced > 0 and gathered == 0
+    sliced, gathered = paths(_GATHER_MASK)
+    assert sliced > 0 and gathered > 0
 
 
 # -- planners end to end -------------------------------------------------------

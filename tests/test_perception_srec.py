@@ -1,5 +1,9 @@
 """Tests for scene reconstruction (03.srec)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,3 +236,27 @@ def test_fusion_buffer_growth_keeps_rows_and_bits():
         frozen._fuse(scan)
     assert recon.n_points > 4000  # past the initial capacity, twice
     _assert_same_model(recon, frozen)
+
+
+# Sets srec up on each backend and reports whether scipy.spatial is loaded.
+_SETUP_SCRIPT = """
+import sys
+from repro.perception.scene_recon import SrecConfig, SrecKernel
+config = SrecConfig(frames=2, scan_points=60, scene_points=600)
+SrecKernel().setup(config)
+print("scipy.spatial" in sys.modules)
+SrecKernel().setup(config.replace(backend="vectorized"))
+print("scipy.spatial" in sys.modules)
+"""
+
+
+def test_vectorized_setup_imports_the_kd_tree_outside_the_roi(tmp_path):
+    """The vectorized tier's one-time scipy import is paid in setup."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src,
+               RTRBENCH_CACHE_DIR=str(tmp_path / "cache"))
+    out = subprocess.run(
+        [sys.executable, "-c", _SETUP_SCRIPT], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    ).stdout.split()
+    assert out == ["False", "True"]

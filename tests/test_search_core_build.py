@@ -21,8 +21,10 @@ from repro.envs.cache import WorkloadCache, default_cache, set_default_cache
 from repro.geometry import raycast
 from repro.geometry.grid2d import OccupancyGrid2D
 from repro.harness.cli import main as cli_main
+from repro.harness.profiler import PhaseProfiler
 from repro.perception.particle_filter import PflConfig, PflKernel
-from repro.planning.pp2d import plan_2d
+from repro.planning.pp2d import Pp2dConfig, Pp2dKernel, plan_2d
+from repro.planning.pp3d import Pp3dConfig, Pp3dKernel
 from repro.search import grid_core
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -99,6 +101,24 @@ def test_failed_compile_reports_compiler_stderr(fresh_core, monkeypatch):
         grid_core.astar_grid_2d(cells, (0, 0), (3, 3))
     # The failed build leaves no temp file behind.
     assert os.listdir(fresh_core) == []
+
+
+@pytest.mark.parametrize("kernel, config", [
+    (Pp2dKernel(), Pp2dConfig(rows=40, cols=40, backend="array")),
+    (Pp3dKernel(), Pp3dConfig(nx=16, ny=16, nz=6, backend="array")),
+    (PflKernel(), PflConfig(particles=50, beams=6, steps=2, map_rows=60,
+                            map_cols=80, backend="vectorized")),
+])
+def test_setup_builds_the_core_outside_the_roi(fresh_core, monkeypatch,
+                                               kernel, config):
+    state = kernel.setup(config)
+    assert any(name.endswith(".so") for name in os.listdir(fresh_core))
+
+    def refuse(source, path):
+        raise AssertionError(f"the ROI compiled {source}")
+
+    monkeypatch.setattr(native, "_compile", refuse)
+    assert kernel.run_roi(config, state, PhaseProfiler()) is not None
 
 
 def test_racing_cold_builds_both_succeed_and_a_rerun_reuses(tmp_path):

@@ -319,6 +319,80 @@ def test_astar_unreachable_goal_matches_reference():
     assert flat.expansions == 7 * 4  # the whole reachable half
 
 
+# -- edge cases of the core's O(touched) state ----------------------------------
+#
+# The core zeroes only a state byte per node and writes g, parent and
+# tickets only for the nodes a search pushes, so these pin the cases
+# where that could show: no search at all, a search that touches
+# everything it can reach, a cutoff right after the first expansion, and
+# calls that follow one another.
+
+
+def _assert_matches_reference_3d(cells, start, goal, max_expansions=None):
+    """Flat 3D core vs weighted_astar: found, cost, path and every counter."""
+    prof = PhaseProfiler()
+    ref = weighted_astar(
+        _Grid3DSpace(cells, goal), start, profiler=prof,
+        max_expansions=max_expansions,
+    )
+    flat, path = astar_grid_3d(
+        cells, start, goal, max_expansions=max_expansions
+    )
+    assert flat.found == ref.found
+    assert flat.cost == ref.cost
+    assert path == ref.path
+    assert flat.expansions == ref.expansions
+    assert flat.generated == ref.generated
+    assert flat.pushes == prof.counters["search_pushes"]
+    assert flat.pops == prof.counters["search_pops"]
+    return flat, path
+
+
+def _large_grid_3d():
+    """A pp3d-sized (24, 96, 96) volume, a fifth of it occupied."""
+    cells = np.random.default_rng(7).random((24, 96, 96)) < 0.2
+    cells[0, 0, 0] = cells[23, 95, 95] = False
+    return cells
+
+
+def test_astar_3d_start_is_goal_on_a_large_grid():
+    cells = _large_grid_3d()
+    flat, path = _assert_matches_reference_3d(cells, (12, 50, 40), (12, 50, 40))
+    assert flat.found and path == [(12, 50, 40)]
+    assert flat.cost == 0.0 and flat.expansions == 0
+
+
+def test_astar_3d_walled_off_goal_touches_the_whole_component():
+    cells, start, _ = _random_grid_3d(3, 6, 14, 14, 0.15)
+    goal = (3, 10, 10)
+    cells[2:5, 9:12, 9:12] = True  # a solid shell around the goal
+    cells[goal] = False
+    flat, path = _assert_matches_reference_3d(cells, start, goal)
+    assert not flat.found and path == [] and flat.cost == math.inf
+    # Every free voxel connected to the start was expanded.
+    reach = weighted_astar(_Grid3DSpace(cells, (-1, -1, -1)), start)
+    assert flat.expansions == reach.expansions > 100
+
+
+def test_astar_3d_zero_expansion_cap_on_a_large_grid():
+    cells = _large_grid_3d()
+    flat, _ = _assert_matches_reference_3d(
+        cells, (0, 0, 0), (23, 95, 95), max_expansions=0
+    )
+    assert not flat.found and flat.expansions == 1
+
+
+def test_astar_flat_back_to_back_calls_share_no_state():
+    cells, start, _ = _random_grid_3d(11, 5, 12, 12, 0.2)
+    free = [tuple(int(v) for v in cell) for cell in np.argwhere(~cells)]
+    goals = [free[-1], free[len(free) // 2], free[-1]]
+    results = [
+        _assert_matches_reference_3d(cells, start, goal) for goal in goals
+    ]
+    assert results[0] == results[2]
+    assert results[0][1] != results[1][1]
+
+
 class _FlatSpace:
     """weighted_astar's view of astar_flat's inputs (shared table)."""
 
