@@ -14,8 +14,8 @@ inputsets (see DESIGN.md section 2):
 
 All generators are deterministic in their seed, which is what lets the
 expensive ones (the floorplan, city, and campus builders) be memoized by
-content key through :mod:`repro.envs.cache`: repeated characterization /
-bench / suite runs with identical parameters reuse one build instead of
+content key through :mod:`repro.envs.cache`: repeated calls with
+identical parameters in one process reuse one build instead of
 re-carving the same map.  Callers receive a private deep copy and may
 mutate it freely; bypass the cache via ``<generator>.build_uncached``.
 """
@@ -210,19 +210,4 @@ def comparison_map(resolution: float = 1.0) -> OccupancyGrid2D:
     grid.fill_rect(1, 20, 40, 20)
     # Wall from the ceiling down to y=20 at x=40.
     grid.fill_rect(size - 2, 40, 20, 40)
-    return grid
-
-
-def random_obstacle_grid(
-    rows: int,
-    cols: int,
-    density: float = 0.2,
-    resolution: float = 1.0,
-    seed: int = 0,
-) -> OccupancyGrid2D:
-    """Uniform random obstacles — a stress inputset for planners/tests."""
-    rng = np.random.default_rng(seed)
-    cells = rng.random((rows, cols)) < density
-    grid = OccupancyGrid2D(cells, resolution=resolution)
-    grid.fill_border(1)
     return grid

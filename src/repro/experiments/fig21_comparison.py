@@ -105,7 +105,7 @@ def run_fig21(
     hours, exactly the non-real-time behaviour the paper documents).
 
     ``jobs > 1`` runs the scale points on worker processes — each point
-    rebuilds its map independently (cheap via the workload cache), so
+    rebuilds its map independently (a few milliseconds), so
     the sweep order carries no state and points may run concurrently.
     """
     if scales is None:

@@ -202,36 +202,6 @@ def _footprint_index_tables(
     return row_idx, col_idx, shifted
 
 
-def point_collides(
-    grid: OccupancyGrid2D, x: float, y: float, count: Optional[CountFn] = None
-) -> bool:
-    """Single-point collision check against a grid."""
-    if count is not None:
-        count("collision_cell_checks", 1)
-    return grid.is_occupied_world(x, y)
-
-
-def segment_collides_grid(
-    grid: OccupancyGrid2D,
-    p0: Tuple[float, float],
-    p1: Tuple[float, float],
-    step: Optional[float] = None,
-    count: Optional[CountFn] = None,
-) -> bool:
-    """Whether the segment p0-p1 passes through any occupied cell."""
-    if step is None:
-        step = grid.resolution * 0.5
-    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
-    dist = math.hypot(dx, dy)
-    n = max(1, int(dist / step))
-    ts = np.linspace(0.0, 1.0, n + 1)
-    xs = p0[0] + ts * dx
-    ys = p0[1] + ts * dy
-    if count is not None:
-        count("collision_cell_checks", len(xs))
-    return bool(grid.occupied_world_batch(xs, ys).any())
-
-
 # -- continuous rectangular obstacles (arm workspaces) ------------------------
 
 

@@ -27,12 +27,6 @@ def squared_euclidean(a: Sequence[float], b: Sequence[float]) -> float:
     return float(np.dot(diff, diff))
 
 
-def euclidean_batch(points: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """L2 distances from every row of ``points`` to ``query``."""
-    diff = np.asarray(points, dtype=float) - np.asarray(query, dtype=float)
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
 def angular_difference(a: float, b: float) -> float:
     """Smallest absolute difference between two angles, in [0, pi]."""
     diff = math.fmod(a - b, 2.0 * math.pi)

@@ -169,43 +169,18 @@ class OccupancyGrid2D:
 
     # -- derived grids -------------------------------------------------------
 
-    def inflate(self, radius_m: float, cache: bool = True) -> "OccupancyGrid2D":
+    def inflate(self, radius_m: float) -> "OccupancyGrid2D":
         """Return a grid with obstacles dilated by ``radius_m`` (Chebyshev).
 
         Planners use inflated grids to approximate a circular robot; the
-        dilation is done with a separable sliding-window maximum, so it is
-        O(cells * radius_cells) rather than per-cell neighborhoods.
-
-        Results are memoized through the workload cache keyed on the
-        grid *content* (a digest of the cell bitmap plus geometry) and
-        the radius in cells, so repeated plans on the same map skip the
-        dilation entirely; ``cache=False`` forces a recompute.
+        dilation is done with whole-grid numpy shifts, one 8-neighbor
+        step per radius cell, so it is O(cells * radius_cells) rather
+        than per-cell neighborhoods.
         """
         r = int(np.ceil(radius_m / self.resolution))
         if r <= 0:
             return self.copy()
-        if cache:
-            # Imported lazily: repro.envs.__init__ pulls in mapgen which
-            # imports this module, so a top-level import would be circular.
-            from repro.envs.cache import default_cache
-            import hashlib
-
-            digest = hashlib.sha256(np.packbits(self.cells).tobytes())
-            params = {
-                "cells_sha256": digest.hexdigest(),
-                "shape": [self.rows, self.cols],
-                "radius_cells": r,
-                "resolution": self.resolution,
-                "origin": list(self.origin),
-            }
-            return default_cache().get_or_build(
-                "inflate2d", params, lambda: self._inflate_uncached(r)
-            )
-        return self._inflate_uncached(r)
-
-    def _inflate_uncached(self, r: int) -> "OccupancyGrid2D":
-        occ = self.cells
-        out = occ.copy()
+        out = self.cells.copy()
         for _ in range(r):
             shifted = out.copy()
             shifted[1:, :] |= out[:-1, :]

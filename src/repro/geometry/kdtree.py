@@ -370,20 +370,6 @@ class CertifiedNN:
         return self._matches.copy(), distances
 
 
-def nearest_neighbors_batch(
-    points: np.ndarray,
-    queries: np.ndarray,
-    count: Optional[CountFn] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched nearest neighbor: for each query, its closest ``points`` row.
-
-    Returns ``(indices, distances)``.  One-shot form of
-    :class:`BatchKDTree`; callers that query the same points repeatedly
-    should build the tree once instead.
-    """
-    return BatchKDTree(points).query(queries, count=count)
-
-
 class LinearNN:
     """Brute-force nearest neighbor over a growing point set.
 

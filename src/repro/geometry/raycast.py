@@ -298,23 +298,3 @@ def cast_ray_dda(
     if count is not None:
         count("raycast_cell_checks", checks)
     return max_range
-
-
-def scan_from_pose(
-    grid: OccupancyGrid2D,
-    x: float,
-    y: float,
-    theta: float,
-    n_beams: int,
-    fov: float = 2.0 * math.pi,
-    max_range: float = 30.0,
-    step: Optional[float] = None,
-    backend: str = "reference",
-) -> np.ndarray:
-    """A full simulated laser scan: ``n_beams`` ranges across ``fov``."""
-    beam_angles = theta + np.linspace(-fov / 2.0, fov / 2.0, n_beams, endpoint=False)
-    xs = np.full(n_beams, x)
-    ys = np.full(n_beams, y)
-    if backend == "vectorized":
-        return cast_rays_dda_batch(grid, xs, ys, beam_angles, max_range)
-    return cast_rays_batch(grid, xs, ys, beam_angles, max_range, step)

@@ -87,12 +87,6 @@ class SE2:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-def rotation_matrix_2d(theta: float) -> np.ndarray:
-    """2x2 planar rotation matrix."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def rotation_matrix_3d(roll: float, pitch: float, yaw: float) -> np.ndarray:
     """3x3 rotation from intrinsic roll-pitch-yaw Euler angles."""
     cr, sr = math.cos(roll), math.sin(roll)

@@ -511,21 +511,17 @@ def _cmd_cache(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="rtrbench cache",
         description=(
-            "Inspect or clear the content-keyed workload cache "
+            "Inspect or clear the compiled C cores in the cache dir "
             "(.rtrbench_cache/ by default; RTRBENCH_CACHE_DIR relocates "
-            "it)."
+            "it) and this process's workload memo."
         ),
     )
     parser.add_argument(
         "action", nargs="?", default="stats", choices=("stats", "clear"),
         help=(
-            "'stats' (default) prints disk usage; 'clear' empties the cache, "
-            "compiled C cores (A* search, ray casting) included"
+            "'stats' (default) counts the compiled cores (A* search, ray "
+            "casting) and their bytes; 'clear' deletes them"
         ),
-    )
-    parser.add_argument(
-        "--memory-only", action="store_true",
-        help="with 'clear': drop only the in-process layer, keep disk",
     )
     parser.add_argument(
         "--json", action="store_true",
@@ -542,7 +538,7 @@ def _cmd_cache(argv: List[str]) -> int:
         return 0
     if args.action == "clear":
         before = cache.disk_stats()
-        cache.clear(memory_only=args.memory_only)
+        cache.clear()
         after = cache.disk_stats()
         print(
             f"cleared {before['entries'] - after['entries']} entries "
@@ -555,13 +551,11 @@ def _cmd_cache(argv: List[str]) -> int:
     print(f"enabled: {stats['enabled']}")
     print(f"entries: {stats['entries']}")
     print(f"bytes: {stats['bytes']}")
-    process = cache.stats.as_dict()
     print(
-        "this process: "
-        f"{cache.stats.hits} hits ({process['memory_hits']} memory, "
-        f"{process['disk_hits']} disk), {process['misses']} misses"
+        f"this process: {cache.stats.hits} hits, "
+        f"{cache.stats.misses} misses"
     )
-    per_category = process.get("per_category") or {}
+    per_category = cache.stats.per_category
     for category in sorted(per_category):
         print(f"  {category}: {per_category[category]} lookups")
     return 0

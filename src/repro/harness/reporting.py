@@ -54,15 +54,6 @@ def characterization_table(results: Iterable[KernelResult]) -> str:
     )
 
 
-def fractions_table(fractions_by_kernel: Dict[str, Dict[str, float]]) -> str:
-    """Render a kernel -> {phase: share} mapping as a text table."""
-    rows = []
-    for kernel, fractions in fractions_by_kernel.items():
-        for phase, share in sorted(fractions.items(), key=lambda kv: -kv[1]):
-            rows.append([kernel, phase, f"{share:.1%}"])
-    return format_table(["kernel", "phase", "share"], rows)
-
-
 def write_json_report(payload: Any, path: str) -> None:
     """Write a machine-readable report as pretty-printed, sorted JSON."""
     with open(path, "w") as fh:

@@ -9,10 +9,10 @@ through :func:`repro.harness.parallel.map_tasks`:
 * every kernel / bench phase / sweep point is an isolated task; one that
   raises or hangs becomes a failure row in the report while the rest of
   the suite completes (the pool respawns lost workers);
-* workload setup goes through the content-keyed cache
-  (:mod:`repro.envs.cache`), whose on-disk layer every forked worker
-  reads; with ``jobs > 1`` the parent orders dispatch longest-first
-  using per-task durations from the previous run record;
+* workload setup goes through each process's content-keyed memo
+  (:mod:`repro.envs.cache`); with ``jobs > 1`` the parent orders
+  dispatch longest-first using per-task durations from the previous
+  run record;
 * the serial baseline is opt-in (``baseline=True`` runs the task list a
   second time, inline) or derived from the latest comparable serial
   record in the result store; either way the run cross-checks per-task
@@ -270,7 +270,7 @@ def _cache_probe(smoke: bool = False, seed: int = 7) -> Dict[str, Any]:
     t0 = time.perf_counter()
     wean_hall_like.build_uncached(**params)
     cold_s = time.perf_counter() - t0
-    wean_hall_like(**params)  # warm both cache layers
+    wean_hall_like(**params)  # warm the memo
     t0 = time.perf_counter()
     wean_hall_like(**params)
     warm_s = time.perf_counter() - t0
@@ -467,9 +467,8 @@ def run_suite(
 
     With ``jobs > 1`` the task list runs once on a persistent worker
     pool, scheduled longest-first when a previous run record knows the
-    task durations; workers read cached workloads from the cache's disk
-    layer.  The serial
-    comparison is **opt-in**: ``baseline=True`` re-runs the task list
+    task durations; each worker memoizes the workloads it builds.  The
+    serial comparison is **opt-in**: ``baseline=True`` re-runs the task list
     inline (doubling wall time) and cross-checks fingerprints; otherwise
     the comparison is derived from the latest comparable serial record
     in the result store, and when none exists ``parallel_speedup`` is

@@ -4,11 +4,13 @@ Two optimized tiers run a small C loop through :mod:`ctypes`: the
 ``array`` tier's A* (``search/_astar.c``) and pfl's ``vectorized`` ray
 caster (``geometry/_raycast.c``).  :func:`load_function` compiles a
 core's source with ``$CC`` (default ``cc``) on first use into the
-workload cache dir, so the package runs from a source checkout with no
-build step.  ``reference`` tiers never come here and need no compiler.
+cache dir (``.rtrbench_cache/``, or ``RTRBENCH_CACHE_DIR``), so the
+package runs from a source checkout with no build step.  ``reference``
+tiers never come here and need no compiler.
 
-* The library name carries a digest of the source and the flags, so an
-  edited core never loads a stale build.
+* The library name carries a digest of the source, the flags and the
+  split ``$CC`` command, so an edited core never loads a stale build and
+  a core built by one compiler is never served under another.
 * The compiler writes to a process-unique temp name that is renamed into
   place, so a concurrent cold build never loads a half-written library.
 * Loaded functions are memoized per process; a failed build is not, so
@@ -26,23 +28,29 @@ import os
 import shlex
 import subprocess
 import tempfile
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple
 
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
+def _compiler() -> List[str]:
+    """The split ``$CC`` command (default ``cc``)."""
+    return shlex.split(os.environ.get("CC") or "cc")
+
+
 def _library_path(source: str, cache_dir: str) -> str:
-    """Path of the compiled library for the current ``source`` and flags."""
+    """Path of the library for the current ``source``, flags and ``$CC``."""
     with open(source, "rb") as fh:
         text = fh.read()
-    digest = hashlib.sha256(text + " ".join(_CFLAGS).encode())
+    command = "\0".join([*_compiler(), *_CFLAGS])
+    digest = hashlib.sha256(text + command.encode())
     stem = os.path.splitext(os.path.basename(source))[0]
     return os.path.join(cache_dir, f"{stem}-{digest.hexdigest()[:16]}.so")
 
 
 def _compile(source: str, path: str) -> None:
     """Compile ``source`` to ``path`` with ``$CC`` (default ``cc``)."""
-    compiler = shlex.split(os.environ.get("CC") or "cc")
+    compiler = _compiler()
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     # Compile to a process-unique name and rename it into place, so a
@@ -81,7 +89,7 @@ def load_function(
 ) -> Callable:
     """``symbol`` from the core built from ``source``, typed for ctypes.
 
-    Builds the library into the workload cache dir on first use.  A
+    Builds the library into the cache dir on first use.  A
     harness that times a single cold call loads the function first, to
     keep the one-time compile out of its measurement.
     """

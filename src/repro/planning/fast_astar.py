@@ -4,8 +4,8 @@ This is the optimized contestant in the Fig. 21 library comparison — the
 Python equivalent of RTRBench's tuned C++ pp2d.  Every implementation
 choice targets speed the way the paper's C++ does:
 
-* the robot footprint is handled by inflating the grid **once** (numpy
-  dilation, memoized through the workload cache) instead of
+* the robot footprint is handled by inflating the grid **once** per
+  call (numpy dilation, inside the timed call) instead of
   per-expansion footprint checks;
 * the search itself is :mod:`repro.search.grid_core`'s flat-array A*:
   a halo-padded flat occupancy table, preallocated g/parent/closed

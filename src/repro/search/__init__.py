@@ -7,7 +7,7 @@ rather than materialized adjacency — which is how the paper's kernels
 search environments too large to enumerate.
 
 The ``array`` tier's A* (:func:`astar_flat`) runs in a small C core,
-compiled on first use into the workload cache dir; it takes the
+compiled on first use into the cache dir; it takes the
 heuristic as a float64 table over the padded index space
 (:func:`heuristic_table_2d`, :func:`heuristic_table_3d`).  Everything
 else here, including the ``reference`` tier, is pure Python.

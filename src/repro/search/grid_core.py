@@ -34,7 +34,7 @@ open list is chosen to match the cost structure:
   offset lands either on a real cell or on the blocked halo, which is
   exactly the reference semantics of "out of bounds counts as
   occupied".  The loop itself is C (``_astar.c``), compiled on first
-  use into the workload cache dir by :mod:`repro.native` and called
+  use into the cache dir by :mod:`repro.native` and called
   through :mod:`ctypes`.
   It stays bitwise exact because heap entries ``(f, ticket)`` are
   totally ordered (any correct heap pops what ``heapq`` pops), the

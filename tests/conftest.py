@@ -10,9 +10,9 @@ import pytest
 def _isolated_workload_cache(tmp_path_factory):
     """Point the workload cache at a session-temporary directory.
 
-    Keeps test runs from writing ``.rtrbench_cache/`` into the repository
-    while still exercising both cache layers; forked suite workers
-    inherit the redirected cache.
+    Keeps test runs from compiling the C cores into the repository's
+    ``.rtrbench_cache/``: the session builds each core once into a temp
+    dir, and forked suite workers inherit the redirected cache.
     """
     from repro.envs.cache import WorkloadCache, set_default_cache
 

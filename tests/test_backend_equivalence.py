@@ -32,7 +32,6 @@ from repro.geometry.kdtree import (
     BatchKDTree,
     CertifiedNN,
     KDTree,
-    nearest_neighbors_batch,
 )
 from repro.geometry.raycast import (
     cast_ray_dda,
@@ -484,7 +483,7 @@ def test_nn_batch_matches_kdtree(seed):
     target = rng.random((600, 3))
     queries = rng.random((250, 3))
     tree = KDTree.build(target)
-    idx, dist = nearest_neighbors_batch(target, queries)
+    idx, dist = BatchKDTree(target).query(queries)
     assert np.array_equal(idx, np.argmin(
         ((queries[:, None, :] - target[None, :, :]) ** 2).sum(axis=2), axis=1
     ))
@@ -502,17 +501,17 @@ def test_nn_batch_counts_queries():
     def count(name, k):
         counters[name] = counters.get(name, 0) + k
 
-    nearest_neighbors_batch(rng.random((50, 3)), rng.random((20, 3)), count)
+    BatchKDTree(rng.random((50, 3))).query(rng.random((20, 3)), count)
     assert counters == {"nn_queries": 20}
 
 
 def test_nn_batch_rejects_empty_points():
     with pytest.raises(ValueError, match="no points"):
-        nearest_neighbors_batch(np.empty((0, 3)), np.zeros((4, 3)))
+        BatchKDTree(np.empty((0, 3))).query(np.zeros((4, 3)))
 
 
 def test_nn_batch_empty_queries_return_empty_arrays():
-    idx, dist = nearest_neighbors_batch(np.ones((5, 3)), np.empty((0, 3)))
+    idx, dist = BatchKDTree(np.ones((5, 3))).query(np.empty((0, 3)))
     assert idx.shape == (0,) and dist.shape == (0,)
     assert idx.dtype.kind == "i"
 

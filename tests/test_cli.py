@@ -261,23 +261,33 @@ def isolated_cache(tmp_path):
     set_default_cache(None)
 
 
+def _plant_cores(cache, names):
+    """Stand-in compiled cores (and other files) in the cache dir."""
+    os.makedirs(cache.cache_dir, exist_ok=True)
+    for name in names:
+        with open(os.path.join(cache.cache_dir, name), "wb") as fh:
+            fh.write(b"\0" * 10)
+
+
 def test_cache_stats_reports_dir_and_usage(isolated_cache, capsys):
     isolated_cache.get_or_build("toy", {"n": 1}, lambda: list(range(100)))
+    _plant_cores(isolated_cache, ["_astar-0.so"])
     assert main(["cache"]) == 0
     out = capsys.readouterr().out
     assert f"cache dir: {isolated_cache.cache_dir}" in out
     assert "entries: 1" in out
-    assert "misses" in out
+    assert "bytes: 10" in out
+    assert "this process: 0 hits, 1 misses" in out
 
 
 def test_cache_clear_empties_disk_layer(isolated_cache, capsys):
-    isolated_cache.get_or_build("toy", {"n": 1}, lambda: "payload")
-    isolated_cache.get_or_build("toy", {"n": 2}, lambda: "payload")
+    _plant_cores(isolated_cache, ["_astar-0.so", "_raycast-0.so", "notes.txt"])
     assert isolated_cache.disk_stats()["entries"] == 2
     assert main(["cache", "clear"]) == 0
     out = capsys.readouterr().out
-    assert "cleared 2 entries" in out
+    assert "cleared 2 entries (20 bytes)" in out
     assert isolated_cache.disk_stats()["entries"] == 0
+    assert os.listdir(isolated_cache.cache_dir) == ["notes.txt"]
 
 
 def test_cache_stats_json_is_machine_readable(isolated_cache, capsys):
@@ -286,37 +296,32 @@ def test_cache_stats_json_is_machine_readable(isolated_cache, capsys):
     assert main(["cache", "stats", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["cache_dir"] == isolated_cache.cache_dir
-    assert payload["entries"] == 1
+    # A built workload leaves nothing on disk to count.
+    assert payload["entries"] == 0
     assert payload["process"]["misses"] == 1
     assert payload["process"]["memory_hits"] == 1
     assert payload["process"]["per_category"] == {"toy": 2}
 
 
-def test_cache_stats_lists_per_category_lookups(isolated_cache, capsys):
-    from repro.geometry.grid2d import OccupancyGrid2D
+def test_cache_stats_json_counts_only_compiled_cores(isolated_cache, capsys):
+    from repro.envs.mapgen import wean_hall_like
 
-    grid = OccupancyGrid2D.empty(12, 12)
-    grid.fill_rect(4, 4, 6, 6)
-    grid.inflate(1.0)  # miss
-    grid.inflate(1.0)  # memoized hit
+    wean_hall_like(rows=40, cols=50, seed=5)
+    _plant_cores(isolated_cache, ["_astar-0.so", "_raycast-0.so",
+                                  "stale.pkl", "_astar-1-x.tmp"])
+    assert main(["cache", "stats", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["entries"], payload["bytes"]) == (2, 20)
+
+
+def test_cache_stats_lists_per_category_lookups(isolated_cache, capsys):
     isolated_cache.get_or_build("toy", {"n": 1}, lambda: "x")
+    isolated_cache.get_or_build("toy", {"n": 1}, lambda: "x")
+    isolated_cache.get_or_build("other", {"n": 1}, lambda: "y")
     assert main(["cache", "stats"]) == 0
     out = capsys.readouterr().out
-    assert "inflate2d: 2 lookups" in out
-    assert "toy: 1 lookups" in out
-
-
-def test_cache_clear_memory_only_keeps_disk(isolated_cache, capsys):
-    isolated_cache.get_or_build("toy", {"n": 1}, lambda: "payload")
-    assert main(["cache", "clear", "--memory-only"]) == 0
-    out = capsys.readouterr().out
-    assert "cleared 0 entries" in out
-    assert isolated_cache.disk_stats()["entries"] == 1
-    # The kept disk entry still serves hits after the memory drop.
-    hit = isolated_cache.get_or_build(
-        "toy", {"n": 1}, lambda: pytest.fail("should have hit disk")
-    )
-    assert hit == "payload"
+    assert "toy: 2 lookups" in out
+    assert "other: 1 lookups" in out
 
 
 # -- report / compare / gate ---------------------------------------------------

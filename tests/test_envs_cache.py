@@ -1,6 +1,8 @@
-"""Tests for the content-keyed workload cache."""
+"""Tests for the content-keyed workload memo and the core dir it names."""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ def test_content_key_stable_and_param_sensitive():
     assert a != content_key("cloud", {"rows": 10, "seed": 0})
 
 
-# -- layering ------------------------------------------------------------------
+# -- memo ----------------------------------------------------------------------
 
 
 def test_builds_once_then_serves_from_memory(cache):
@@ -48,23 +50,7 @@ def test_builds_once_then_serves_from_memory(cache):
     assert cache.stats.hits == 1
 
 
-def test_disk_layer_survives_new_instance(tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    calls = []
-
-    def build():
-        calls.append(1)
-        return {"grid": np.ones((3, 3))}
-
-    WorkloadCache(cache_dir=cache_dir).get_or_build("m", {"s": 1}, build)
-    fresh = WorkloadCache(cache_dir=cache_dir)
-    value = fresh.get_or_build("m", {"s": 1}, build)
-    assert len(calls) == 1
-    assert np.array_equal(value["grid"], np.ones((3, 3)))
-    assert fresh.stats.disk_hits == 1
-
-
-def test_lru_evicts_but_disk_still_serves(tmp_path):
+def test_lru_evicts_the_oldest_entry(tmp_path):
     cache = WorkloadCache(
         cache_dir=str(tmp_path / "cache"), max_memory_items=1
     )
@@ -75,8 +61,27 @@ def test_lru_evicts_but_disk_still_serves(tmp_path):
         "m", {"k": 1}, lambda: calls.append(1) or "one"
     )
     assert value == "one"
-    assert calls == []  # served from disk, not rebuilt
-    assert cache.stats.disk_hits == 1
+    assert calls == [1]  # evicted, so rebuilt
+    assert cache.stats.misses == 3 and cache.stats.hits == 0
+
+
+def test_building_a_workload_writes_nothing_to_cache_dir(tmp_path):
+    from repro.envs.mapgen import city_like, wean_hall_like
+    from repro.envs.pointcloud import living_room
+
+    cache_dir = tmp_path / "cache"
+    previous = default_cache()
+    set_default_cache(WorkloadCache(cache_dir=str(cache_dir)))
+    try:
+        for _ in range(2):
+            wean_hall_like(rows=40, cols=50, seed=5)
+            city_like(rows=48, cols=48, seed=5)
+            living_room(n_points=500, seed=5)
+        assert default_cache().stats.misses == 3
+        assert default_cache().stats.hits == 3
+    finally:
+        set_default_cache(previous)
+    assert not cache_dir.exists()
 
 
 def test_mutating_a_hit_does_not_poison_the_cache(cache):
@@ -84,32 +89,14 @@ def test_mutating_a_hit_does_not_poison_the_cache(cache):
     hit = cache.get_or_build("m", {}, lambda: np.zeros(3))
     assert cache.stats.memory_hits == 1
     hit[:] = 99.0
-    clean = cache.get_or_build("m", {}, lambda: np.zeros(3))
+    clean = cache.get_or_build("m", {}, lambda: pytest.fail("rebuilt"))
     assert np.array_equal(clean, np.zeros(3))
-    # A disk hit served to a fresh instance (as a forked suite worker
-    # reads it) is just as private: mutating it changes neither that
-    # instance's memory copy nor the stored entry.
-    fresh = WorkloadCache(cache_dir=cache.cache_dir)
-    disk_hit = fresh.get_or_build("m", {}, lambda: pytest.fail("rebuilt"))
-    assert fresh.stats.disk_hits == 1
-    disk_hit[:] = 99.0
-    again = fresh.get_or_build("m", {}, lambda: pytest.fail("rebuilt"))
-    assert fresh.stats.memory_hits == 1
+    # The miss's own return value is a copy too.
+    cache.clear()
+    built = cache.get_or_build("m", {}, lambda: np.zeros(3))
+    built[:] = 99.0
+    again = cache.get_or_build("m", {}, lambda: pytest.fail("rebuilt"))
     assert np.array_equal(again, np.zeros(3))
-    other = WorkloadCache(cache_dir=cache.cache_dir)
-    stored = other.get_or_build("m", {}, lambda: pytest.fail("rebuilt"))
-    assert np.array_equal(stored, np.zeros(3))
-
-
-def test_corrupt_disk_entry_is_rebuilt(tmp_path):
-    cache_dir = tmp_path / "cache"
-    cache = WorkloadCache(cache_dir=str(cache_dir))
-    cache.get_or_build("m", {"k": 1}, lambda: "value")
-    for entry in cache_dir.glob("*.pkl"):
-        entry.write_bytes(b"not a pickle")
-    fresh = WorkloadCache(cache_dir=str(cache_dir))
-    assert fresh.get_or_build("m", {"k": 1}, lambda: "rebuilt") == "rebuilt"
-    assert fresh.stats.misses == 1
 
 
 def test_disabled_cache_always_builds(tmp_path):
@@ -124,11 +111,18 @@ def test_disabled_cache_always_builds(tmp_path):
 
 
 def test_clear_drops_both_layers(cache):
+    # The two things clear() owns: the memo and the compiled cores.
     cache.get_or_build("m", {}, lambda: "v")
+    os.makedirs(cache.cache_dir)
+    for name in ("_astar-0123.so", "keep.txt"):
+        with open(os.path.join(cache.cache_dir, name), "w") as fh:
+            fh.write("x")
+    assert cache.disk_stats()["entries"] == 1
     cache.clear()
     calls = []
     cache.get_or_build("m", {}, lambda: calls.append(1) or "v")
     assert calls == [1]
+    assert os.listdir(cache.cache_dir) == ["keep.txt"]
 
 
 # -- decorator -----------------------------------------------------------------

@@ -7,7 +7,6 @@ from repro.envs.mapgen import (
     campus_like_3d,
     city_like,
     comparison_map,
-    random_obstacle_grid,
     wean_hall_like,
 )
 from repro.search.dijkstra import shortest_grid_path
@@ -88,8 +87,3 @@ def test_comparison_map_requires_detour():
     path = shortest_grid_path(grid.cells, (10, 10), (50, 50))
     assert path
     assert len(path) > 45  # straight diagonal would be ~41 steps
-
-
-def test_random_obstacle_grid_density():
-    grid = random_obstacle_grid(50, 50, density=0.3, seed=0)
-    assert 0.25 < grid.occupancy_ratio() < 0.45  # border adds some

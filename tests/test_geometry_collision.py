@@ -10,9 +10,7 @@ from repro.geometry.collision import (
     Rectangle,
     footprint_points,
     oriented_footprint_collides,
-    point_collides,
     polyline_hits_obstacles,
-    segment_collides_grid,
     segment_hits_obstacles,
 )
 from repro.geometry.grid2d import OccupancyGrid2D
@@ -55,23 +53,6 @@ def test_footprint_counts_checks(small_grid):
         count=lambda n, k: counts.__setitem__(n, counts.get(n, 0) + k),
     )
     assert counts["collision_cell_checks"] == len(body)
-
-
-def test_point_collides(small_grid):
-    assert point_collides(small_grid, 10.0, 10.0)
-    assert not point_collides(small_grid, 4.0, 4.0)
-
-
-def test_segment_collides_grid(small_grid):
-    # Crossing the central block.
-    assert segment_collides_grid(small_grid, (3.0, 10.0), (17.0, 10.0))
-    # Hugging the free top lane.
-    assert not segment_collides_grid(small_grid, (2.0, 2.0), (17.0, 2.0))
-
-
-def test_segment_grid_degenerate_point(small_grid):
-    assert not segment_collides_grid(small_grid, (4.0, 4.0), (4.0, 4.0))
-    assert segment_collides_grid(small_grid, (10.0, 10.0), (10.0, 10.0))
 
 
 # -- rectangle obstacles -------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from repro.geometry.distance import (
     angular_difference,
     euclidean,
-    euclidean_batch,
     joint_space_distance,
     path_length,
     squared_euclidean,
@@ -40,14 +39,6 @@ def test_triangle_inequality(a, b, c):
     n = min(len(a), len(b), len(c))
     a, b, c = a[:n], b[:n], c[:n]
     assert euclidean(a, c) <= euclidean(a, b) + euclidean(b, c) + 1e-9
-
-
-def test_euclidean_batch_matches_scalar(rng):
-    points = rng.normal(size=(10, 3))
-    q = rng.normal(size=3)
-    batch = euclidean_batch(points, q)
-    for p, d in zip(points, batch):
-        assert d == pytest.approx(euclidean(p, q))
 
 
 def test_angular_difference_wraps():

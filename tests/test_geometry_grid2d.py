@@ -103,57 +103,6 @@ def test_inflate_zero_radius_is_copy():
     assert not grid.is_occupied(0, 0)
 
 
-def test_inflate_is_memoized_by_content_and_radius(tmp_path):
-    from repro.envs.cache import WorkloadCache, set_default_cache
-
-    cache = WorkloadCache(cache_dir=str(tmp_path / "cache"))
-    set_default_cache(cache)
-    try:
-        grid = OccupancyGrid2D.empty(16, 16)
-        grid.fill_rect(4, 4, 8, 8)
-        first = grid.inflate(1.0)
-        assert cache.stats.misses == 1
-        again = grid.inflate(1.0)
-        assert cache.stats.memory_hits == 1  # dilation skipped
-        assert np.array_equal(again.cells, first.cells)
-        # A different radius (or different cells) is a different key.
-        grid.inflate(2.0)
-        assert cache.stats.misses == 2
-        twin = OccupancyGrid2D.empty(16, 16)
-        twin.fill_rect(4, 4, 8, 8)
-        twin.inflate(1.0)  # same content, same key: hit
-        assert cache.stats.misses == 2
-        changed = OccupancyGrid2D.empty(16, 16)
-        changed.fill_rect(4, 4, 8, 9)
-        changed.inflate(1.0)
-        assert cache.stats.misses == 3
-        # cache=False bypasses without touching the counters.
-        misses = cache.stats.misses
-        uncached = grid.inflate(1.0, cache=False)
-        assert np.array_equal(uncached.cells, first.cells)
-        assert cache.stats.misses == misses
-        # The category shows up in the observability breakdown.
-        assert cache.stats.as_dict()["per_category"]["inflate2d"] >= 3
-    finally:
-        set_default_cache(None)
-
-
-def test_inflate_cached_result_is_isolated_from_caller_mutation(tmp_path):
-    from repro.envs.cache import WorkloadCache, set_default_cache
-
-    cache = WorkloadCache(cache_dir=str(tmp_path / "cache"))
-    set_default_cache(cache)
-    try:
-        grid = OccupancyGrid2D.empty(8, 8)
-        grid.set_occupied(3, 3)
-        first = grid.inflate(1.0)
-        first.set_occupied(0, 0)  # mutate the returned grid
-        second = grid.inflate(1.0)  # served from cache
-        assert not second.is_occupied(0, 0)
-    finally:
-        set_default_cache(None)
-
-
 @given(st.integers(1, 4))
 def test_scaled_preserves_occupancy_ratio(factor):
     grid = OccupancyGrid2D.empty(6, 6)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.grid2d import OccupancyGrid2D
-from repro.geometry.raycast import cast_ray, cast_rays_batch, scan_from_pose
+from repro.geometry.raycast import cast_ray, cast_rays_batch
 
 
 @pytest.fixture
@@ -80,13 +80,6 @@ def test_rays_freeze_after_hit(corridor):
     out = cast_rays_batch(corridor, xs, ys, angles, max_range=30.0)
     assert out[0] < 2.0
     assert out[1] > 10.0
-
-
-def test_scan_from_pose_shape_and_range(corridor):
-    scan = scan_from_pose(corridor, 2.5, 1.5, 0.0, n_beams=12, max_range=9.0)
-    assert scan.shape == (12,)
-    assert (scan > 0).all()
-    assert (scan <= 9.0).all()
 
 
 def test_closer_obstacle_gives_shorter_ray():

@@ -9,7 +9,6 @@ from hypothesis import example, given, strategies as st
 from repro.geometry.transforms import (
     SE2,
     RigidTransform3D,
-    rotation_matrix_2d,
     rotation_matrix_3d,
     wrap_angle,
     wrap_angles,
@@ -93,12 +92,6 @@ def test_se2_array_round_trip():
 
 def test_se2_distance():
     assert SE2(0, 0, 0).distance_to(SE2(3, 4, 1)) == pytest.approx(5.0)
-
-
-def test_rotation_matrix_2d_orthonormal():
-    r = rotation_matrix_2d(0.83)
-    assert np.allclose(r @ r.T, np.eye(2))
-    assert np.linalg.det(r) == pytest.approx(1.0)
 
 
 @given(st.floats(-3, 3), st.floats(-1.5, 1.5), st.floats(-3, 3))

@@ -4,7 +4,6 @@ from repro.harness.profiler import PhaseProfiler
 from repro.harness.reporting import (
     characterization_table,
     format_table,
-    fractions_table,
     result_summary,
 )
 from repro.harness.runner import KernelResult
@@ -50,9 +49,3 @@ def test_characterization_table_lists_dominant():
     text = characterization_table([_fake_result()])
     assert "04.pp2d" in text
     assert "planning" in text
-
-
-def test_fractions_table():
-    text = fractions_table({"01.pfl": {"raycast": 0.7, "weight": 0.3}})
-    assert "raycast" in text
-    assert "70.0%" in text

@@ -2,7 +2,7 @@
 
 The ``array`` tier's A* (``repro/search/_astar.c``) and pfl's
 ``vectorized`` ray caster (``repro/geometry/_raycast.c``) are compiled
-into the workload cache dir on first use by :mod:`repro.native`.  These
+into the cache dir on first use by :mod:`repro.native`.  These
 tests pin the failure modes: a missing or failing compiler must raise a
 clear error without touching the pure Python ``reference`` tiers,
 concurrent cold builds must never load a half-written library, and a
@@ -57,11 +57,21 @@ def _small_grid():
     return grid
 
 
-def _run_search(cache_dir, **env):
+# Prepended to the search script: any compile in that process fails it.
+_REFUSE_COMPILE = """
+from repro import native
+def _refuse(source, path):
+    raise AssertionError(f"rebuilt {source}")
+native._compile = _refuse
+"""
+
+
+def _run_search(cache_dir, refuse_compile=False, **env):
     environ = dict(os.environ, RTRBENCH_CACHE_DIR=str(cache_dir),
                    PYTHONPATH=SRC, **env)
+    script = (_REFUSE_COMPILE if refuse_compile else "") + _SEARCH_SCRIPT
     return subprocess.Popen(
-        [sys.executable, "-c", _SEARCH_SCRIPT], env=environ,
+        [sys.executable, "-c", script], env=environ,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
 
@@ -131,15 +141,32 @@ def test_racing_cold_builds_both_succeed_and_a_rerun_reuses(tmp_path):
     assert outputs[0][0].startswith("True ")
     names = os.listdir(cache_dir)
     assert len(names) == 1 and names[0].endswith(".so")
-    built = os.stat(cache_dir / names[0]).st_mtime_ns
+    built = os.stat(cache_dir / names[0])
 
-    # A second process loads the built library: with no usable
-    # compiler, it could not have rebuilt it.
-    proc = _run_search(cache_dir, CC="/nonexistent/bin/cc")
+    # A second process loads the built library without compiling.
+    proc = _run_search(cache_dir, refuse_compile=True)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     assert out == outputs[0][0]
-    assert os.stat(cache_dir / names[0]).st_mtime_ns == built
+    again = os.stat(cache_dir / names[0])
+    assert (again.st_ino, again.st_mtime_ns) == (
+        built.st_ino, built.st_mtime_ns
+    )
+    assert os.listdir(cache_dir) == names
+
+
+def test_library_path_hashes_the_compiler(tmp_path, monkeypatch):
+    source = grid_core._CORE_SOURCE
+    monkeypatch.setenv("CC", "cc")
+    plain = native._library_path(source, str(tmp_path))
+    assert native._library_path(source, str(tmp_path)) == plain
+    monkeypatch.setenv("CC", "cc -fsanitize=undefined")
+    sanitized = native._library_path(source, str(tmp_path))
+    assert sanitized != plain
+    assert native._library_path(source, str(tmp_path)) == sanitized
+    # Splitting makes spacing irrelevant: the same command, the same core.
+    monkeypatch.setenv("CC", "  cc   -fsanitize=undefined ")
+    assert native._library_path(source, str(tmp_path)) == sanitized
 
 
 def test_cache_clear_removes_built_library(fresh_core, capsys):
