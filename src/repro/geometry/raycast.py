@@ -7,19 +7,19 @@ batch casters report how many cell-step operations they performed via an
 optional counter callback, giving an architecture-independent work metric
 alongside wall-clock time.
 
-Two execution backends live here:
+The exact per-ray traversal :func:`cast_ray_dda` is the semantic anchor.
+Two batch casters run it, one per execution backend, with its float
+expressions in its order, so both return its distances and its summed
+cell-check counter bitwise:
 
-* the **reference** casters (:func:`cast_ray`, :func:`cast_rays_batch`)
-  march along each ray in fixed increments, checking one cell per step —
-  the scalar baseline the paper's characterization runs on;
-* the **vectorized** caster (:func:`cast_rays_dda_batch`) runs the exact
-  per-ray traversal :func:`cast_ray_dda` for a whole batch in a small C
-  loop (``_raycast.c``), compiled on first use by :mod:`repro.native`.
-  Its distances and cell-check counter are bitwise those of
-  :func:`cast_ray_dda`.
+* the **reference** caster (:func:`cast_rays_dda_lockstep`) advances every
+  live ray one cell border per numpy iteration, in plain Python and numpy;
+* the **vectorized** caster (:func:`cast_rays_dda_batch`) runs each ray's
+  traversal in a small C loop (``_raycast.c``), compiled on first use by
+  :mod:`repro.native`.
 
-The two backends agree within one grid resolution (the equivalence tests
-pin this); :func:`cast_ray_dda` is the semantic anchor.
+The sampled marcher :func:`cast_ray` is the world simulator behind
+``Lidar.measure`` and the raycast-method ablation, not a backend.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -48,18 +48,6 @@ def load_core() -> Callable[..., int]:
     return load_function(_CORE_SOURCE, "rtr_cast_rays_dda", i64, (
         ptr, i64, i64, f64, f64, f64, i64, ptr, ptr, ptr, ptr, f64, ptr,
     ))
-
-
-def _occupied_cells(
-    grid: OccupancyGrid2D, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """Vectorized cell occupancy over index arrays; out-of-bounds -> occupied."""
-    n_rows, n_cols = grid.cells.shape
-    inside = (rows >= 0) & (rows < n_rows) & (cols >= 0) & (cols < n_cols)
-    flat = (
-        np.clip(rows, 0, n_rows - 1) * n_cols + np.clip(cols, 0, n_cols - 1)
-    )
-    return grid.cells.ravel().take(flat) | ~inside
 
 
 def cast_ray(
@@ -117,77 +105,92 @@ def cast_ray(
     return max_range
 
 
-def cast_rays_batch(
+def _ray_batch(
+    xs: np.ndarray, ys: np.ndarray, angles: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validated contiguous float64 origins and ``np.cos``/``np.sin``
+    directions of a ray batch, shared by both batch casters."""
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    ys = np.ascontiguousarray(ys, dtype=np.float64)
+    angles = np.asarray(angles, dtype=np.float64)
+    if not (xs.shape == ys.shape == angles.shape and xs.ndim == 1):
+        raise ValueError("xs, ys and angles must be 1-D arrays of one length")
+    if not (
+        np.isfinite(xs).all()
+        and np.isfinite(ys).all()
+        and np.isfinite(angles).all()
+    ):
+        raise ValueError("ray origins and angles must be finite")
+    return xs, ys, np.cos(angles), np.sin(angles)
+
+
+def cast_rays_dda_lockstep(
     grid: OccupancyGrid2D,
     xs: np.ndarray,
     ys: np.ndarray,
     angles: np.ndarray,
     max_range: float,
-    step: Optional[float] = None,
     count: Optional[CountFn] = None,
 ) -> np.ndarray:
-    """Reference batch ray casting: one ray per (xs[i], ys[i], angles[i]).
+    """Exact batch ray casting: :func:`cast_ray_dda` for every ray, in numpy.
 
-    All rays march in lock-step; rays that have already hit are frozen.
-    Per-ray results are bit-identical to :func:`cast_ray` (including the
-    diagonal-jump intermediate-cell check).  ``count`` (if given) receives
-    the number of per-cell occupancy checks performed, the paper's
-    ray-casting work unit.
+    Every live ray crosses one cell border per iteration, with the scalar
+    function's float expressions, so distances and the summed ``count``
+    are bitwise those of :func:`cast_ray_dda` (and of
+    :func:`cast_rays_dda_batch`).  The grid gets a one-cell occupied
+    border, so a ray leaving the map hits it like the scalar bounds check;
+    each iteration drops the rays that hit or ran past ``max_range``.
+    Raises ``ValueError`` on non-finite origins or angles.
     """
-    if step is None:
-        step = grid.resolution * 0.5
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    angles = np.asarray(angles, dtype=float)
-    n = xs.shape[0]
+    xs, ys, dir_x, dir_y = _ray_batch(xs, ys, angles)
+    max_range = float(max_range)
     res = grid.resolution
     ox, oy = grid.origin
-    dir_x = np.cos(angles)
-    dir_y = np.sin(angles)
-    dx = dir_x * step
-    dy = dir_y * step
-    cx = xs.copy()
-    cy = ys.copy()
-    prev_rows = np.floor((ys - oy) / res).astype(int)
-    prev_cols = np.floor((xs - ox) / res).astype(int)
-    distances = np.full(n, max_range, dtype=float)
-    active = np.ones(n, dtype=bool)
-    n_steps = int(max_range / step)
+    n_rows, n_cols = grid.cells.shape
+    width = n_cols + 2
+    occupied = np.ones((n_rows + 2, width), dtype=bool)
+    occupied[1:-1, 1:-1] = grid.cells
+    occupied = occupied.ravel()
+    # Start cells; one off the map clips onto the border and, like a start
+    # in an occupied cell, returns 0.0.
+    col = np.clip(np.floor((xs - ox) / res), -1, n_cols).astype(np.int64)
+    row = np.clip(np.floor((ys - oy) / res), -1, n_rows).astype(np.int64)
+    cell = (row + 1) * width + col + 1
+    live = np.flatnonzero(~occupied[cell])
+    distances = np.zeros(len(xs))
+    distances[live] = max_range
+    x, y, dx, dy = xs[live], ys[live], dir_x[live], dir_y[live]
+    col, row = col[live], row[live]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Rows: t_max_x, t_max_y, t_delta_x, t_delta_y.
+        floats = np.stack([
+            np.where(dx != 0,
+                     (np.where(dx > 0, col + 1, col) * res + ox - x) / dx,
+                     np.inf),
+            np.where(dy != 0,
+                     (np.where(dy > 0, row + 1, row) * res + oy - y) / dy,
+                     np.inf),
+            np.abs(res / dx),
+            np.abs(res / dy),
+        ])
+    # Rows: ray index, padded cell, cell step along x, cell step along y.
+    ints = np.stack([live, cell[live], np.where(dx > 0, 1, -1),
+                     np.where(dy > 0, width, -width)])
     checks = 0
-    for i in range(1, n_steps + 1):
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        cx[idx] += dx[idx]
-        cy[idx] += dy[idx]
-        cols = np.floor((cx[idx] - ox) / res).astype(int)
-        rows = np.floor((cy[idx] - oy) / res).astype(int)
-        checks += len(idx)
-        diag = (rows != prev_rows[idx]) & (cols != prev_cols[idx])
-        if diag.any():
-            d = idx[diag]
-            t_x = (
-                np.maximum(prev_cols[d], cols[diag]) * res + ox - xs[d]
-            ) / dir_x[d]
-            t_y = (
-                np.maximum(prev_rows[d], rows[diag]) * res + oy - ys[d]
-            ) / dir_y[d]
-            x_first = t_x < t_y
-            mid_rows = np.where(x_first, prev_rows[d], rows[diag])
-            mid_cols = np.where(x_first, cols[diag], prev_cols[d])
-            checks += len(d)
-            mid_hit = _occupied_cells(grid, mid_rows, mid_cols)
-            if mid_hit.any():
-                hit_idx = d[mid_hit]
-                distances[hit_idx] = np.minimum(t_x, t_y)[mid_hit]
-                active[hit_idx] = False
-        hit = _occupied_cells(grid, rows, cols) & active[idx]
-        if hit.any():
-            hit_idx = idx[hit]
-            distances[hit_idx] = i * step
-            active[hit_idx] = False
-        prev_rows[idx] = rows
-        prev_cols[idx] = cols
+    while ints.shape[1]:
+        t_max_x, t_max_y, t_delta_x, t_delta_y = floats
+        live, cell, step_x, step_y = ints
+        x_first = t_max_x < t_max_y
+        t = np.where(x_first, t_max_x, t_max_y)
+        np.add(t_max_x, t_delta_x, out=t_max_x, where=x_first)
+        np.add(t_max_y, t_delta_y, out=t_max_y, where=~x_first)
+        cell += np.where(x_first, step_x, step_y)
+        within = t <= max_range
+        checks += int(np.count_nonzero(within))
+        hit = within & occupied[cell]
+        distances[live[hit]] = t[hit]
+        kept = np.flatnonzero(within & ~hit)
+        floats, ints = floats.take(kept, axis=1), ints.take(kept, axis=1)
     if count is not None:
         count("raycast_cell_checks", checks)
     return distances
@@ -203,27 +206,15 @@ def cast_rays_dda_batch(
 ) -> np.ndarray:
     """Exact batch ray casting: :func:`cast_ray_dda` for every ray, in C.
 
-    The directions are ``np.cos``/``np.sin`` of ``angles``; the compiled
-    core (``_raycast.c``) then runs each ray's Amanatides-Woo traversal
-    with the scalar function's own float expressions, so distances are
-    bitwise equal to :func:`cast_ray_dda`.  ``count`` receives the cells
-    checked over all rays, the sum of the scalar traversal's counters.
-    Raises ``ValueError`` on non-finite origins or angles, and a
-    ``RuntimeError`` naming the compiler if the core cannot be built.
+    The compiled core (``_raycast.c``) runs each ray's Amanatides-Woo
+    traversal with the scalar function's own float expressions, so
+    distances are bitwise equal to :func:`cast_ray_dda`.  ``count``
+    receives the cells checked over all rays, the sum of the scalar
+    traversal's counters.  Raises ``ValueError`` on non-finite origins or
+    angles, and a ``RuntimeError`` naming the compiler if the core cannot
+    be built.
     """
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
-    angles = np.asarray(angles, dtype=np.float64)
-    if not (xs.shape == ys.shape == angles.shape and xs.ndim == 1):
-        raise ValueError("xs, ys and angles must be 1-D arrays of one length")
-    if not (
-        np.isfinite(xs).all()
-        and np.isfinite(ys).all()
-        and np.isfinite(angles).all()
-    ):
-        raise ValueError("ray origins and angles must be finite")
-    dir_x = np.cos(angles)
-    dir_y = np.sin(angles)
+    xs, ys, dir_x, dir_y = _ray_batch(xs, ys, angles)
     cells = np.ascontiguousarray(grid.cells, dtype=bool)
     distances = np.empty(len(xs))
     ox, oy = grid.origin

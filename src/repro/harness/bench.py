@@ -41,8 +41,8 @@ from repro.geometry.collision import (
 )
 from repro.geometry.kdtree import BatchKDTree, KDTree
 from repro.geometry.raycast import (
-    cast_rays_batch,
     cast_rays_dda_batch,
+    cast_rays_dda_lockstep,
     load_core,
 )
 from repro.planning.pp3d import far_apart_free_voxels, plan_3d
@@ -103,11 +103,12 @@ def _interleaved_min(
 def bench_raycast(smoke: bool = False, seed: int = 7) -> Dict[str, float]:
     """Time both ray casters on a particle-filter-shaped batch.
 
-    Full mode: 256 particles x 60 beams over a 320x400 building map at
-    0.125 m resolution (a standard indoor mapping resolution; both
-    casters' work grows as 1/resolution: the marcher checks every half
-    cell, the compiled exact traversal every cell it crosses).  Rays are
-    capped at 12 m like the pfl lidar.
+    Both run the exact traversal, so they must return the same distances
+    and count the same cell checks before the timings count.  Full mode:
+    256 particles x 60 beams over a 320x400 building map at 0.125 m
+    resolution (a standard indoor mapping resolution; the work, one check
+    per cell crossed, grows as 1/resolution).  Rays are capped at 12 m
+    like the pfl lidar.
     """
     if smoke:
         grid = wean_hall_like(rows=160, cols=200, resolution=0.25, seed=seed)
@@ -129,21 +130,21 @@ def bench_raycast(smoke: bool = False, seed: int = 7) -> Dict[str, float]:
     ys = np.repeat(py, n_beams)
     angles = (headings[:, None] + beams[None, :]).ravel()
 
-    ops_box = {"n": 0}
-
-    def count(name: str, k: int) -> None:
-        ops_box["n"] += k
-
+    ref_ops: List[int] = []
+    vec_ops: List[int] = []
     load_core()  # the first call in a fresh cache dir compiles the core
-    ref_out = cast_rays_batch(grid, xs, ys, angles, max_range, count=count)
-    vec_out = cast_rays_dda_batch(grid, xs, ys, angles, max_range)
-    worst = float(np.abs(ref_out - vec_out).max())
-    if worst > res:
+    ref_out = cast_rays_dda_lockstep(
+        grid, xs, ys, angles, max_range, count=lambda _, k: ref_ops.append(k)
+    )
+    vec_out = cast_rays_dda_batch(
+        grid, xs, ys, angles, max_range, count=lambda _, k: vec_ops.append(k)
+    )
+    if not (np.array_equal(ref_out, vec_out) and ref_ops == vec_ops):
         raise AssertionError(
-            f"raycast backends disagree by {worst:.6f} m (> {res} m)"
+            f"raycast backends disagree (cell checks {ref_ops} vs {vec_ops})"
         )
     ref_s, vec_s, ref_cpu, vec_cpu = _interleaved_min(
-        lambda: cast_rays_batch(grid, xs, ys, angles, max_range),
+        lambda: cast_rays_dda_lockstep(grid, xs, ys, angles, max_range),
         lambda: cast_rays_dda_batch(grid, xs, ys, angles, max_range),
         repeats,
     )
@@ -153,7 +154,7 @@ def bench_raycast(smoke: bool = False, seed: int = 7) -> Dict[str, float]:
         "reference_cpu_s": ref_cpu,
         "vectorized_cpu_s": vec_cpu,
         "speedup": ref_s / vec_s,
-        "ops": ops_box["n"],
+        "ops": ref_ops[0],
     }
 
 

@@ -71,6 +71,10 @@ class ParticleFilter:
             raise ValueError("ess_threshold must be in [0, 1]")
         if likelihood_power <= 0.0:
             raise ValueError("likelihood_power must be positive")
+        if not (math.isfinite(hit_sigma) and hit_sigma > 0.0):
+            raise ValueError(
+                f"hit_sigma must be finite and positive, got {hit_sigma}"
+            )
         self.grid = grid
         self.lidar = lidar
         self.motion_model = motion_model
@@ -340,6 +344,21 @@ class PflKernel(Kernel):
     config_cls = PflConfig
     description = "Particle filter localization (ray-casting bound)"
     backends = ("reference", "vectorized")
+
+    @classmethod
+    def check_config(cls, config: PflConfig) -> None:
+        """An episode needs a particle, a beam, a step and a region 0-4."""
+        super().check_config(config)
+        for name in ("particles", "beams", "steps"):
+            if getattr(config, name) < 1:
+                raise ValueError(
+                    f"kernel {cls.name} needs {name} >= 1, "
+                    f"got {getattr(config, name)}"
+                )
+        if not 0 <= config.region <= 4:
+            raise ValueError(
+                f"kernel {cls.name} needs region in 0-4, got {config.region}"
+            )
 
     def setup(self, config: PflConfig) -> PflWorkload:
         if config.backend == "vectorized":

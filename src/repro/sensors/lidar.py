@@ -8,15 +8,19 @@ from typing import Optional
 import numpy as np
 
 from repro.geometry.grid2d import OccupancyGrid2D
-from repro.geometry.raycast import cast_ray, cast_rays_batch, cast_rays_dda_batch
+from repro.geometry.raycast import (
+    cast_ray,
+    cast_rays_dda_batch,
+    cast_rays_dda_lockstep,
+)
 
 
 class Lidar:
     """A planar laser scanner: ``n_beams`` rays across ``fov`` radians.
 
     ``measure`` produces a noisy scan from the robot's true pose (workload
-    generation); ``expected_ranges`` produces the noise-free ranges a
-    hypothesis pose *would* see (the particle filter's ray-casting step).
+    generation); ``expected_ranges_batch`` produces the noise-free ranges
+    hypothesis poses *would* see (the particle filter's ray-casting step).
     """
 
     def __init__(
@@ -36,29 +40,11 @@ class Lidar:
         self.noise_sigma = float(noise_sigma)
 
     def beam_angles(self, theta: float) -> np.ndarray:
-        """World-frame beam directions for a robot heading ``theta``."""
+        """World-frame beam directions for heading(s) ``theta``."""
         offsets = np.linspace(
             -self.fov / 2.0, self.fov / 2.0, self.n_beams, endpoint=False
         )
         return theta + offsets
-
-    def expected_ranges(
-        self,
-        grid: OccupancyGrid2D,
-        x: float,
-        y: float,
-        theta: float,
-        count=None,
-        backend: str = "reference",
-    ) -> np.ndarray:
-        """Noise-free ranges from a pose (the measurement hypothesis)."""
-        angles = self.beam_angles(theta)
-        xs = np.full(self.n_beams, x)
-        ys = np.full(self.n_beams, y)
-        caster = (
-            cast_rays_dda_batch if backend == "vectorized" else cast_rays_batch
-        )
-        return caster(grid, xs, ys, angles, self.max_range, count=count)
 
     def expected_ranges_batch(
         self,
@@ -69,26 +55,22 @@ class Lidar:
     ) -> np.ndarray:
         """Ranges for every pose in an ``(n, 3)`` array: ``(n, beams)``.
 
-        Flattens all particle x beam rays into one vectorized cast — this
-        is the hot loop the paper measures at 67-78% of pfl time.  With
-        ``backend="vectorized"`` the rays go through the compiled exact
-        Amanatides-Woo caster
-        (:func:`~repro.geometry.raycast.cast_rays_dda_batch`) instead of
-        the lock-step marcher.
+        Flattens all particle x beam rays into one batch cast — this is
+        the hot loop the paper measures at 67-78% of pfl time.  Both
+        backends run the exact Amanatides-Woo traversal and return the
+        same bits: ``reference`` in lock-step numpy
+        (:func:`~repro.geometry.raycast.cast_rays_dda_lockstep`),
+        ``vectorized`` in the compiled core
+        (:func:`~repro.geometry.raycast.cast_rays_dda_batch`).
         """
         poses = np.asarray(poses, dtype=float)
-        n = len(poses)
-        offsets = np.linspace(
-            -self.fov / 2.0, self.fov / 2.0, self.n_beams, endpoint=False
-        )
-        angles = (poses[:, 2:3] + offsets[None, :]).ravel()
+        angles = self.beam_angles(poses[:, 2:3]).ravel()
         xs = np.repeat(poses[:, 0], self.n_beams)
         ys = np.repeat(poses[:, 1], self.n_beams)
-        caster = (
-            cast_rays_dda_batch if backend == "vectorized" else cast_rays_batch
-        )
+        caster = (cast_rays_dda_batch if backend == "vectorized"
+                  else cast_rays_dda_lockstep)
         ranges = caster(grid, xs, ys, angles, self.max_range, count=count)
-        return ranges.reshape(n, self.n_beams)
+        return ranges.reshape(len(poses), self.n_beams)
 
     def measure(
         self,
@@ -100,10 +82,11 @@ class Lidar:
     ) -> np.ndarray:
         """A noisy scan from the true pose, clipped to [0, max_range].
 
-        Casts the beams one by one with :func:`cast_ray`, which is
-        bit-identical to the batch marcher behind :meth:`expected_ranges`
-        and, for a single scan's few dozen rays, much cheaper than its
-        per-step array dispatch.  No work counter: this is workload
+        Casts the beams one by one with the half-cell marcher
+        :func:`cast_ray`, the world the filter's exact model is matched
+        against: from a free cell, a noise-free scan reads less than half a
+        cell beyond :meth:`expected_ranges_batch` and, up to float
+        rounding, never short of it.  No work counter: this is workload
         generation, not the measured ray casting.
         """
         ranges = np.array(

@@ -2,9 +2,9 @@
 
 Each kernel's one optimized tier (``vectorized`` for pfl and srec,
 ``array`` for pp2d, pp3d and movtar) must be a drop-in replacement for
-the reference hot paths: ray ranges within the grid resolution (the
-caster is exact, the marcher samples at half-cell steps), collision
-verdicts identical, nearest-neighbor correspondences identical, and
+the reference hot paths: ray ranges and cell-check counters bitwise
+equal (both casters run the exact traversal), collision verdicts
+identical, nearest-neighbor correspondences identical, and
 planner paths, costs and search counters identical.  Each test
 sweeps seeded random workloads so the equivalence claim covers more than
 one hand-picked map.
@@ -35,11 +35,15 @@ from repro.geometry.kdtree import (
 )
 from repro.geometry.raycast import (
     cast_ray_dda,
-    cast_rays_batch,
     cast_rays_dda_batch,
+    cast_rays_dda_lockstep,
 )
 from repro.perception.icp import icp
-from repro.perception.particle_filter import ParticleFilter
+from repro.perception.particle_filter import (
+    ParticleFilter,
+    PflConfig,
+    PflKernel,
+)
 from repro.planning.moving_target import MovingTargetPlanner
 from repro.planning.pp2d import plan_2d
 from repro.planning.pp3d import far_apart_free_voxels, plan_3d
@@ -62,13 +66,33 @@ def _random_rays(grid, n, seed):
 # -- ray casting ---------------------------------------------------------------
 
 
+# The reference (lock-step numpy) and vectorized (compiled) batch casters:
+# each runs cast_ray_dda's traversal, so each test below holds both to it.
+_CASTERS = (cast_rays_dda_lockstep, cast_rays_dda_batch)
+
+
+def _batch_cast(caster, grid, xs, ys, angles, max_range):
+    """One batch caster's distances and its counter."""
+    total = {"raycast_cell_checks": 0}
+
+    def count(name, k):
+        total[name] += k
+
+    distances = caster(grid, xs, ys, angles, max_range, count=count)
+    return distances, total["raycast_cell_checks"]
+
+
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_raycast_ranges_within_resolution(seed):
+    """The two tiers' rays agree to the bit (so within any resolution)."""
     grid = wean_hall_like(rows=120, cols=150, resolution=0.25, seed=seed)
     xs, ys, angles = _random_rays(grid, 400, seed + 100)
-    ref = cast_rays_batch(grid, xs, ys, angles, 12.0)
-    vec = cast_rays_dda_batch(grid, xs, ys, angles, 12.0)
-    assert np.abs(ref - vec).max() <= grid.resolution
+    ref, ref_checks = _batch_cast(cast_rays_dda_lockstep, grid, xs, ys,
+                                  angles, 12.0)
+    vec, vec_checks = _batch_cast(cast_rays_dda_batch, grid, xs, ys, angles,
+                                  12.0)
+    assert np.array_equal(ref, vec)
+    assert ref_checks == vec_checks > 0
 
 
 def _scalar_dda(grid, xs, ys, angles, max_range):
@@ -87,24 +111,15 @@ def _scalar_dda(grid, xs, ys, angles, max_range):
     return distances, total["raycast_cell_checks"]
 
 
-def _batch_dda(grid, xs, ys, angles, max_range):
-    """:func:`cast_rays_dda_batch` distances and its counter."""
-    total = {"raycast_cell_checks": 0}
-
-    def count(name, k):
-        total[name] += k
-
-    distances = cast_rays_dda_batch(grid, xs, ys, angles, max_range, count=count)
-    return distances, total["raycast_cell_checks"]
-
-
 def test_raycast_matches_scalar_dda_exactly():
     grid = wean_hall_like(rows=120, cols=150, resolution=0.25, seed=5)
     xs, ys, angles = _random_rays(grid, 300, 42)
-    vec = cast_rays_dda_batch(grid, xs, ys, angles, 12.0)
-    scalar, _ = _scalar_dda(grid, xs, ys, angles, 12.0)
-    # The compiled core runs the scalar traversal's own float arithmetic.
-    assert np.array_equal(vec, scalar)
+    scalar = _scalar_dda(grid, xs, ys, angles, 12.0)
+    # Both casters run the scalar traversal's own float arithmetic.
+    for caster in _CASTERS:
+        distances, checks = _batch_cast(caster, grid, xs, ys, angles, 12.0)
+        assert np.array_equal(distances, scalar[0]), caster.__name__
+        assert checks == scalar[1], caster.__name__
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,10 +150,12 @@ def test_raycast_batch_matches_scalar_dda_property(
     angles[n // 8 : n // 4] = rng.choice(
         [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, np.pi / 4], n // 8
     )
-    vec, vec_checks = _batch_dda(grid, xs, ys, angles, max_range)
     scalar, scalar_checks = _scalar_dda(grid, xs, ys, angles, max_range)
-    assert np.array_equal(vec, scalar)
-    assert vec_checks == scalar_checks
+    for caster in _CASTERS:
+        batch, batch_checks = _batch_cast(caster, grid, xs, ys, angles,
+                                          max_range)
+        assert np.array_equal(batch, scalar), caster.__name__
+        assert batch_checks == scalar_checks, caster.__name__
 
 
 def test_raycast_edge_cases_match_scalar_dda():
@@ -155,27 +172,24 @@ def test_raycast_edge_cases_match_scalar_dda():
          np.pi / 4]
     )
     assert np.sin(angles[3:5]).tolist() == [0.0, -0.0]
-    vec, vec_checks = _batch_dda(grid, xs, ys, angles, 30.0)
     scalar, scalar_checks = _scalar_dda(grid, xs, ys, angles, 30.0)
-    assert np.array_equal(vec, scalar)
-    assert vec_checks == scalar_checks
-    assert vec[:3].tolist() == [0.0, 0.0, 0.0]
-    assert vec[3] == vec[4] == pytest.approx(7.0 - 3.7)
-    assert 0.0 < vec[-1] < 30.0
+    for caster in _CASTERS:
+        batch, batch_checks = _batch_cast(caster, grid, xs, ys, angles, 30.0)
+        assert np.array_equal(batch, scalar), caster.__name__
+        assert batch_checks == scalar_checks, caster.__name__
+        assert batch[:3].tolist() == [0.0, 0.0, 0.0]
+        assert batch[3] == batch[4] == pytest.approx(7.0 - 3.7)
+        assert 0.0 < batch[-1] < 30.0
 
 
 def test_raycast_empty_batch():
     grid = OccupancyGrid2D.empty(4, 4)
-    counters = {}
-
-    def count(name, k):
-        counters[name] = counters.get(name, 0) + k
-
-    out = cast_rays_dda_batch(
-        grid, np.empty(0), np.empty(0), np.empty(0), 5.0, count=count
-    )
-    assert out.shape == (0,)
-    assert counters.get("raycast_cell_checks", 0) == 0
+    for caster in _CASTERS:
+        out, checks = _batch_cast(
+            caster, grid, np.empty(0), np.empty(0), np.empty(0), 5.0
+        )
+        assert out.shape == (0,)
+        assert checks == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -184,20 +198,16 @@ def test_raycast_rejects_non_finite_input(field, bad):
     grid = OccupancyGrid2D.empty(4, 4)
     rays = {"xs": np.full(3, 1.5), "ys": np.full(3, 1.5), "angles": np.zeros(3)}
     rays[field][1] = bad
-    with pytest.raises(ValueError, match="finite"):
-        cast_rays_dda_batch(grid, rays["xs"], rays["ys"], rays["angles"], 5.0)
+    for caster in _CASTERS:
+        with pytest.raises(ValueError, match="finite"):
+            caster(grid, rays["xs"], rays["ys"], rays["angles"], 5.0)
 
 
 def test_raycast_work_counter_reported():
     grid = wean_hall_like(rows=120, cols=150, resolution=0.25, seed=1)
     xs, ys, angles = _random_rays(grid, 200, 9)
-    counters = {}
-
-    def count(name, k):
-        counters[name] = counters.get(name, 0) + k
-
-    cast_rays_dda_batch(grid, xs, ys, angles, 12.0, count=count)
-    assert counters["raycast_cell_checks"] > 0
+    _, checks = _batch_cast(cast_rays_dda_batch, grid, xs, ys, angles, 12.0)
+    assert checks > 0
 
 
 def test_lidar_backend_dispatch():
@@ -216,7 +226,25 @@ def test_lidar_backend_dispatch():
     ref = lidar.expected_ranges_batch(grid, poses, backend="reference")
     vec = lidar.expected_ranges_batch(grid, poses, backend="vectorized")
     assert ref.shape == vec.shape == (20, 24)
-    assert np.abs(ref - vec).max() <= grid.resolution
+    assert np.array_equal(ref, vec)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    region=st.integers(0, 4),
+    particles=st.integers(1, 120),
+    beams=st.integers(1, 16),
+    steps=st.integers(1, 5),
+)
+def test_pfl_tiers_bitwise_equal(seed, region, particles, beams, steps):
+    """pfl's two tiers run one ray model: same output bits, same counters."""
+    config = PflConfig(particles=particles, beams=beams, steps=steps,
+                       region=region, seed=seed, map_rows=60, map_cols=80)
+    ref = PflKernel().run(config)
+    vec = PflKernel().run(config.replace(backend="vectorized"))
+    assert repr(ref.output) == repr(vec.output)
+    assert ref.profiler.counters == vec.profiler.counters
 
 
 def test_particle_filter_rejects_unknown_backend():

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro.geometry.grid2d import OccupancyGrid2D
-from repro.geometry.raycast import cast_ray, cast_rays_batch
+from repro.geometry.raycast import (
+    cast_ray,
+    cast_ray_dda,
+    cast_rays_dda_lockstep,
+)
 
 
 @pytest.fixture
@@ -40,10 +44,9 @@ def test_batch_matches_scalar(corridor):
     angles = np.linspace(0, 2 * math.pi, 8, endpoint=False)
     xs = np.full(8, 2.5)
     ys = np.full(8, 1.5)
-    batch = cast_rays_batch(corridor, xs, ys, angles, max_range=25.0)
+    batch = cast_rays_dda_lockstep(corridor, xs, ys, angles, max_range=25.0)
     for angle, got in zip(angles, batch):
-        want = cast_ray(corridor, 2.5, 1.5, angle, max_range=25.0)
-        assert got == pytest.approx(want, abs=1e-9)
+        assert got == cast_ray_dda(corridor, 2.5, 1.5, angle, max_range=25.0)
 
 
 def test_batch_counts_cell_checks(corridor):
@@ -52,23 +55,28 @@ def test_batch_counts_cell_checks(corridor):
     def count(name, n):
         counts[name] = counts.get(name, 0) + n
 
-    cast_rays_batch(
+    out = cast_rays_dda_lockstep(
         corridor,
         np.array([0.5]),
         np.array([1.5]),
         np.array([0.0]),
-        max_range=10.0,
+        max_range=20.0,
         count=count,
     )
-    assert counts["raycast_cell_checks"] > 0
+    # Columns 1..15 are crossed, the last one is the wall.
+    assert out[0] == 14.5
+    assert counts["raycast_cell_checks"] == 15
 
 
 def test_batch_empty_input():
     grid = OccupancyGrid2D.empty(3, 3)
-    out = cast_rays_batch(
-        grid, np.empty(0), np.empty(0), np.empty(0), max_range=5.0
+    counts = {}
+    out = cast_rays_dda_lockstep(
+        grid, np.empty(0), np.empty(0), np.empty(0), max_range=5.0,
+        count=lambda name, n: counts.__setitem__(name, n),
     )
     assert out.shape == (0,)
+    assert counts == {"raycast_cell_checks": 0}
 
 
 def test_rays_freeze_after_hit(corridor):
@@ -77,9 +85,14 @@ def test_rays_freeze_after_hit(corridor):
     xs = np.array([14.0, 0.5])
     ys = np.array([1.5, 1.5])
     angles = np.array([0.0, 0.0])
-    out = cast_rays_batch(corridor, xs, ys, angles, max_range=30.0)
-    assert out[0] < 2.0
-    assert out[1] > 10.0
+    checks = {}
+    out = cast_rays_dda_lockstep(
+        corridor, xs, ys, angles, max_range=30.0,
+        count=lambda name, n: checks.__setitem__(name, n),
+    )
+    assert out.tolist() == [1.0, 14.5]
+    # One check for the first ray, fifteen for the second.
+    assert checks["raycast_cell_checks"] == 16
 
 
 def test_closer_obstacle_gives_shorter_ray():
@@ -93,8 +106,6 @@ def test_closer_obstacle_gives_shorter_ray():
 def test_diagonal_ray_cannot_tunnel_through_one_cell_wall():
     """Regression: a diagonal ray crossing a 1-cell wall exactly at a cell
     corner must register the hit instead of slipping between samples."""
-    from repro.geometry.raycast import cast_ray_dda
-
     grid = OccupancyGrid2D.empty(10, 10, resolution=1.0)
     grid.fill_rect(0, 5, 5, 5)  # one-cell-thick vertical wall, rows 0-5
     x, y, angle = 4.0, 4.98, math.pi / 4.0
@@ -107,13 +118,17 @@ def test_diagonal_ray_cannot_tunnel_through_one_cell_wall():
 
 
 def test_batch_marcher_does_not_tunnel_diagonally():
+    """The lock-step batch caster registers the same corner hits."""
     grid = OccupancyGrid2D.empty(10, 10, resolution=1.0)
     grid.fill_rect(0, 5, 5, 5)
-    out = cast_rays_batch(
+    out = cast_rays_dda_lockstep(
         grid,
         np.array([4.0, 4.0]),
         np.array([4.98, 4.5]),
         np.array([math.pi / 4.0, math.pi / 4.0]),
         max_range=20.0,
     )
-    assert (out < 20.0).all()
+    assert out[0] == pytest.approx(math.sqrt(2.0), abs=1e-9)
+    assert out.tolist() == [
+        cast_ray_dda(grid, 4.0, y, math.pi / 4.0, 20.0) for y in (4.98, 4.5)
+    ]

@@ -36,6 +36,29 @@ def test_validation():
         ParticleFilter(grid, Lidar(), OdometryModel(), n_particles=0)
 
 
+@pytest.mark.parametrize("hit_sigma", [0.0, -1.0, float("nan"), float("inf")])
+def test_rejects_bad_hit_sigma(hit_sigma):
+    grid = wean_hall_like(rows=40, cols=40)
+    with pytest.raises(ValueError, match="hit_sigma"):
+        ParticleFilter(grid, Lidar(), OdometryModel(), hit_sigma=hit_sigma)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("particles", 0), ("beams", 0), ("steps", 0), ("steps", -1),
+    ("region", -1), ("region", 5),
+])
+def test_kernel_rejects_bad_config_before_setup(field, value, monkeypatch):
+    def no_setup(self, config):
+        raise AssertionError("setup ran")
+
+    monkeypatch.setattr(PflKernel, "setup", no_setup)
+    config = PflConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        PflKernel().run(config)
+    with pytest.raises(ValueError, match=field):
+        PflKernel().open_session(config)
+
+
 def test_initialize_uniform_spreads_over_free_space(small_workload):
     pf = _make_filter(small_workload)
     pf.initialize_uniform()
@@ -50,15 +73,6 @@ def test_initialize_around_concentrates(small_workload):
     pf = _make_filter(small_workload)
     pf.initialize_around(SE2(10.0, 10.0, 0.0), sigma_xy=0.1, sigma_theta=0.05)
     assert pf.spread() < 1.0
-
-
-def test_update_reduces_spread(small_workload):
-    pf = _make_filter(small_workload, n=400)
-    pf.initialize_uniform()
-    before = pf.spread()
-    for odom, scan in zip(small_workload.odometry, small_workload.scans):
-        pf.update(odom, scan)
-    assert pf.spread() < before
 
 
 def test_weights_stay_normalized(small_workload):
@@ -160,8 +174,12 @@ def test_kernel_run_profiles_raycast():
 
 
 @pytest.mark.parametrize("seed, region", [(2, 0), (3, 1), (0, 2), (1, 3), (0, 4)])
-def test_vectorized_default_config_converges(seed, region):
+def test_default_config_converges(seed, region):
     # The map/region pairs of perfbench's localize pool: global
-    # localization with the compiled caster ends within a meter.
+    # localization ends within a meter, the cloud collapsed.  Both tiers
+    # return the same bits (test_backend_equivalence pins that), so the
+    # compiled one runs here for speed.
     config = PflConfig(backend="vectorized", seed=seed, region=region)
-    assert PflKernel().run(config).output["error"] < 1.0
+    output = PflKernel().run(config).output
+    assert output["error"] < 1.0
+    assert output["spread_after"] < output["spread_before"] / 10

@@ -104,6 +104,19 @@ def test_missing_compiler_fails_pfl_vectorized_only(fresh_core, monkeypatch):
     assert not any(name.endswith(".so") for name in os.listdir(fresh_core))
 
 
+def test_pfl_reference_never_compiles(fresh_core, monkeypatch):
+    """pfl's reference tier casts in numpy: no core is built or loaded."""
+    def refuse(source, path):
+        raise AssertionError(f"reference pfl compiled {source}")
+
+    monkeypatch.setattr(native, "_compile", refuse)
+    config = PflConfig(particles=50, beams=6, steps=2, map_rows=60,
+                       map_cols=80)
+    result = PflKernel().run(config)
+    assert result.profiler.counters["raycast_cell_checks"] > 0
+    assert not fresh_core.exists() or os.listdir(fresh_core) == []
+
+
 def test_failed_compile_reports_compiler_stderr(fresh_core, monkeypatch):
     monkeypatch.setenv("CC", "cc --no-such-flag-for-this-test")
     cells = np.zeros((4, 4), dtype=bool)
