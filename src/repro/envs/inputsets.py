@@ -71,12 +71,11 @@ INPUTSETS: Dict[str, Dict[str, Dict[str, object]]] = {
         "default": {},
         "map-f": {"map": "map-f"},
         "fine-steps": {"epsilon": 0.25, "samples": 8000},
-        "linear-nn": {"nn_strategy": "linear"},
     },
     "rrtstar": {
         "default": {},
         "map-f": {"map": "map-f"},
-        "long-refine": {"star_samples": 8000},
+        "long-refine": {"samples": 8000},
     },
     "rrtpp": {
         "default": {},

@@ -49,7 +49,7 @@ def ablate_nn_strategy(seed: int = 1, samples: int = 4000) -> NnStrategyAblation
         arm, workspace, rng, min_distance=3.5, max_distance=5.5
     )
     results = {}
-    for strategy in ("kdtree", "linear"):
+    for strategy, backend in (("kdtree", "reference"), ("linear", "array")):
         prof = PhaseProfiler()
         planner = RRT(
             arm,
@@ -57,7 +57,7 @@ def ablate_nn_strategy(seed: int = 1, samples: int = 4000) -> NnStrategyAblation
             goal_bias=0.05,
             goal_threshold=0.8,
             max_samples=samples,
-            nn_strategy=strategy,
+            backend=backend,
             rng=np.random.default_rng(seed),
             profiler=prof,
         )

@@ -371,41 +371,63 @@ class CertifiedNN:
 
 
 class LinearNN:
-    """Brute-force nearest neighbor over a growing point set.
+    """Exact nearest neighbors by a full scan of a growing point buffer.
 
-    The classic RRT formulation scans all samples; this matches the
-    paper's description of nearest-neighbor search touching samples that
-    "could be allocated in distant memory locations".  Kept alongside the
-    KD-tree so experiments can compare strategies.
+    The classic RRT formulation scans all samples.  Points live in one
+    ``(capacity, d)`` array that doubles when full, so a query is a few
+    numpy calls over it.  Answers equal :class:`KDTree`'s bit for bit:
+
+    - distances use the tree's arithmetic, a direct sum of squared
+      coordinate differences before the square root;
+    - ties go to the lowest insertion index (``argmin``, stable sort).
+      That is the tree's order for exact duplicates: a later duplicate
+      descends into its earlier twin's right subtree, so a query visits
+      it after the twin.
+
+    The counter ``nn_node_visits`` counts the points scanned.
     """
 
     def __init__(self, dimensions: int) -> None:
+        if dimensions < 1:
+            raise ValueError("dimensions must be >= 1")
         self.dimensions = dimensions
-        self._points: List[np.ndarray] = []
+        self._points = np.empty((16, dimensions))
         self._data: List[Any] = []
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._data)
 
     def insert(self, point: Sequence[float], data: Any = None) -> None:
         """Append one point with an optional payload."""
         pt = np.asarray(point, dtype=float)
         if pt.shape != (self.dimensions,):
-            raise ValueError("dimension mismatch")
-        self._points.append(pt)
+            raise ValueError(
+                f"expected a {self.dimensions}-dimensional point, got {pt.shape}"
+            )
+        n = len(self._data)
+        if n == len(self._points):
+            grown = np.empty((2 * n, self.dimensions))
+            grown[:n] = self._points
+            self._points = grown
+        self._points[n] = pt
         self._data.append(data)
+
+    def _squared_distances(
+        self, query: Sequence[float], count: Optional[CountFn]
+    ) -> np.ndarray:
+        q = np.asarray(query, dtype=float)
+        n = len(self._data)
+        if count is not None:
+            count("nn_node_visits", n)
+        return ((self._points[:n] - q) ** 2).sum(axis=1)
 
     def nearest(
         self, query: Sequence[float], count: Optional[CountFn] = None
     ) -> Tuple[np.ndarray, Any, float]:
         """Closest point by full scan: returns (point, payload, distance)."""
-        if not self._points:
+        if not self._data:
             raise ValueError("nearest() on an empty index")
-        q = np.asarray(query, dtype=float)
-        pts = np.vstack(self._points)
-        d2 = np.einsum("ij,ij->i", pts - q, pts - q)
-        if count is not None:
-            count("nn_node_visits", len(pts))
+        d2 = self._squared_distances(query, count)
         i = int(np.argmin(d2))
         return self._points[i], self._data[i], float(np.sqrt(d2[i]))
 
@@ -416,16 +438,10 @@ class LinearNN:
         count: Optional[CountFn] = None,
     ) -> List[Tuple[np.ndarray, Any, float]]:
         """All stored points within ``radius``, nearest first."""
-        if not self._points:
-            return []
-        q = np.asarray(query, dtype=float)
-        pts = np.vstack(self._points)
-        dists = np.sqrt(np.einsum("ij,ij->i", pts - q, pts - q))
-        if count is not None:
-            count("nn_node_visits", len(pts))
-        hits = [
-            (self._points[i], self._data[i], float(dists[i]))
-            for i in np.nonzero(dists <= radius)[0]
+        d2 = self._squared_distances(query, count)
+        hits = np.flatnonzero(d2 <= radius * radius)
+        hits = hits[np.argsort(d2[hits], kind="stable")]
+        return [
+            (self._points[i], self._data[i], d)
+            for i, d in zip(hits.tolist(), np.sqrt(d2[hits]).tolist())
         ]
-        hits.sort(key=lambda item: item[2])
-        return hits

@@ -94,8 +94,9 @@ class KernelConfig:
         "reference",
         "Execution backend: 'reference' (scalar/loop code, every kernel) "
         "or the kernel's one optimized tier — 'vectorized' (batched "
-        "numpy) for pfl and srec, 'array' (flat-array search core) for "
-        "pp2d, pp3d and movtar; any other value is rejected",
+        "numpy) for pfl and srec, 'array' for pp2d, pp3d and movtar "
+        "(flat-array search core) and rrt, rrtstar, rrtpp and rrtconnect "
+        "(buffer-scan nearest neighbors); any other value is rejected",
     )
     repeats: int = option(
         1,

@@ -8,9 +8,8 @@ critical path.  The implementation profiles exactly those phases.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -41,13 +40,8 @@ class SamplingPlanResult:
 class _Tree:
     """The planner's tree: configurations, parents, and path costs."""
 
-    def __init__(self, dof: int, nn_strategy: str) -> None:
-        if nn_strategy == "kdtree":
-            self.index = KDTree(dof)
-        elif nn_strategy == "linear":
-            self.index = LinearNN(dof)
-        else:
-            raise ValueError("nn_strategy must be 'kdtree' or 'linear'")
+    def __init__(self, dof: int, backend: str) -> None:
+        self.index = KDTree(dof) if backend == "reference" else LinearNN(dof)
         self.configs: List[np.ndarray] = []
         self.parents: List[int] = []
         self.costs: List[float] = []
@@ -85,7 +79,13 @@ class _Tree:
 
 
 class RRT:
-    """Rapidly-exploring random tree in the arm's joint space."""
+    """Rapidly-exploring random tree in the arm's joint space.
+
+    ``backend`` picks the nearest-neighbor index: ``"reference"`` the
+    Python :class:`KDTree`, ``"array"`` the :class:`LinearNN` buffer scan.
+    Both return the same neighbors and distance bits, so plans, costs
+    and every counter but ``nn_node_visits`` are identical.
+    """
 
     def __init__(
         self,
@@ -96,7 +96,7 @@ class RRT:
         goal_threshold: float = 0.5,
         max_samples: int = 3000,
         edge_step: float = 0.15,
-        nn_strategy: str = "kdtree",
+        backend: str = "reference",
         rng: Optional[np.random.Generator] = None,
         profiler: Optional[PhaseProfiler] = None,
     ) -> None:
@@ -104,8 +104,10 @@ class RRT:
             raise ValueError("epsilon (extension step) must be positive")
         if not 0.0 <= goal_bias <= 1.0:
             raise ValueError("goal_bias must be in [0, 1]")
-        if nn_strategy not in ("kdtree", "linear"):
-            raise ValueError("nn_strategy must be 'kdtree' or 'linear'")
+        if backend not in ("reference", "array"):
+            raise ValueError(
+                f"backend must be 'reference' or 'array', got {backend!r}"
+            )
         self.arm = arm
         self.workspace = workspace
         self.epsilon = float(epsilon)
@@ -113,7 +115,7 @@ class RRT:
         self.goal_threshold = float(goal_threshold)
         self.max_samples = int(max_samples)
         self.edge_step = float(edge_step)
-        self.nn_strategy = nn_strategy
+        self.backend = backend
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.profiler = profiler if profiler is not None else PhaseProfiler()
 
@@ -160,7 +162,7 @@ class RRT:
         """Grow a tree from ``start`` until it connects to ``goal``."""
         start = np.asarray(start, dtype=float)
         goal = np.asarray(goal, dtype=float)
-        tree = _Tree(self.arm.dof, self.nn_strategy)
+        tree = _Tree(self.arm.dof, self.backend)
         tree.add(start, parent=-1, cost=0.0)
         samples = 0
         while samples < self.max_samples:
@@ -206,7 +208,6 @@ class RrtConfig(KernelConfig):
     bias: float = option(0.1, "Random number generation bias (goal bias)")
     samples: int = option(4000, "Maximum samples")
     radius: float = option(0.8, "Neighborhood distance (goal threshold)")
-    nn_strategy: str = option("kdtree", "Nearest-neighbor index: kdtree|linear")
 
 
 @dataclass
@@ -230,30 +231,75 @@ def make_arm_workload(
     return ArmPlanWorkload(arm=arm, workspace=workspace, start=start, goal=goal)
 
 
+#: Limits of the family's options: (test, rule) per config field, checked
+#: on the kernels whose config has the field.
+_LIMITS = {
+    "dof": (lambda v: v >= 1, ">= 1"),
+    "samples": (lambda v: v >= 1, ">= 1"),
+    "epsilon": (lambda v: v > 0, "> 0"),
+    "bias": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "radius": (lambda v: v >= 0, ">= 0"),
+    "gamma": (lambda v: v > 0, "> 0"),
+    "shortcut_iterations": (lambda v: v >= 0, ">= 0"),
+}
+
+
 @registry.register
 class RrtKernel(Kernel):
-    """RRT arm planning (collision + nearest-neighbor bound)."""
+    """RRT arm planning (collision + nearest-neighbor bound).
+
+    The base of the family's kernels: they share the workload, the
+    config limits and the ``array`` tier, and differ in their planner.
+    """
 
     name = "08.rrt"
     stage = "planning"
     config_cls = RrtConfig
     description = "RRT arm planning (collision + NN bound)"
+    backends = ("reference", "array")
+    planner_cls = RRT
+
+    @classmethod
+    def check_config(cls, config: RrtConfig) -> None:
+        """Reject options the planner cannot run before setup."""
+        super().check_config(config)
+        for name, (ok, rule) in _LIMITS.items():
+            value = getattr(config, name, None)
+            if value is not None and not ok(value):
+                raise ValueError(
+                    f"kernel {cls.name} needs {name} {rule}, got {value}"
+                )
+        try:
+            select_workspace(config.map)
+        except ValueError as exc:
+            raise ValueError(f"kernel {cls.name}: bad map: {exc}") from None
 
     def setup(self, config: RrtConfig) -> ArmPlanWorkload:
         return make_arm_workload(config.dof, config.map, config.seed)
 
-    def run_roi(
-        self, config: RrtConfig, state: ArmPlanWorkload, profiler: PhaseProfiler
-    ) -> SamplingPlanResult:
-        planner = RRT(
+    def planner(
+        self,
+        config: RrtConfig,
+        state: ArmPlanWorkload,
+        profiler: PhaseProfiler,
+        rng: Optional[np.random.Generator] = None,
+        **extra,
+    ) -> RRT:
+        """The kernel's planner for ``config`` on ``state``'s arm and map."""
+        return self.planner_cls(
             state.arm,
             state.workspace,
             epsilon=config.epsilon,
             goal_bias=config.bias,
             goal_threshold=config.radius,
             max_samples=config.samples,
-            nn_strategy=config.nn_strategy,
-            rng=np.random.default_rng(config.seed),
+            backend=config.backend,
+            rng=rng if rng is not None else np.random.default_rng(config.seed),
             profiler=profiler,
+            **extra,
         )
-        return planner.plan(state.start, state.goal)
+
+    def run_roi(
+        self, config: RrtConfig, state: ArmPlanWorkload, profiler: PhaseProfiler
+    ) -> SamplingPlanResult:
+        return self.planner(config, state, profiler).plan(state.start, state.goal)

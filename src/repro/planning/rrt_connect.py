@@ -11,21 +11,18 @@ the same Map-C workloads, under identical collision/NN instrumentation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.geometry.distance import path_length
-from repro.harness.config import option
-from repro.harness.profiler import PhaseProfiler
-from repro.harness.runner import Kernel, registry
+from repro.harness.runner import registry
 from repro.planning.rrt import (
     RRT,
-    ArmPlanWorkload,
     RrtConfig,
+    RrtKernel,
     SamplingPlanResult,
     _Tree,
-    make_arm_workload,
 )
 
 
@@ -37,8 +34,8 @@ class RRTConnect(RRT):
     ) -> SamplingPlanResult:
         start = np.asarray(start, dtype=float)
         goal = np.asarray(goal, dtype=float)
-        tree_a = _Tree(self.arm.dof, self.nn_strategy)
-        tree_b = _Tree(self.arm.dof, self.nn_strategy)
+        tree_a = _Tree(self.arm.dof, self.backend)
+        tree_b = _Tree(self.arm.dof, self.backend)
         tree_a.add(start, parent=-1, cost=0.0)
         tree_b.add(goal, parent=-1, cost=0.0)
         a_is_start = True
@@ -126,32 +123,10 @@ class RrtConnectConfig(RrtConfig):
 
 
 @registry.register
-class RrtConnectKernel(Kernel):
+class RrtConnectKernel(RrtKernel):
     """Bidirectional RRT-Connect (extension; ablation vs 08.rrt)."""
 
     name = "17.rrtconnect"
-    stage = "planning"
     config_cls = RrtConnectConfig
     description = "RRT-Connect bidirectional planning (extension kernel)"
-
-    def setup(self, config: RrtConnectConfig) -> ArmPlanWorkload:
-        return make_arm_workload(config.dof, config.map, config.seed)
-
-    def run_roi(
-        self,
-        config: RrtConnectConfig,
-        state: ArmPlanWorkload,
-        profiler: PhaseProfiler,
-    ) -> SamplingPlanResult:
-        planner = RRTConnect(
-            state.arm,
-            state.workspace,
-            epsilon=config.epsilon,
-            goal_bias=config.bias,
-            goal_threshold=config.radius,
-            max_samples=config.samples,
-            nn_strategy=config.nn_strategy,
-            rng=np.random.default_rng(config.seed),
-            profiler=profiler,
-        )
-        return planner.plan(state.start, state.goal)
+    planner_cls = RRTConnect

@@ -16,15 +16,14 @@ import numpy as np
 
 from repro.envs.arm_maps import ArmWorkspace
 from repro.geometry.distance import path_length
-from repro.harness.config import KernelConfig, option
+from repro.harness.config import option
 from repro.harness.profiler import PhaseProfiler
-from repro.harness.runner import Kernel, registry
+from repro.harness.runner import registry
 from repro.planning.rrt import (
-    RRT,
     ArmPlanWorkload,
     RrtConfig,
+    RrtKernel,
     SamplingPlanResult,
-    make_arm_workload,
 )
 from repro.robots.arm import PlanarArm
 
@@ -73,32 +72,18 @@ class RrtPpConfig(RrtConfig):
 
 
 @registry.register
-class RrtPpKernel(Kernel):
+class RrtPpKernel(RrtKernel):
     """RRT + path shortcutting (between rrt and rrtstar in cost/time)."""
 
     name = "10.rrtpp"
-    stage = "planning"
     config_cls = RrtPpConfig
     description = "RRT with shortcutting post-processing"
-
-    def setup(self, config: RrtPpConfig) -> ArmPlanWorkload:
-        return make_arm_workload(config.dof, config.map, config.seed)
 
     def run_roi(
         self, config: RrtPpConfig, state: ArmPlanWorkload, profiler: PhaseProfiler
     ) -> SamplingPlanResult:
         rng = np.random.default_rng(config.seed)
-        planner = RRT(
-            state.arm,
-            state.workspace,
-            epsilon=config.epsilon,
-            goal_bias=config.bias,
-            goal_threshold=config.radius,
-            max_samples=config.samples,
-            nn_strategy=config.nn_strategy,
-            rng=rng,
-            profiler=profiler,
-        )
+        planner = self.planner(config, state, profiler, rng=rng)
         result = planner.plan(state.start, state.goal)
         if not result.found:
             return result

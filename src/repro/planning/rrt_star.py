@@ -12,21 +12,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.geometry.distance import path_length
-from repro.harness.config import KernelConfig, option
+from repro.harness.config import option
 from repro.harness.profiler import PhaseProfiler
-from repro.harness.runner import Kernel, registry
+from repro.harness.runner import registry
 from repro.planning.rrt import (
     RRT,
     ArmPlanWorkload,
     RrtConfig,
+    RrtKernel,
     SamplingPlanResult,
     _Tree,
-    make_arm_workload,
 )
 
 
@@ -70,7 +70,7 @@ class RRTStar(RRT):
         """
         start = np.asarray(start, dtype=float)
         goal = np.asarray(goal, dtype=float)
-        tree = _Tree(self.arm.dof, self.nn_strategy)
+        tree = _Tree(self.arm.dof, self.backend)
         tree.add(start, parent=-1, cost=0.0)
         goal_idx: Optional[int] = None
         samples = 0
@@ -152,20 +152,16 @@ class RrtStarConfig(RrtConfig):
     """Configuration of the rrtstar kernel."""
 
     gamma: float = option(3.0, "Rewiring radius scale factor")
-    star_samples: int = option(4000, "Sample budget for RRT*")
 
 
 @registry.register
-class RrtStarKernel(Kernel):
+class RrtStarKernel(RrtKernel):
     """RRT* arm planning (rewiring raises the NN-search share)."""
 
     name = "09.rrtstar"
-    stage = "planning"
     config_cls = RrtStarConfig
     description = "RRT* arm planning (collision + NN bound, rewiring)"
-
-    def setup(self, config: RrtStarConfig) -> ArmPlanWorkload:
-        return make_arm_workload(config.dof, config.map, config.seed)
+    planner_cls = RRTStar
 
     def run_roi(
         self,
@@ -173,16 +169,5 @@ class RrtStarKernel(Kernel):
         state: ArmPlanWorkload,
         profiler: PhaseProfiler,
     ) -> SamplingPlanResult:
-        planner = RRTStar(
-            state.arm,
-            state.workspace,
-            epsilon=config.epsilon,
-            goal_bias=config.bias,
-            goal_threshold=config.radius,
-            max_samples=config.star_samples,
-            nn_strategy=config.nn_strategy,
-            gamma=config.gamma,
-            rng=np.random.default_rng(config.seed),
-            profiler=profiler,
-        )
+        planner = self.planner(config, state, profiler, gamma=config.gamma)
         return planner.plan(state.start, state.goal)

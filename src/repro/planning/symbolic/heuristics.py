@@ -19,7 +19,7 @@ ablation benchmark).
 from __future__ import annotations
 
 import heapq
-from typing import Dict, FrozenSet, Iterable, List, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.planning.symbolic.actions import GroundAction, State
 
@@ -104,7 +104,12 @@ def relaxed_cost(
     return max(values) if mode == "max" else sum(values)
 
 
-_CONSUMER_CACHE: Dict[int, Dict[str, List[int]]] = {}
+#: id(actions) -> (actions, consumer table).  The entry holds the list
+#: itself: a freed list's id can be reused by the next list, which must
+#: not inherit the old problem's table.
+_CONSUMER_CACHE: Dict[
+    int, Tuple[Sequence[GroundAction], Dict[str, List[int]]]
+] = {}
 
 
 def _consumers(
@@ -112,15 +117,15 @@ def _consumers(
 ) -> Iterable[int]:
     """Indices of actions having ``atom`` as a positive precondition."""
     key = id(actions)
-    table = _CONSUMER_CACHE.get(key)
-    if table is None:
-        table = {}
+    entry = _CONSUMER_CACHE.get(key)
+    if entry is None:
+        table: Dict[str, List[int]] = {}
         for i, action in enumerate(actions):
             for p in action.preconditions:
                 table.setdefault(p, []).append(i)
         _CONSUMER_CACHE.clear()  # keep at most one problem cached
-        _CONSUMER_CACHE[key] = table
-    return table.get(atom, ())
+        entry = _CONSUMER_CACHE[key] = (actions, table)
+    return entry[1].get(atom, ())
 
 
 def make_heuristic(

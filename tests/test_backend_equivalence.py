@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.envs.arm_maps import default_arm, map_f
 from repro.envs.costmap import synthetic_costmap, target_trajectory
 from repro.envs.mapgen import campus_like_3d, city_like, wean_hall_like
 from repro.geometry.collision import (
@@ -32,6 +33,7 @@ from repro.geometry.kdtree import (
     BatchKDTree,
     CertifiedNN,
     KDTree,
+    LinearNN,
 )
 from repro.geometry.raycast import (
     cast_ray_dda,
@@ -47,6 +49,7 @@ from repro.perception.particle_filter import (
 from repro.planning.moving_target import MovingTargetPlanner
 from repro.planning.pp2d import plan_2d
 from repro.planning.pp3d import far_apart_free_voxels, plan_3d
+from repro.planning.rrt import RRT
 from repro.search.grid_core import MOVES_2D_8
 from repro.sensors.lidar import Lidar
 
@@ -409,6 +412,8 @@ def test_planners_reject_the_removed_vectorized_tier():
     traj = target_trajectory(field, length=4, seed=0)
     with pytest.raises(ValueError, match="'reference' or 'array'"):
         MovingTargetPlanner(field, traj, backend="vectorized")
+    with pytest.raises(ValueError, match="'reference' or 'array'"):
+        RRT(default_arm(), map_f(), backend="vectorized")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -502,6 +507,47 @@ def test_movtar_array_backend_identical_plan():
     assert arr.cost == pytest.approx(ref.cost, abs=1e-9)
 
 
+@pytest.mark.parametrize("name, samples", [
+    ("08.rrt", 1000), ("09.rrtstar", 300), ("10.rrtpp", 1000),
+    ("17.rrtconnect", 1000),
+])
+@pytest.mark.parametrize("map_name", ["map-c", "map-f"])
+def test_rrt_family_array_tier_bitwise_equal(name, samples, map_name):
+    """The buffer-scan tier plans exactly as the kd-tree does.
+
+    Cost bits, every path array, tree size, samples drawn and every
+    counter but ``nn_node_visits`` (points scanned vs tree nodes
+    visited) are equal, over seeds 0-5.
+    """
+    from repro.harness.runner import load_all_kernels, registry
+
+    load_all_kernels()
+    cls = registry.get(name)
+    found = 0
+    for seed in range(6):
+        runs = [
+            cls().run(cls.config_cls(
+                seed=seed, map=map_name, samples=samples, backend=backend
+            ))
+            for backend in ("reference", "array")
+        ]
+        ref, arr = (run.output for run in runs)
+        assert arr.found == ref.found
+        assert arr.cost.hex() == ref.cost.hex()
+        assert len(arr.path) == len(ref.path)
+        assert all(
+            a.tobytes() == r.tobytes() for a, r in zip(arr.path, ref.path)
+        )
+        assert (arr.tree_size, arr.samples_drawn) == (
+            ref.tree_size, ref.samples_drawn
+        )
+        counters = [dict(run.profiler.counters) for run in runs]
+        assert all(c.pop("nn_node_visits") > 0 for c in counters)
+        assert counters[0] == counters[1]
+        found += ref.found
+    assert found >= 3  # the pin covers found paths, not only failures
+
+
 # -- nearest neighbors / ICP ---------------------------------------------------
 
 
@@ -520,6 +566,71 @@ def test_nn_batch_matches_kdtree(seed):
         # Same direct sum-of-squares arithmetic: exact equality.
         assert payload == idx[i]
         assert d == dist[i]
+
+
+def _assert_same_neighbors(got, want):
+    """Same payloads in the same order, equal points, equal distance bits."""
+    assert [payload for _, payload, _ in got] == [
+        payload for _, payload, _ in want
+    ]
+    for (p_got, _, d_got), (p_want, _, d_want) in zip(got, want):
+        assert np.array_equal(p_got, p_want)
+        assert d_got.hex() == d_want.hex()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.integers(1, 7),
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    copies=st.lists(st.integers(0, 10**6), max_size=12),
+    radius=st.sampled_from([0.0, 0.2, 0.7, 1.5, 4.0]),
+)
+def test_linear_nn_matches_kdtree_property(dims, n, seed, copies, radius):
+    """Buffer scan and kd-tree agree bitwise, exact duplicates included.
+
+    Each entry of ``copies`` re-inserts an earlier point later on, so
+    ties between twins are common; queries include stored points, so
+    radius 0 returns every twin of the query.
+    """
+    rng = np.random.default_rng(seed)
+    points = list(rng.normal(size=(n, dims)))
+    for c in copies:
+        twin = points[c % len(points)].copy()
+        points.insert(c % len(points) + 1 + int(rng.integers(0, 4)), twin)
+    linear, tree = LinearNN(dims), KDTree(dims)
+    for i, p in enumerate(points):
+        linear.insert(p, i)
+        tree.insert(p, i)
+    queries = [points[int(i)] for i in rng.integers(0, len(points), 4)]
+    queries += list(rng.normal(size=(3, dims)))
+    for q in queries:
+        scanned = []
+        _assert_same_neighbors(
+            [linear.nearest(q, count=lambda _, k: scanned.append(k))],
+            [tree.nearest(q)],
+        )
+        _assert_same_neighbors(
+            linear.within_radius(q, radius), tree.within_radius(q, radius)
+        )
+        assert scanned == [len(points)]
+
+
+def test_linear_nn_ties_go_to_the_first_inserted_twin():
+    """Forty twins of one point, interleaved with other points."""
+    rng = np.random.default_rng(5)
+    twin = rng.normal(size=3)
+    linear, tree = LinearNN(3), KDTree(3)
+    for i in range(120):
+        p = twin if i % 3 == 0 else rng.normal(size=3)
+        linear.insert(p, i)
+        tree.insert(p, i)
+    for radius in (0.0, 1.0):
+        got = linear.within_radius(twin, radius)
+        _assert_same_neighbors(got, tree.within_radius(twin, radius))
+        assert [i for _, i, _ in got][:40] == list(range(0, 120, 3))
+    _assert_same_neighbors([linear.nearest(twin)], [tree.nearest(twin)])
+    assert linear.nearest(twin)[1] == 0
 
 
 def test_nn_batch_counts_queries():

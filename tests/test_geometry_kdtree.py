@@ -158,9 +158,9 @@ def test_linear_nn_matches_kdtree(rng):
         lin.insert(p, i)
         tree.insert(p, i)
     q = rng.normal(size=4)
-    _, _, d_lin = lin.nearest(q)
-    _, _, d_tree = tree.nearest(q)
-    assert d_lin == pytest.approx(d_tree, abs=1e-9)
+    _, i_lin, d_lin = lin.nearest(q)
+    _, i_tree, d_tree = tree.nearest(q)
+    assert (i_lin, d_lin) == (i_tree, d_tree)
 
 
 def test_linear_nn_within_radius(rng):

@@ -159,6 +159,10 @@ _OPTIMIZED_TIER = {
     "04.pp2d": "array",
     "05.pp3d": "array",
     "06.movtar": "array",
+    "08.rrt": "array",
+    "09.rrtstar": "array",
+    "10.rrtpp": "array",
+    "17.rrtconnect": "array",
 }
 
 load_all_kernels()

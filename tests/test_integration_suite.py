@@ -21,7 +21,7 @@ SMALL_CONFIGS = {
     "06.movtar": dict(rows=40, cols=40, horizon=96),
     "07.prm": dict(samples=120),
     "08.rrt": dict(map="map-f", samples=2000),
-    "09.rrtstar": dict(map="map-f", star_samples=800),
+    "09.rrtstar": dict(map="map-f", samples=800),
     "10.rrtpp": dict(map="map-f", samples=2000, shortcut_iterations=50),
     "11.sym-blkw": dict(blocks=4),
     "12.sym-fext": dict(locations=4),

@@ -7,6 +7,11 @@ from repro.envs.arm_maps import default_arm, map_c, map_f
 from repro.harness.profiler import PhaseProfiler
 from repro.planning.prm import distant_free_pair
 from repro.planning.rrt import RRT, RrtConfig, RrtKernel, make_arm_workload
+from repro.planning.rrt_connect import RrtConnectKernel
+from repro.planning.rrt_postprocess import RrtPpKernel
+from repro.planning.rrt_star import RrtStarConfig, RrtStarKernel
+
+FAMILY = (RrtKernel, RrtStarKernel, RrtPpKernel, RrtConnectKernel)
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +30,7 @@ def test_validation(free_setup):
     with pytest.raises(ValueError):
         RRT(arm, ws, goal_bias=1.5)
     with pytest.raises(ValueError):
-        RRT(arm, ws, nn_strategy="quantum")
+        RRT(arm, ws, backend="quantum")
 
 
 def test_plan_free_space(free_setup):
@@ -64,12 +69,19 @@ def test_path_is_collision_free_on_map_c():
 
 
 def test_linear_and_kdtree_strategies_agree_statistically(free_setup):
+    """Both backends find the same path (the kd-tree and the buffer scan)."""
     arm, ws, start, goal = free_setup
-    for strategy in ("kdtree", "linear"):
-        planner = RRT(arm, ws, nn_strategy=strategy,
-                      rng=np.random.default_rng(3))
-        result = planner.plan(start, goal)
-        assert result.found, strategy
+    results = [
+        RRT(arm, ws, backend=backend, rng=np.random.default_rng(3)).plan(
+            start, goal
+        )
+        for backend in ("reference", "array")
+    ]
+    assert all(result.found for result in results)
+    assert results[0].cost == results[1].cost
+    assert all(
+        np.array_equal(a, b) for a, b in zip(results[0].path, results[1].path)
+    )
 
 
 def test_sample_budget_respected(free_setup):
@@ -107,3 +119,33 @@ def test_kernel_end_to_end():
     assert result.output.found
     fr = result.profiler.fractions()
     assert fr.get("nn_search", 0) + fr.get("collision", 0) > 0.5
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dof", 0), ("samples", 0), ("samples", -1), ("epsilon", 0.0),
+    ("epsilon", float("nan")), ("bias", -0.1), ("bias", 1.5),
+    ("radius", -1.0), ("gamma", 0.0), ("shortcut_iterations", -1),
+    ("map", "map-x"),
+])
+def test_kernels_reject_bad_config_before_setup(field, value, monkeypatch):
+    def no_setup(self, config):
+        raise AssertionError("setup ran")
+
+    monkeypatch.setattr(RrtKernel, "setup", no_setup)
+    checked = 0
+    for cls in FAMILY:
+        if not hasattr(cls.config_cls(), field):
+            continue
+        checked += 1
+        config = cls.config_cls(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            cls().run(config)
+        with pytest.raises(ValueError, match=field):
+            cls().open_session(config)
+    assert checked
+
+
+def test_rrtstar_honors_samples():
+    result = RrtStarKernel().run(RrtStarConfig(samples=40))
+    assert result.output.samples_drawn == 40
+    assert result.profiler.counters["rrt_samples_drawn"] == 40

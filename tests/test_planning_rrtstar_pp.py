@@ -157,6 +157,6 @@ def RrtConfig_like(seed):
 
 def test_rrtstar_kernel_small_budget():
     result = RrtStarKernel().run(
-        RrtStarConfig(seed=1, star_samples=1500, map="map-f")
+        RrtStarConfig(seed=1, samples=1500, map="map-f")
     )
     assert result.output.found

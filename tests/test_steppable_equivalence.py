@@ -347,7 +347,7 @@ REPLAY_CONFIGS = {
     "06.movtar": dict(rows=32, cols=32, horizon=64),
     "07.prm": dict(samples=60),
     "08.rrt": dict(samples=200),
-    "09.rrtstar": dict(samples=150, star_samples=150),
+    "09.rrtstar": dict(samples=150),
     "10.rrtpp": dict(samples=200, shortcut_iterations=10),
     "11.sym-blkw": dict(blocks=3),
     "12.sym-fext": dict(locations=3),

@@ -91,3 +91,25 @@ def test_random_blocks_instances_solved_consistently(n_blocks, goal):
         assert problem.goal <= execute_plan(problem, result.plan)
         lengths[kind] = len(result.plan)
     assert lengths["goal-count"] == lengths["hmax"]
+
+
+def test_consumer_cache_keeps_its_action_list_alive():
+    """The consumer cache is keyed by ``id(actions)``.
+
+    While an entry lives its list must too: a freed list's id goes to
+    the next list allocated, which would inherit another problem's
+    consumer table (indices past its end: ``IndexError``).
+    """
+    import gc
+    import weakref
+
+    class Actions(list):
+        pass
+
+    problem = blocks_world(5)
+    actions = Actions(problem.actions)
+    relaxed_cost(problem.initial_state, problem.goal, actions)
+    alive = weakref.ref(actions)
+    del actions
+    gc.collect()
+    assert alive() is not None
