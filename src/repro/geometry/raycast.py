@@ -18,8 +18,12 @@ cell-check counter bitwise:
   traversal in a small C loop (``_raycast.c``), compiled on first use by
   :mod:`repro.native`.
 
-The sampled marcher :func:`cast_ray` is the world simulator behind
-``Lidar.measure`` and the raycast-method ablation, not a backend.
+The sampled half-cell marcher :func:`cast_ray` is the world simulator,
+not a backend; it is the anchor of a second pair.  The raycast-method
+ablation calls it per ray, and ``Lidar.measure`` casts a whole episode's
+scans with :func:`cast_rays_march_lockstep`, which advances every live
+ray one sample per numpy iteration with :func:`cast_ray`'s float
+expressions and so returns its distances bitwise.
 """
 
 from __future__ import annotations
@@ -107,9 +111,9 @@ def cast_ray(
 
 def _ray_batch(
     xs: np.ndarray, ys: np.ndarray, angles: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Validated contiguous float64 origins and ``np.cos``/``np.sin``
-    directions of a ray batch, shared by both batch casters."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated float64 origins (contiguous) and angles of a ray batch,
+    shared by every batch caster."""
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     ys = np.ascontiguousarray(ys, dtype=np.float64)
     angles = np.asarray(angles, dtype=np.float64)
@@ -121,7 +125,91 @@ def _ray_batch(
         and np.isfinite(angles).all()
     ):
         raise ValueError("ray origins and angles must be finite")
-    return xs, ys, np.cos(angles), np.sin(angles)
+    return xs, ys, angles
+
+
+def _padded_occupancy(grid: OccupancyGrid2D) -> Tuple[np.ndarray, int]:
+    """The grid's cells inside a one-cell occupied border, flattened, and
+    the padded row width: a cell just off the map reads occupied, like
+    :meth:`OccupancyGrid2D.is_occupied`."""
+    n_rows, n_cols = grid.cells.shape
+    occupied = np.ones((n_rows + 2, n_cols + 2), dtype=bool)
+    occupied[1:-1, 1:-1] = grid.cells
+    return occupied.ravel(), n_cols + 2
+
+
+def cast_rays_march_lockstep(
+    grid: OccupancyGrid2D,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    angles: np.ndarray,
+    max_range: float,
+) -> np.ndarray:
+    """Batch half-cell marching: :func:`cast_ray` for every ray, in numpy.
+
+    Each iteration advances every live ray by one sample of half a cell
+    with the scalar marcher's float expressions in its order: the
+    accumulated ``cx += dx``, the floored cell, the mid-cell test of a
+    diagonal jump and its ``min(t_x, t_y)``, ``i * step`` on a cell hit
+    and ``max_range`` after ``int(max_range / step)`` samples.  Directions
+    come from ``math.cos``/``math.sin`` per ray and cell indices stay
+    floats (floors are exact), so distances are bitwise those of
+    :func:`cast_ray` for starts on or off the map, in free or occupied
+    cells.  Memory is O(rays).  Raises ``ValueError`` on non-finite
+    origins or angles.
+    """
+    xs, ys, angles = _ray_batch(xs, ys, angles)
+    res = grid.resolution
+    step = res * 0.5
+    origin = np.array(grid.origin).reshape(2, 1)
+    n_rows, n_cols = grid.cells.shape
+    last = np.array([[n_cols], [n_rows]])
+    occupied, width = _padded_occupancy(grid)
+
+    def occupied_at(cells: np.ndarray) -> np.ndarray:
+        """Occupancy of ``(2, k)`` float (col, row) cells, off-map ones
+        clipped onto the occupied border."""
+        col, row = np.minimum(np.maximum(cells, -1.0), last)
+        return occupied[(row * width + col).astype(np.intp) + (width + 1)]
+
+    dir_x = np.array([math.cos(a) for a in angles.tolist()])
+    dir_y = np.array([math.sin(a) for a in angles.tolist()])
+    distances = np.full(len(xs), max_range, dtype=np.float64)
+    ray = np.arange(len(xs))
+    # Row pairs (x, y): origin, direction, sample step, sample, and the
+    # previous sample's (col, row).
+    rays = np.stack([
+        xs, ys, dir_x, dir_y, dir_x * step, dir_y * step, xs, ys,
+        np.floor((xs - origin[0]) / res), np.floor((ys - origin[1]) / res),
+    ])
+    for i in range(1, int(max_range / step) + 1):
+        if not len(ray):
+            break
+        start, direction, delta, sample, prev = rays.reshape(5, 2, -1)
+        sample += delta
+        cells = np.floor((sample - origin) / res)
+        done = occupied_at(cells)
+        distances[ray[done]] = i * step
+        jump = np.flatnonzero((cells != prev).all(axis=0))
+        if len(jump):
+            # Diagonal cell jump: the ray passed through the one of the two
+            # adjacent cells whose border it crossed first; a hit there
+            # comes before the sample's own cell, at min(t_x, t_y).
+            j_cells, j_prev = cells[:, jump], prev[:, jump]
+            t_x, t_y = (np.maximum(j_prev, j_cells) * res + origin
+                        - start[:, jump]) / direction[:, jump]
+            x_first = t_x < t_y
+            mid_hit = occupied_at(
+                np.where([x_first, ~x_first], j_cells, j_prev)
+            )
+            distances[ray[jump[mid_hit]]] = np.where(t_y < t_x, t_y,
+                                                     t_x)[mid_hit]
+            done[jump[mid_hit]] = True
+        prev[...] = cells
+        if done.any():
+            kept = np.flatnonzero(~done)
+            rays, ray = rays.take(kept, axis=1), ray[kept]
+    return distances
 
 
 def cast_rays_dda_lockstep(
@@ -142,15 +230,13 @@ def cast_rays_dda_lockstep(
     each iteration drops the rays that hit or ran past ``max_range``.
     Raises ``ValueError`` on non-finite origins or angles.
     """
-    xs, ys, dir_x, dir_y = _ray_batch(xs, ys, angles)
+    xs, ys, angles = _ray_batch(xs, ys, angles)
+    dir_x, dir_y = np.cos(angles), np.sin(angles)
     max_range = float(max_range)
     res = grid.resolution
     ox, oy = grid.origin
     n_rows, n_cols = grid.cells.shape
-    width = n_cols + 2
-    occupied = np.ones((n_rows + 2, width), dtype=bool)
-    occupied[1:-1, 1:-1] = grid.cells
-    occupied = occupied.ravel()
+    occupied, width = _padded_occupancy(grid)
     # Start cells; one off the map clips onto the border and, like a start
     # in an occupied cell, returns 0.0.
     col = np.clip(np.floor((xs - ox) / res), -1, n_cols).astype(np.int64)
@@ -214,7 +300,8 @@ def cast_rays_dda_batch(
     angles, and a ``RuntimeError`` naming the compiler if the core cannot
     be built.
     """
-    xs, ys, dir_x, dir_y = _ray_batch(xs, ys, angles)
+    xs, ys, angles = _ray_batch(xs, ys, angles)
+    dir_x, dir_y = np.cos(angles), np.sin(angles)
     cells = np.ascontiguousarray(grid.cells, dtype=bool)
     distances = np.empty(len(xs))
     ox, oy = grid.origin

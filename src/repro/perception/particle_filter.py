@@ -266,7 +266,8 @@ def make_pfl_workload(
     ``region`` selects one of five start/goal areas (the paper evaluates
     pfl "in five different parts of the building").  The true trajectory
     follows a shortest path between two free cells; odometry readings and
-    noisy scans are derived from it.
+    noisy scans are derived from it, the scans of all ``n_steps`` poses in
+    one :meth:`Lidar.measure` batch.
     """
     if grid is None:
         grid = wean_hall_like(rows=map_rows, cols=map_cols, seed=seed)
@@ -306,9 +307,9 @@ def make_pfl_workload(
         OdometryModel.reading_between(a, b)
         for a, b in zip(poses[:-1], poses[1:])
     ]
-    scans = [
-        lidar.measure(grid, p.x, p.y, p.theta, rng) for p in poses[1:]
-    ]
+    scans = list(lidar.measure(
+        grid, np.array([[p.x, p.y, p.theta] for p in poses[1:]]), rng
+    ))
     return PflWorkload(
         grid=grid,
         lidar=lidar,

@@ -280,6 +280,27 @@ class PrmKernel(Kernel):
     config_cls = PrmConfig
     description = "Probabilistic roadmap arm planning (search + L2 bound)"
 
+    @classmethod
+    def check_config(cls, config: PrmConfig) -> None:
+        """A roadmap needs a joint, a sample, a neighbor, a finite
+        positive edge step and a known map."""
+        super().check_config(config)
+        for name in ("dof", "samples", "neighbors"):
+            if getattr(config, name) < 1:
+                raise ValueError(
+                    f"kernel {cls.name} needs {name} >= 1, "
+                    f"got {getattr(config, name)}"
+                )
+        if not (math.isfinite(config.edge_step) and config.edge_step > 0):
+            raise ValueError(
+                f"kernel {cls.name} needs a finite edge_step > 0, "
+                f"got {config.edge_step}"
+            )
+        try:
+            select_workspace(config.map)
+        except ValueError as exc:
+            raise ValueError(f"kernel {cls.name}: bad map: {exc}") from None
+
     def setup(self, config: PrmConfig) -> PrmWorkload:
         workspace = select_workspace(config.map)
         arm = default_arm(dof=config.dof, size=workspace.size)

@@ -9,16 +9,16 @@ import numpy as np
 
 from repro.geometry.grid2d import OccupancyGrid2D
 from repro.geometry.raycast import (
-    cast_ray,
     cast_rays_dda_batch,
     cast_rays_dda_lockstep,
+    cast_rays_march_lockstep,
 )
 
 
 class Lidar:
     """A planar laser scanner: ``n_beams`` rays across ``fov`` radians.
 
-    ``measure`` produces a noisy scan from the robot's true pose (workload
+    ``measure`` produces noisy scans from the robot's true poses (workload
     generation); ``expected_ranges_batch`` produces the noise-free ranges
     hypothesis poses *would* see (the particle filter's ray-casting step).
     """
@@ -75,26 +75,32 @@ class Lidar:
     def measure(
         self,
         grid: OccupancyGrid2D,
-        x: float,
-        y: float,
-        theta: float,
+        poses: np.ndarray,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        """A noisy scan from the true pose, clipped to [0, max_range].
+        """Noisy scans from an ``(n, 3)`` array of true poses: ``(n, beams)``,
+        clipped to [0, max_range].
 
-        Casts the beams one by one with the half-cell marcher
-        :func:`cast_ray`, the world the filter's exact model is matched
-        against: from a free cell, a noise-free scan reads less than half a
-        cell beyond :meth:`expected_ranges_batch` and, up to float
-        rounding, never short of it.  No work counter: this is workload
-        generation, not the measured ray casting.
+        Casts all poses x beams rays in one batch with the half-cell
+        marcher :func:`~repro.geometry.raycast.cast_rays_march_lockstep`,
+        which returns :func:`~repro.geometry.raycast.cast_ray`'s bits: the
+        world the filter's exact model is matched against.  From a free
+        cell, a noise-free scan reads less than half a cell beyond
+        :meth:`expected_ranges_batch` and, up to float rounding, never
+        short of it.  Noise is drawn from ``rng`` scan by scan in pose
+        order.  No work counter: this is workload generation, not the
+        measured ray casting.  Raises ``ValueError`` on a non-finite pose.
         """
-        ranges = np.array(
-            [
-                cast_ray(grid, x, y, float(angle), self.max_range)
-                for angle in self.beam_angles(theta)
-            ]
-        )
+        poses = np.asarray(poses, dtype=float)
+        if poses.ndim != 2 or poses.shape[1] != 3:
+            raise ValueError(f"poses must be an (n, 3) array, got shape "
+                             f"{poses.shape}")
+        angles = self.beam_angles(poses[:, 2:3]).ravel()
+        xs = np.repeat(poses[:, 0], self.n_beams)
+        ys = np.repeat(poses[:, 1], self.n_beams)
+        ranges = cast_rays_march_lockstep(
+            grid, xs, ys, angles, self.max_range
+        ).reshape(len(poses), self.n_beams)
         if rng is not None and self.noise_sigma > 0.0:
             ranges = ranges + rng.normal(0.0, self.noise_sigma, size=ranges.shape)
         return np.clip(ranges, 0.0, self.max_range)

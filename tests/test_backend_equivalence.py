@@ -39,6 +39,7 @@ from repro.geometry.raycast import (
     cast_ray_dda,
     cast_rays_dda_batch,
     cast_rays_dda_lockstep,
+    cast_rays_march_lockstep,
 )
 from repro.perception.icp import icp
 from repro.perception.particle_filter import (
@@ -201,7 +202,8 @@ def test_raycast_rejects_non_finite_input(field, bad):
     grid = OccupancyGrid2D.empty(4, 4)
     rays = {"xs": np.full(3, 1.5), "ys": np.full(3, 1.5), "angles": np.zeros(3)}
     rays[field][1] = bad
-    for caster in _CASTERS:
+    # The world marcher shares the casters' validation.
+    for caster in _CASTERS + (cast_rays_march_lockstep,):
         with pytest.raises(ValueError, match="finite"):
             caster(grid, rays["xs"], rays["ys"], rays["angles"], 5.0)
 

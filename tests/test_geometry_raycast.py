@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.geometry.grid2d import OccupancyGrid2D
 from repro.geometry.raycast import (
     cast_ray,
     cast_ray_dda,
     cast_rays_dda_lockstep,
+    cast_rays_march_lockstep,
 )
 
 
@@ -132,3 +134,97 @@ def test_batch_marcher_does_not_tunnel_diagonally():
     assert out.tolist() == [
         cast_ray_dda(grid, 4.0, y, math.pi / 4.0, 20.0) for y in (4.98, 4.5)
     ]
+
+
+# -- the world marcher in lock-step -------------------------------------------
+
+
+def _scalar_march(grid, xs, ys, angles, max_range):
+    """Per-ray :func:`cast_ray` distances."""
+    return np.array([
+        cast_ray(grid, x, y, a, max_range)
+        for x, y, a in zip(xs.tolist(), ys.tolist(), angles.tolist())
+    ])
+
+
+def _assert_same_bits(batch, scalar):
+    assert batch.shape == scalar.shape
+    assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 14),
+    cols=st.integers(1, 14),
+    density=st.floats(0.0, 0.6),
+    resolution=st.sampled_from([0.1, 0.25, 0.3, 1.0, 1.7]),
+    origin=st.tuples(
+        st.floats(-5.0, 5.0).filter(bool), st.floats(-5.0, 5.0).filter(bool)
+    ),
+    samples=st.integers(0, 60),
+    fraction=st.floats(0.01, 0.99),
+)
+@example(seed=0, rows=1, cols=1, density=1.0, resolution=0.3,
+         origin=(-0.7, 2.2), samples=0, fraction=0.5)
+@example(seed=1, rows=9, cols=13, density=0.0, resolution=1.7,
+         origin=(3.1, -4.4), samples=60, fraction=0.99)
+def test_march_lockstep_matches_scalar_marcher_property(
+    seed, rows, cols, density, resolution, origin, samples, fraction
+):
+    """The lock-step marcher returns :func:`cast_ray`'s bits for every ray.
+
+    Covers non-square grids, non-unit resolutions, non-zero origins,
+    ``max_range`` between two sample distances, starts on cell borders
+    and corners, in occupied cells and off the map (up to three cells
+    out), and angles on exact multiples of pi/2 and pi/4.
+    """
+    rng = np.random.default_rng(seed)
+    grid = OccupancyGrid2D(
+        rng.random((rows, cols)) < density, resolution, origin
+    )
+    max_range = (samples + fraction) * resolution * 0.5
+    n = 64
+    xs = origin[0] + rng.uniform(-3.0, cols + 3.0, n) * resolution
+    ys = origin[1] + rng.uniform(-3.0, rows + 3.0, n) * resolution
+    # An eighth start on cell borders, an eighth in occupied cells.
+    xs[:8] = origin[0] + rng.integers(-1, cols + 2, 8) * resolution
+    ys[:8] = origin[1] + rng.integers(-1, rows + 2, 8) * resolution
+    occupied = np.argwhere(grid.cells)
+    if len(occupied):
+        rows_in, cols_in = occupied[rng.integers(0, len(occupied), 8)].T
+        xs[8:16] = origin[0] + (cols_in + rng.uniform(0, 1, 8)) * resolution
+        ys[8:16] = origin[1] + (rows_in + rng.uniform(0, 1, 8)) * resolution
+    angles = rng.uniform(-2 * math.pi, 2 * math.pi, n)
+    angles[16:32] = rng.choice(
+        [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi,
+         3 * math.pi / 2, 2 * math.pi, math.pi / 4, -3 * math.pi / 4], 16
+    )
+    _assert_same_bits(
+        cast_rays_march_lockstep(grid, xs, ys, angles, max_range),
+        _scalar_march(grid, xs, ys, angles, max_range),
+    )
+
+
+def test_march_lockstep_edge_cases():
+    """Off the map, in a wall, axis-parallel and through a wall's corner."""
+    grid = OccupancyGrid2D.empty(10, 10, resolution=1.0, origin=(0.5, -1.0))
+    grid.fill_rect(0, 5, 5, 5)
+    xs = np.array([-3.0, 5.6, 2.0, 2.0, 4.5, 4.5])
+    ys = np.array([0.0, 1.5, 2.5, 2.5, 3.98, 3.5])
+    angles = np.array([0.0, 0.0, math.pi, math.pi / 2, math.pi / 4,
+                       math.pi / 4])
+    batch = cast_rays_march_lockstep(grid, xs, ys, angles, 20.0)
+    _assert_same_bits(batch, _scalar_march(grid, xs, ys, angles, 20.0))
+    # Off the map: the first sample hits; in a wall: so does it.
+    assert batch[:2].tolist() == [0.5, 0.5]
+    # The corner ray registers the wall instead of tunneling through.
+    assert batch[4] < 20.0
+
+
+def test_march_lockstep_empty_batch():
+    out = cast_rays_march_lockstep(
+        OccupancyGrid2D.empty(3, 3), np.empty(0), np.empty(0), np.empty(0),
+        5.0,
+    )
+    assert out.shape == (0,)

@@ -1,5 +1,7 @@
 """Tests for particle filter localization (01.pfl)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,42 @@ def test_default_config_converges(seed, region):
     output = PflKernel().run(config).output
     assert output["error"] < 1.0
     assert output["spread_after"] < output["spread_before"] / 10
+
+
+# sha256 of the world scans and of the true poses, from the per-beam scalar
+# marcher the batch one replaced: perfbench's five (seed, region) episodes
+# at the kernel's default 24 beams x 25 steps, then one other size.
+_WORKLOAD_DIGESTS = [
+    (2, 0, 24, 25,
+     "34c2e3861438946cf4eff2878bf22a8def0d09a39a3c38bae4a564d4484544cf",
+     "2fb070b0910a0b116ad512b9f9e2a8a8a41d163d87bec9dc5f554711252addb1"),
+    (3, 1, 24, 25,
+     "290b17b0d69cda7a4d63a01769bcaa63fe6d317512e12bb4133af93369afd930",
+     "06183de0cdabb42546791f0b92c70b8b871a54e1948bf7a609b2ddf3ee329578"),
+    (0, 2, 24, 25,
+     "b8ee01e88757d959b08e7b6c4741142b7db37ab850de5de1bd24bcd6bd59aa2c",
+     "363691f6437cde60b75990da1d5c245e3be9ca4cb951c6a5ed678181941be0a3"),
+    (1, 3, 24, 25,
+     "2f5d265ed2ac3286a6cb7a9e4cf1a29c78d789549a8a43cb56eaa1df4741844b",
+     "33233d1cfa90d60950366b49e3d68966a0398e12bae61ff0f6339977e2e7c7dd"),
+    (0, 4, 24, 25,
+     "c9992f2855199d2b1106b02534976f9184776d84d678a8f233442b236ffb2acc",
+     "524cc9da7565cda68f70bbdc62a90eeb7ce371de5c298c1eadd9a8443f43dfab"),
+    (5, 1, 7, 9,
+     "3d0b039ffc283ff351b8f4d1c2377e8473ffe214e43839392f8100b1cfaab3c8",
+     "7b91641968255918451fa0be19de682fc29c0a5e2d4ebdfec180cef1e1cfe997"),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, region, beams, steps, scans_sha, poses_sha", _WORKLOAD_DIGESTS
+)
+def test_workload_scans_and_poses_match_golden_digests(
+    seed, region, beams, steps, scans_sha, poses_sha
+):
+    w = make_pfl_workload(region=region, n_steps=steps, n_beams=beams,
+                          seed=seed)
+    poses = np.array([[p.x, p.y, p.theta] for p in w.true_poses])
+    assert len(w.scans) == steps
+    assert hashlib.sha256(np.array(w.scans).tobytes()).hexdigest() == scans_sha
+    assert hashlib.sha256(poses.tobytes()).hexdigest() == poses_sha

@@ -112,3 +112,20 @@ def test_kernel_profiles_online_phases():
     assert out["offline_time"] > 0.0
     # Online phases present in the ROI profiler.
     assert "search" in result.profiler.stats or "l2_norm" in result.profiler.stats
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dof", 0), ("samples", 0), ("neighbors", 0), ("edge_step", 0.0),
+    ("edge_step", -0.1), ("edge_step", float("nan")),
+    ("edge_step", float("inf")), ("map", "map-x"),
+])
+def test_kernel_rejects_bad_config_before_setup(field, value, monkeypatch):
+    def no_setup(self, config):
+        raise AssertionError("setup ran")
+
+    monkeypatch.setattr(PrmKernel, "setup", no_setup)
+    config = PrmConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        PrmKernel().run(config)
+    with pytest.raises(ValueError, match=field):
+        PrmKernel().open_session(config)

@@ -124,9 +124,59 @@ def test_measure_clips_to_range(rng):
     free = np.argwhere(~grid.cells)
     r, c = free[len(free) // 2]
     x, y = grid.cell_to_world(int(r), int(c))
-    scan = lidar.measure(grid, x, y, 0.0, rng)
-    assert (scan >= 0.0).all()
-    assert (scan <= 5.0).all()
+    scans = lidar.measure(grid, np.array([[x, y, 0.0]]), rng)
+    assert scans.shape == (1, 12)
+    assert (scans >= 0.0).all()
+    assert (scans <= 5.0).all()
+
+
+def _free_poses(grid, n, seed):
+    rng = np.random.default_rng(seed)
+    free = np.argwhere(~grid.cells)
+    sel = free[rng.integers(0, len(free), n)]
+    return np.column_stack([
+        (sel[:, 1] + rng.uniform(0.05, 0.95, n)) * grid.resolution,
+        (sel[:, 0] + rng.uniform(0.05, 0.95, n)) * grid.resolution,
+        rng.uniform(-math.pi, math.pi, n),
+    ])
+
+
+def test_measure_batch_is_scan_by_scan_in_pose_order():
+    """One batch of poses reads, and draws noise, like one pose at a time."""
+    grid = wean_hall_like(rows=60, cols=60, seed=1)
+    lidar = Lidar(n_beams=9, max_range=6.0, noise_sigma=0.2)
+    poses = _free_poses(grid, 7, 4)
+    rng_batch, rng_single = np.random.default_rng(5), np.random.default_rng(5)
+    batch = lidar.measure(grid, poses, rng_batch)
+    single = np.vstack([lidar.measure(grid, pose[None, :], rng_single)
+                        for pose in poses])
+    assert batch.shape == (7, 9)
+    assert np.array_equal(batch.view(np.int64), single.view(np.int64))
+    assert rng_batch.random() == rng_single.random()
+
+
+def test_measure_empty_pose_batch(rng):
+    grid = wean_hall_like(rows=40, cols=40, seed=0)
+    lidar = Lidar(n_beams=5)
+    scans = lidar.measure(grid, np.empty((0, 3)), rng)
+    assert scans.shape == (0, 5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_measure_rejects_non_finite_pose(column, bad):
+    grid = wean_hall_like(rows=40, cols=40, seed=0)
+    poses = np.full((3, 3), 1.0)
+    poses[1, column] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Lidar(n_beams=4).measure(grid, poses)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 4)])
+def test_measure_rejects_poses_of_another_shape(shape):
+    grid = wean_hall_like(rows=40, cols=40, seed=0)
+    with pytest.raises(ValueError, match=r"\(n, 3\)"):
+        Lidar(n_beams=4).measure(grid, np.ones(shape))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -143,7 +193,7 @@ def test_noiseless_measure_within_half_cell_of_expected_ranges(seed):
         y = (r + rng.uniform(0.05, 0.95)) * grid.resolution
         poses.append([x, y, rng.uniform(-math.pi, math.pi)])
     poses = np.array(poses)
-    scans = np.array([lidar.measure(grid, *pose, rng=None) for pose in poses])
+    scans = lidar.measure(grid, poses)
     gap = scans - lidar.expected_ranges_batch(grid, poses)
     slack = 1e-9 * grid.resolution
     assert gap.min() >= -slack
