@@ -119,11 +119,13 @@ class BayesianOptimizer:
 class BoConfig(KernelConfig):
     """Configuration of the bo kernel (paper: 45 learning iterations)."""
 
-    iterations: int = option(45, "Bayesian optimization iterations")
-    candidates: int = option(512, "Acquisition candidate pool size")
+    iterations: int = option(45, "Bayesian optimization iterations", at_least=1)
+    candidates: int = option(512, "Acquisition candidate pool size", at_least=1)
     beta: float = option(2.0, "UCB exploration weight")
     goal_x: float = option(3.0, "Target landing distance (m)")
-    acquisition: str = option("ucb", "Acquisition function: ucb or ei")
+    acquisition: str = option(
+        "ucb", "Acquisition function: ucb or ei", choices=("ucb", "ei")
+    )
 
 
 @registry.register

@@ -86,9 +86,11 @@ class CrossEntropyMethod:
 class CemConfig(KernelConfig):
     """Configuration of the cem kernel (paper: 5 iterations x 15 samples)."""
 
-    iterations: int = option(5, "CEM iterations")
-    samples: int = option(15, "Samples per iteration")
-    elite_fraction: float = option(0.3, "Elite fraction refit each iteration")
+    iterations: int = option(5, "CEM iterations", at_least=1)
+    samples: int = option(15, "Samples per iteration", at_least=1)
+    elite_fraction: float = option(
+        0.3, "Elite fraction refit each iteration", above=0, at_most=1
+    )
     goal_x: float = option(3.0, "Target landing distance (m)")
 
 

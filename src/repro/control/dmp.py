@@ -248,10 +248,10 @@ def demonstration_trajectory(
 class DmpConfig(KernelConfig):
     """Configuration of the dmp kernel."""
 
-    basis: int = option(30, "Number of Gaussian basis functions")
-    demo_steps: int = option(200, "Demonstration length (samples)")
-    dt: float = option(0.005, "Rollout integration step (s)")
-    k_gain: float = option(400.0, "Spring constant of the attractor")
+    basis: int = option(30, "Number of Gaussian basis functions", at_least=2)
+    demo_steps: int = option(200, "Demonstration length (samples)", at_least=3)
+    dt: float = option(0.005, "Rollout integration step (s)", above=0)
+    k_gain: float = option(400.0, "Spring constant of the attractor", at_least=0)
 
 
 @registry.register

@@ -259,11 +259,11 @@ def reference_trajectory(
 class MpcConfig(KernelConfig):
     """Configuration of the mpc kernel."""
 
-    steps: int = option(150, "Reference trajectory length (control steps)")
-    horizon: int = option(12, "MPC lookahead horizon")
-    dt: float = option(0.1, "Control period (s)")
+    steps: int = option(150, "Reference trajectory length (control steps)", at_least=1)
+    horizon: int = option(12, "MPC lookahead horizon", at_least=1)
+    dt: float = option(0.1, "Control period (s)", above=0)
     speed: float = option(8.0, "Reference speed (m/s)")
-    iterations: int = option(3, "Linearize-solve iterations per step")
+    iterations: int = option(3, "Linearize-solve iterations per step", at_least=1)
 
 
 @registry.register

@@ -6,10 +6,6 @@ for the experiment index); :mod:`.registry` maps experiment ids
 and the ``EXPERIMENTS.md`` generator share one source of truth.
 """
 
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    run_experiment,
-    run_experiment_recorded,
-)
+from repro.experiments.registry import EXPERIMENTS, run_experiment
 
-__all__ = ["EXPERIMENTS", "run_experiment", "run_experiment_recorded"]
+__all__ = ["EXPERIMENTS", "run_experiment"]

@@ -1,16 +1,8 @@
-"""Experiment registry: id -> runner, shared by benchmarks and docs.
-
-Every runner can also be driven through :func:`run_experiment_recorded`,
-which wraps the run in a :class:`~repro.results.record.RunRecord`
-(experiment id, wall clock, environment fingerprint, JSON-able payload)
-and appends it to the result history — so paper-figure regenerations
-leave the same comparable trail as the bench/suite/rt commands.
-"""
+"""Experiment registry: id -> runner, shared by benchmarks and docs."""
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 from repro.experiments.characterization import run_characterization
 from repro.experiments.fig21_comparison import run_fig21
@@ -63,24 +55,3 @@ def run_experiment(experiment_id: str, **kwargs: Any) -> Any:
         ) from None
     return runner(**kwargs)
 
-
-def run_experiment_recorded(
-    experiment_id: str, store: Optional[Any] = None, **kwargs: Any
-) -> Any:
-    """Run an experiment and append a :class:`RunRecord` of it to history.
-
-    Returns the record; the runner's raw payload is available as
-    ``record.detail["payload"]``.  ``store`` defaults to the standard
-    ``.rtrbench_results/`` store (pass a
-    :class:`~repro.results.store.ResultStore` to redirect).
-    """
-    from repro.results import ResultStore, record_from_experiment
-
-    t0 = time.perf_counter()
-    payload = run_experiment(experiment_id, **kwargs)
-    wall_s = time.perf_counter() - t0
-    record = record_from_experiment(experiment_id, wall_s, payload)
-    if store is None:
-        store = ResultStore()
-    store.save(record)
-    return record

@@ -161,12 +161,9 @@ def _cmd_run(argv: List[str]) -> int:
         # bool field as a toggle flag, so ``str(value)`` positionals would
         # misparse — emit the bare flag only when the value differs from
         # the field's default (i.e. when the toggle actually fires).
-        defaults = {}
-        for f in dataclasses.fields(cls.config_cls):
-            if f.default is not dataclasses.MISSING:
-                defaults[f.name] = f.default
-            elif f.default_factory is not dataclasses.MISSING:  # type: ignore[misc]
-                defaults[f.name] = f.default_factory()  # type: ignore[misc]
+        defaults = {
+            f.name: f.default for f in dataclasses.fields(cls.config_cls)
+        }
         expanded = []
         for key, value in overrides.items():
             flag = "--" + key.replace("_", "-")

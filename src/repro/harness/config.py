@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
+import operator
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional, Type, TypeVar
+from typing import Any, Dict, Optional, Tuple, Type, TypeVar
 
 C = TypeVar("C", bound="KernelConfig")
 
@@ -72,11 +74,65 @@ def rt_defaults(kernel_name: str) -> RTTaskDefaults:
     return RT_KERNEL_DEFAULTS.get(kernel_name, RT_FALLBACK_DEFAULTS)
 
 
-def option(default: Any, help: str, **kwargs: Any) -> Any:
-    """Declare a configurable kernel parameter with CLI help text."""
-    if callable(default) and not isinstance(default, type):
-        return field(default_factory=default, metadata={"help": help, **kwargs})
-    return field(default=default, metadata={"help": help, **kwargs})
+def option(
+    default: Any,
+    help: str,
+    *,
+    at_least: Optional[float] = None,
+    above: Optional[float] = None,
+    at_most: Optional[float] = None,
+    choices: Optional[Tuple[Any, ...]] = None,
+) -> Any:
+    """Declare a configurable kernel parameter: its default, CLI help
+    text and accepted values (inclusive ``at_least`` / ``at_most``,
+    exclusive ``above``, or a fixed set of ``choices``), which
+    :func:`check_options` enforces."""
+    bounds = dict(at_least=at_least, above=above, at_most=at_most, choices=choices)
+    return field(default=default, metadata={"help": help, **bounds})
+
+
+#: Declared bound -> (rule text, test of a value against the bound).
+_BOUNDS = {
+    "at_least": (">=", operator.ge),
+    "above": (">", operator.gt),
+    "at_most": ("<=", operator.le),
+}
+
+
+def _option_rule(f: dataclasses.Field) -> str:
+    """The values option ``f`` accepts, as text (``""`` if unbounded)."""
+    meta = f.metadata
+    rules = [
+        f"{text} {meta[key]}"
+        for key, (text, _) in _BOUNDS.items()
+        if meta.get(key) is not None
+    ]
+    if meta.get("choices") is not None:
+        rules.append("in {" + ", ".join(map(str, meta["choices"])) + "}")
+    return " and ".join(rules)
+
+
+def check_options(config: "KernelConfig", owner: str) -> None:
+    """Reject (``ValueError``) an option outside its declared bounds.
+
+    Every ``float`` value must also be finite, bounded or not; the error
+    names ``owner`` (the kernel id), the option, its rule and the value.
+    """
+    for f in fields(config):
+        value, meta = getattr(config, f.name), f.metadata
+        finite = not isinstance(value, float) or math.isfinite(value)
+        ok = finite and all(
+            test(value, meta[key])
+            for key, (_, test) in _BOUNDS.items()
+            if meta.get(key) is not None
+        )
+        if ok and meta.get("choices") is not None:
+            ok = value in meta["choices"]
+        if not ok:
+            rule = _option_rule(f)
+            if not finite:
+                rule = f"{rule} and finite" if rule else "finite"
+            raise ValueError(f"kernel {owner} needs {f.name} {rule}, got {value!r}")
 
 
 @dataclass
@@ -88,7 +144,7 @@ class KernelConfig:
     kernels so every run is reproducible.
     """
 
-    seed: int = option(0, "Random number generation seed")
+    seed: int = option(0, "Random number generation seed", at_least=0)
     output: Optional[str] = option(None, "Output file for kernel results")
     backend: str = option(
         "reference",
@@ -103,9 +159,10 @@ class KernelConfig:
         "Measured ROI executions; with N > 1 the min/median wall clock "
         "lands in the result metrics so one noisy run cannot pass for "
         "steady state",
+        at_least=1,
     )
     warmup: int = option(
-        0, "Untimed warmup executions before the measured repeats"
+        0, "Untimed warmup executions before the measured repeats", at_least=0
     )
 
     def replace(self: C, **changes: Any) -> C:
@@ -144,33 +201,33 @@ def build_arg_parser(
 
     Every dataclass field becomes ``--<name-with-dashes>``; booleans become
     flags.  Defaults come from the dataclass, matching the paper's "proper
-    default values for the configuration parameters".
+    default values for the configuration parameters".  Each declared bound
+    is printed after the default in the option's help text, and declared
+    ``choices`` also become argparse choices.
     """
     parser = argparse.ArgumentParser(prog=prog, description=description)
     for f in fields(config_cls):
         opt = "--" + f.name.replace("_", "-")
         help_text = f.metadata.get("help", f.name)
-        if f.default is not dataclasses.MISSING:
-            default = f.default
-        elif f.default_factory is not dataclasses.MISSING:  # type: ignore[misc]
-            default = f.default_factory()  # type: ignore[misc]
-        else:
-            default = None
         if f.type in (bool, "bool"):
             parser.add_argument(
                 opt,
-                action="store_false" if default else "store_true",
+                action="store_false" if f.default else "store_true",
                 dest=f.name,
                 help=help_text,
             )
         else:
+            rule = _option_rule(f)
+            choices = f.metadata.get("choices")
             parser.add_argument(
                 opt,
                 type=_cli_type(f.type),
-                default=default,
+                default=f.default,
                 dest=f.name,
-                help=f"{help_text} (default: {default})",
-                metavar="<val>",
+                choices=choices,
+                help=f"{help_text} (default: {f.default}"
+                + (f"; {rule})" if rule else ")"),
+                metavar=None if choices else "<val>",  # argparse lists choices
             )
     return parser
 

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
-from repro.harness.config import KernelConfig
+from repro.harness.config import KernelConfig, check_options
 from repro.harness.profiler import PhaseProfiler
 from repro.harness.roi import roi_begin, roi_end
 
@@ -128,7 +128,8 @@ class Kernel:
     implements: ``reference`` plus at most one optimized tier.  Every
     execution path (:meth:`run`, :meth:`open_session`) passes the config
     through :meth:`check_config` before building the workload, which
-    rejects any other backend and whatever else a kernel cannot run.
+    rejects any other backend and any option outside the bounds its
+    :func:`~repro.harness.config.option` declaration gives.
     """
 
     name: str = "kernel"
@@ -146,8 +147,9 @@ class Kernel:
     def check_config(cls, config: KernelConfig) -> None:
         """Reject a config this kernel cannot run (``ValueError``).
 
-        The base rejects a ``config.backend`` outside :attr:`backends`;
-        kernels extend it with their own limits.
+        A ``config.backend`` outside :attr:`backends` is rejected first,
+        then any option outside its declared bounds
+        (:func:`~repro.harness.config.check_options`).
         """
         if config.backend not in cls.backends:
             accepted = " | ".join(repr(b) for b in cls.backends)
@@ -155,6 +157,7 @@ class Kernel:
                 f"kernel {cls.name} has no backend {config.backend!r}; "
                 f"accepted: {accepted}"
             )
+        check_options(config, cls.name)
 
     def setup(self, config: KernelConfig) -> Any:
         """Build the workload (outside the ROI).  Returns setup state."""
@@ -237,7 +240,6 @@ class Kernel:
 
     def _run_once(self, config: KernelConfig) -> KernelResult:
         """One setup + ROI execution under a fresh profiler."""
-        self.check_config(config)
         t0 = time.perf_counter()
         state = self.setup(config)
         setup_time = time.perf_counter() - t0
@@ -270,21 +272,18 @@ class Kernel:
         """
         if config is None:
             config = self.config_cls()
-        repeats = max(1, int(getattr(config, "repeats", 1)))
-        warmup = max(0, int(getattr(config, "warmup", 0)))
-        for _ in range(warmup):
+        self.check_config(config)
+        for _ in range(config.warmup):
             self._run_once(config)
         roi_times: List[float] = []
-        result = None
-        for _ in range(repeats):
+        for _ in range(config.repeats):
             result = self._run_once(config)
             roi_times.append(result.roi_time)
-        assert result is not None
-        if repeats > 1 or warmup > 0:
+        if config.repeats > 1 or config.warmup > 0:
             result.metrics["roi_min_s"] = min(roi_times)
             result.metrics["roi_median_s"] = statistics.median(roi_times)
             result.metrics["roi_mean_s"] = statistics.fmean(roi_times)
-            result.metrics["roi_repeats"] = float(repeats)
+            result.metrics["roi_repeats"] = float(config.repeats)
         return result
 
 

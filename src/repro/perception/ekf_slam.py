@@ -239,11 +239,11 @@ def make_ekfslam_workload(
 class EkfSlamConfig(KernelConfig):
     """Configuration of the ekfslam kernel."""
 
-    landmarks: int = option(6, "Number of landmarks in the environment")
-    steps: int = option(120, "Trajectory length (filter updates)")
-    dt: float = option(0.1, "Timestep (s)")
-    range_sigma: float = option(0.1, "Range measurement noise (m)")
-    bearing_sigma: float = option(0.02, "Bearing measurement noise (rad)")
+    landmarks: int = option(6, "Number of landmarks in the environment", at_least=1)
+    steps: int = option(120, "Trajectory length (filter updates)", at_least=1)
+    dt: float = option(0.1, "Timestep (s)", above=0)
+    range_sigma: float = option(0.1, "Range measurement noise (m)", above=0)
+    bearing_sigma: float = option(0.02, "Bearing measurement noise (rad)", above=0)
 
 
 @registry.register

@@ -327,13 +327,13 @@ def make_pfl_workload(
 class PflConfig(KernelConfig):
     """Configuration of the pfl kernel."""
 
-    particles: int = option(1000, "Number of particles")
-    beams: int = option(24, "Laser beams per scan")
-    steps: int = option(25, "Trajectory length (filter updates)")
-    region: int = option(0, "Which part of the building (0-4)")
-    hit_sigma: float = option(0.3, "Beam model hit standard deviation (m)")
-    map_rows: int = option(160, "Building map height (cells)")
-    map_cols: int = option(200, "Building map width (cells)")
+    particles: int = option(1000, "Number of particles", at_least=1)
+    beams: int = option(24, "Laser beams per scan", at_least=1)
+    steps: int = option(25, "Trajectory length (filter updates)", at_least=1)
+    region: int = option(0, "Which part of the building (0-4)", at_least=0, at_most=4)
+    hit_sigma: float = option(0.3, "Beam model hit standard deviation (m)", above=0)
+    map_rows: int = option(160, "Building map height (cells)", at_least=1)
+    map_cols: int = option(200, "Building map width (cells)", at_least=1)
 
 
 @registry.register
@@ -345,21 +345,6 @@ class PflKernel(Kernel):
     config_cls = PflConfig
     description = "Particle filter localization (ray-casting bound)"
     backends = ("reference", "vectorized")
-
-    @classmethod
-    def check_config(cls, config: PflConfig) -> None:
-        """An episode needs a particle, a beam, a step and a region 0-4."""
-        super().check_config(config)
-        for name in ("particles", "beams", "steps"):
-            if getattr(config, name) < 1:
-                raise ValueError(
-                    f"kernel {cls.name} needs {name} >= 1, "
-                    f"got {getattr(config, name)}"
-                )
-        if not 0 <= config.region <= 4:
-            raise ValueError(
-                f"kernel {cls.name} needs region in 0-4, got {config.region}"
-            )
 
     def setup(self, config: PflConfig) -> PflWorkload:
         if config.backend == "vectorized":

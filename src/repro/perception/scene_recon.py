@@ -243,11 +243,11 @@ def make_srec_workload(
 class SrecConfig(KernelConfig):
     """Configuration of the srec kernel."""
 
-    frames: int = option(6, "Number of camera frames to fuse")
-    scan_points: int = option(1800, "Points per scan")
-    scene_points: int = option(9000, "Points in the underlying scene")
-    icp_iterations: int = option(15, "Max ICP iterations per frame")
-    noise_sigma: float = option(0.004, "Sensor noise std dev (m)")
+    frames: int = option(6, "Number of camera frames to fuse", at_least=1)
+    scan_points: int = option(1800, "Points per scan", at_least=1)
+    scene_points: int = option(9000, "Points in the underlying scene", at_least=1)
+    icp_iterations: int = option(15, "Max ICP iterations per frame", at_least=1)
+    noise_sigma: float = option(0.004, "Sensor noise std dev (m)", at_least=0)
 
 
 @registry.register
@@ -259,17 +259,6 @@ class SrecKernel(Kernel):
     config_cls = SrecConfig
     description = "ICP scene reconstruction (memory/NN bound)"
     backends = ("reference", "vectorized")
-
-    @classmethod
-    def check_config(cls, config: SrecConfig) -> None:
-        """An episode needs at least one frame of at least one point."""
-        super().check_config(config)
-        for name in ("frames", "scan_points"):
-            if getattr(config, name) < 1:
-                raise ValueError(
-                    f"kernel {cls.name} needs {name} >= 1, "
-                    f"got {getattr(config, name)}"
-                )
 
     def setup(self, config: SrecConfig) -> SrecWorkload:
         if config.backend == "vectorized":

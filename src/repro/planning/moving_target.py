@@ -157,11 +157,11 @@ def free_start_far_from(
 class MovtarConfig(KernelConfig):
     """Configuration of the movtar kernel."""
 
-    rows: int = option(96, "Environment height in cells")
-    cols: int = option(96, "Environment width in cells")
-    horizon: int = option(256, "Target trajectory length (timesteps)")
-    epsilon: float = option(2.0, "Weighted A* heuristic inflation")
-    bumps: int = option(6, "Number of cost-terrain bumps")
+    rows: int = option(96, "Environment height in cells", at_least=1)
+    cols: int = option(96, "Environment width in cells", at_least=1)
+    horizon: int = option(256, "Target trajectory length (timesteps)", at_least=1)
+    epsilon: float = option(2.0, "Weighted A* heuristic inflation", at_least=1)
+    bumps: int = option(6, "Number of cost-terrain bumps", at_least=0)
 
 
 @dataclass

@@ -237,12 +237,12 @@ def far_apart_free_cells(
 class Pp2dConfig(KernelConfig):
     """Configuration of the pp2d kernel."""
 
-    rows: int = option(192, "Map height in cells")
-    cols: int = option(192, "Map width in cells")
-    resolution: float = option(1.0, "Cell size (m)")
-    car_length: float = option(4.8, "Robot length (m)")
-    car_width: float = option(1.8, "Robot width (m)")
-    epsilon: float = option(1.0, "Weighted A* heuristic inflation")
+    rows: int = option(192, "Map height in cells", at_least=1)
+    cols: int = option(192, "Map width in cells", at_least=1)
+    resolution: float = option(1.0, "Cell size (m)", above=0)
+    car_length: float = option(4.8, "Robot length (m)", above=0)
+    car_width: float = option(1.8, "Robot width (m)", above=0)
+    epsilon: float = option(1.0, "Weighted A* heuristic inflation", at_least=1)
     map_file: Optional[str] = option(
         None,
         "MovingAI .map file (e.g. Boston_1_1024.map); overrides the "

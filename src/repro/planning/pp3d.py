@@ -166,11 +166,11 @@ def far_apart_free_voxels(
 class Pp3dConfig(KernelConfig):
     """Configuration of the pp3d kernel."""
 
-    nx: int = option(96, "Map x extent in voxels")
-    ny: int = option(96, "Map y extent in voxels")
-    nz: int = option(24, "Map z extent in voxels")
-    resolution: float = option(1.0, "Voxel size (m)")
-    epsilon: float = option(1.0, "Weighted A* heuristic inflation")
+    nx: int = option(96, "Map x extent in voxels", at_least=1)
+    ny: int = option(96, "Map y extent in voxels", at_least=1)
+    nz: int = option(24, "Map z extent in voxels", at_least=1)
+    resolution: float = option(1.0, "Voxel size (m)", above=0)
+    epsilon: float = option(1.0, "Weighted A* heuristic inflation", at_least=1)
 
 
 @dataclass

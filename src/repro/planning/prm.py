@@ -11,7 +11,6 @@ distances as both edge costs and heuristic.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -240,25 +239,32 @@ def distant_free_pair(
     return best
 
 
+#: The arm-planning workspaces by config name.
+WORKSPACES = {"map-c": map_c, "map-f": map_f}
+
+
 def select_workspace(name: str) -> ArmWorkspace:
     """Map a config string (``map-c`` / ``map-f``) to a workspace."""
-    key = name.strip().lower().replace("_", "-")
-    if key in ("map-c", "c", "cluttered"):
-        return map_c()
-    if key in ("map-f", "f", "free"):
-        return map_f()
-    raise ValueError(f"unknown workspace {name!r} (use map-c or map-f)")
+    try:
+        return WORKSPACES[name]()
+    except KeyError:
+        raise ValueError(
+            f"unknown workspace {name!r} (use map-c or map-f)"
+        ) from None
 
 
 @dataclass
 class PrmConfig(KernelConfig):
     """Configuration of the prm kernel."""
 
-    dof: int = option(5, "Arm degrees of freedom")
-    samples: int = option(300, "Offline roadmap samples")
-    neighbors: int = option(8, "k nearest neighbors to connect")
-    map: str = option("map-c", "Workspace: map-c (cluttered) or map-f (free)")
-    edge_step: float = option(0.15, "Edge collision-check step (rad)")
+    dof: int = option(5, "Arm degrees of freedom", at_least=1)
+    samples: int = option(300, "Offline roadmap samples", at_least=1)
+    neighbors: int = option(8, "k nearest neighbors to connect", at_least=1)
+    map: str = option(
+        "map-c", "Workspace: map-c (cluttered) or map-f (free)",
+        choices=tuple(WORKSPACES),
+    )
+    edge_step: float = option(0.15, "Edge collision-check step (rad)", above=0)
 
 
 @dataclass
@@ -279,27 +285,6 @@ class PrmKernel(Kernel):
     stage = "planning"
     config_cls = PrmConfig
     description = "Probabilistic roadmap arm planning (search + L2 bound)"
-
-    @classmethod
-    def check_config(cls, config: PrmConfig) -> None:
-        """A roadmap needs a joint, a sample, a neighbor, a finite
-        positive edge step and a known map."""
-        super().check_config(config)
-        for name in ("dof", "samples", "neighbors"):
-            if getattr(config, name) < 1:
-                raise ValueError(
-                    f"kernel {cls.name} needs {name} >= 1, "
-                    f"got {getattr(config, name)}"
-                )
-        if not (math.isfinite(config.edge_step) and config.edge_step > 0):
-            raise ValueError(
-                f"kernel {cls.name} needs a finite edge_step > 0, "
-                f"got {config.edge_step}"
-            )
-        try:
-            select_workspace(config.map)
-        except ValueError as exc:
-            raise ValueError(f"kernel {cls.name}: bad map: {exc}") from None
 
     def setup(self, config: PrmConfig) -> PrmWorkload:
         workspace = select_workspace(config.map)

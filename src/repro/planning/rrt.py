@@ -19,7 +19,7 @@ from repro.geometry.kdtree import KDTree, LinearNN
 from repro.harness.config import KernelConfig, option
 from repro.harness.profiler import PhaseProfiler
 from repro.harness.runner import Kernel, registry
-from repro.planning.prm import distant_free_pair, select_workspace
+from repro.planning.prm import WORKSPACES, distant_free_pair, select_workspace
 from repro.robots.arm import PlanarArm
 
 
@@ -202,12 +202,18 @@ class RRT:
 class RrtConfig(KernelConfig):
     """Configuration of the rrt kernel (mirrors the paper's Fig. 20 CLI)."""
 
-    dof: int = option(5, "Arm degrees of freedom")
-    map: str = option("map-c", "Workspace: map-c (cluttered) or map-f (free)")
-    epsilon: float = option(0.5, "Epsilon (minimum movement, rad)")
-    bias: float = option(0.1, "Random number generation bias (goal bias)")
-    samples: int = option(4000, "Maximum samples")
-    radius: float = option(0.8, "Neighborhood distance (goal threshold)")
+    dof: int = option(5, "Arm degrees of freedom", at_least=1)
+    map: str = option(
+        "map-c", "Workspace: map-c (cluttered) or map-f (free)",
+        choices=tuple(WORKSPACES),
+    )
+    epsilon: float = option(0.5, "Epsilon (minimum movement, rad)", above=0)
+    bias: float = option(
+        0.1, "Random number generation bias (goal bias)",
+        at_least=0, at_most=1,
+    )
+    samples: int = option(4000, "Maximum samples", at_least=1)
+    radius: float = option(0.8, "Neighborhood distance (goal threshold)", at_least=0)
 
 
 @dataclass
@@ -231,19 +237,6 @@ def make_arm_workload(
     return ArmPlanWorkload(arm=arm, workspace=workspace, start=start, goal=goal)
 
 
-#: Limits of the family's options: (test, rule) per config field, checked
-#: on the kernels whose config has the field.
-_LIMITS = {
-    "dof": (lambda v: v >= 1, ">= 1"),
-    "samples": (lambda v: v >= 1, ">= 1"),
-    "epsilon": (lambda v: v > 0, "> 0"),
-    "bias": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "radius": (lambda v: v >= 0, ">= 0"),
-    "gamma": (lambda v: v > 0, "> 0"),
-    "shortcut_iterations": (lambda v: v >= 0, ">= 0"),
-}
-
-
 @registry.register
 class RrtKernel(Kernel):
     """RRT arm planning (collision + nearest-neighbor bound).
@@ -258,21 +251,6 @@ class RrtKernel(Kernel):
     description = "RRT arm planning (collision + NN bound)"
     backends = ("reference", "array")
     planner_cls = RRT
-
-    @classmethod
-    def check_config(cls, config: RrtConfig) -> None:
-        """Reject options the planner cannot run before setup."""
-        super().check_config(config)
-        for name, (ok, rule) in _LIMITS.items():
-            value = getattr(config, name, None)
-            if value is not None and not ok(value):
-                raise ValueError(
-                    f"kernel {cls.name} needs {name} {rule}, got {value}"
-                )
-        try:
-            select_workspace(config.map)
-        except ValueError as exc:
-            raise ValueError(f"kernel {cls.name}: bad map: {exc}") from None
 
     def setup(self, config: RrtConfig) -> ArmPlanWorkload:
         return make_arm_workload(config.dof, config.map, config.seed)

@@ -68,7 +68,7 @@ def shortcut_path(
 class RrtPpConfig(RrtConfig):
     """Configuration of the rrtpp kernel."""
 
-    shortcut_iterations: int = option(150, "Shortcutting attempts")
+    shortcut_iterations: int = option(150, "Shortcutting attempts", at_least=0)
 
 
 @registry.register

@@ -151,7 +151,7 @@ class RRTStar(RRT):
 class RrtStarConfig(RrtConfig):
     """Configuration of the rrtstar kernel."""
 
-    gamma: float = option(3.0, "Rewiring radius scale factor")
+    gamma: float = option(3.0, "Rewiring radius scale factor", above=0)
 
 
 @registry.register

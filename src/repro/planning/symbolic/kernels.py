@@ -19,9 +19,12 @@ from repro.planning.symbolic.planner import (
 class SymBlkwConfig(KernelConfig):
     """Configuration of the sym-blkw kernel."""
 
-    blocks: int = option(5, "Number of blocks")
-    goal: str = option("reverse", "Goal preset: reverse or spread")
-    epsilon: float = option(1.0, "Weighted A* heuristic inflation")
+    blocks: int = option(5, "Number of blocks", at_least=2)
+    goal: str = option(
+        "reverse", "Goal preset: reverse or spread",
+        choices=("reverse", "spread"),
+    )
+    epsilon: float = option(1.0, "Weighted A* heuristic inflation", at_least=1)
 
 
 @registry.register
@@ -47,8 +50,8 @@ class SymBlkwKernel(Kernel):
 class SymFextConfig(KernelConfig):
     """Configuration of the sym-fext kernel."""
 
-    locations: int = option(5, "Number of generic locations")
-    epsilon: float = option(1.0, "Weighted A* heuristic inflation")
+    locations: int = option(5, "Number of generic locations", at_least=2)
+    epsilon: float = option(1.0, "Weighted A* heuristic inflation", at_least=1)
 
 
 @registry.register

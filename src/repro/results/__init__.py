@@ -1,11 +1,11 @@
 """Unified run-record pipeline: typed results, versioned storage, gates.
 
 Every result producer in the suite — the hot-path perf bench, the
-parallel suite executor, the periodic real-time runner, the experiment
-registry — emits one :class:`~repro.results.record.RunRecord`: a typed,
-schema-versioned document holding flat named measurements, kernel/config
-provenance, and an environment fingerprint (interpreter, numpy, CPU
-count, git sha, thread-env pinning).  Records are appended to a local
+parallel suite executor, the periodic real-time runner — emits one
+:class:`~repro.results.record.RunRecord`: a typed, schema-versioned
+document holding flat named measurements, kernel/config provenance,
+and an environment fingerprint (interpreter, numpy, CPU count, git sha,
+thread-env pinning).  Records are appended to a local
 history store (:mod:`repro.results.store`, ``.rtrbench_results/``),
 compared across runs and machines (:mod:`repro.results.compare`), and
 judged by a *declarative* gate engine (:mod:`repro.results.gates`) that
@@ -19,7 +19,6 @@ never the other way around.
 
 from repro.results.adapters import (
     record_from_bench,
-    record_from_experiment,
     record_from_rt,
     record_from_suite,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "gates_from_dicts",
     "pinned_thread_env",
     "record_from_bench",
-    "record_from_experiment",
     "record_from_rt",
     "record_from_suite",
     "render_gate_results",

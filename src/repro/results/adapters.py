@@ -20,7 +20,6 @@ from repro.results.record import (
     EnvironmentFingerprint,
     Measurement,
     RunRecord,
-    capture_environment,
 )
 
 
@@ -273,23 +272,3 @@ def record_from_rt(
         detail=_jsonable(dict(report)),
     )
 
-
-# -- experiments ---------------------------------------------------------------
-
-
-def record_from_experiment(
-    experiment_id: str,
-    wall_s: float,
-    payload: Any,
-    env: Optional[EnvironmentFingerprint] = None,
-) -> RunRecord:
-    """Record for one experiment-registry run (wall clock + raw payload)."""
-    if env is None:
-        env = capture_environment()
-    return RunRecord(
-        kind="experiment",
-        environment=env,
-        provenance={"experiment": experiment_id},
-        measurements={"experiment.wall_s": _seconds(wall_s)},
-        detail={"experiment": experiment_id, "payload": _jsonable(payload)},
-    )

@@ -112,6 +112,30 @@ def test_run_kernel_help_exits_zero(capsys):
     assert "--bias" in out
 
 
+def test_run_kernel_help_lists_choices_and_bounds(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "rrt", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{map-c,map-f}" in out
+    assert "(default: 4000; >= 1)" in out
+
+
+def test_run_rejects_a_value_outside_the_declared_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "bo", "--acquisition", "nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'ucb'" in err and "'ei'" in err
+
+
+def test_run_rejects_a_value_outside_the_declared_bounds(capsys):
+    assert main(["run", "ekfslam", "--steps", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "steps >= 1" in err
+    assert "Traceback" not in err
+
+
 def test_run_small_kernel_end_to_end(capsys):
     assert main(["run", "cem", "--iterations", "1", "--samples", "3"]) == 0
     out = capsys.readouterr().out

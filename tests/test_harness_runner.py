@@ -1,9 +1,11 @@
 """Tests for the kernel runner and registry."""
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import pytest
 
+from repro.envs import inputsets
 from repro.harness.config import KernelConfig, option
 from repro.harness.profiler import PhaseProfiler
 from repro.harness.runner import (
@@ -182,6 +184,92 @@ def test_kernel_rejects_backends_it_does_not_have(name):
             cls().run(config)
         with pytest.raises(ValueError, match=f"{backend!r}"):
             cls().open_session(config)
+
+
+_NAN = float("nan")
+
+#: (kernel, option, value) configs that each kernel must refuse before
+#: its setup runs: values that once crashed deep in setup or the ROI,
+#: or returned NaN or an empty measurement as if it were a result.
+_REJECTED = [
+    ("02.ekfslam", "steps", 0), ("02.ekfslam", "dt", 0.0),
+    ("02.ekfslam", "landmarks", 0), ("02.ekfslam", "bearing_sigma", 0.0),
+    ("02.ekfslam", "range_sigma", _NAN), ("02.ekfslam", "seed", -1),
+    ("03.srec", "icp_iterations", 0), ("03.srec", "scene_points", 0),
+    ("03.srec", "noise_sigma", -0.1),
+    ("04.pp2d", "car_length", 0.0), ("04.pp2d", "car_width", -1.0),
+    ("04.pp2d", "resolution", _NAN), ("04.pp2d", "epsilon", 0.5),
+    ("05.pp3d", "nx", 0), ("06.movtar", "rows", 0),
+    ("06.movtar", "horizon", 0), ("06.movtar", "bumps", -1),
+    ("07.prm", "map", "cluttered"), ("08.rrt", "seed", -1),
+    ("08.rrt", "epsilon", float("inf")), ("08.rrt", "map", "MAP_F"),
+    ("11.sym-blkw", "goal", "tower"), ("12.sym-fext", "epsilon", 0.5),
+    ("13.dmp", "dt", 0.0), ("13.dmp", "k_gain", -5.0),
+    ("14.mpc", "steps", 0), ("14.mpc", "speed", _NAN),
+    ("15.cem", "iterations", 0), ("15.cem", "samples", 0),
+    ("15.cem", "goal_x", _NAN), ("15.cem", "seed", -1),
+    ("16.bo", "candidates", 0), ("16.bo", "iterations", 0),
+    ("16.bo", "beta", _NAN), ("16.bo", "acquisition", "pi"),
+    ("01.pfl", "map_rows", 0), ("01.pfl", "repeats", 0),
+    ("01.pfl", "warmup", -1),
+]
+
+
+@pytest.mark.parametrize("name, field_name, value", _REJECTED)
+def test_kernel_rejects_bad_option_before_setup(
+    name, field_name, value, monkeypatch
+):
+    cls = registry.get(name)
+
+    def no_setup(self, config):
+        raise AssertionError("setup ran")
+
+    monkeypatch.setattr(cls, "setup", no_setup)
+    config = cls.config_cls(**{field_name: value})
+    with pytest.raises(ValueError, match=f"{name} needs {field_name} "):
+        cls().run(config)
+    with pytest.raises(ValueError, match=f"{name} needs {field_name} "):
+        cls().open_session(config)
+
+
+def _bounded_values(f):
+    """Each value on the edge of option ``f``'s declared bounds, plus
+    whether it is accepted (an exclusive ``above`` bound is not)."""
+    meta = f.metadata
+    for key in ("at_least", "at_most"):
+        if meta.get(key) is not None:
+            yield type(f.default)(meta[key]), True
+    if meta.get("above") is not None:
+        bound = float(meta["above"])
+        yield bound, False
+        yield math.nextafter(bound, math.inf), True
+    for choice in meta.get("choices") or ():
+        yield choice, True
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_declared_bounds_are_inclusive_at_their_edges(name):
+    cls = registry.get(name)
+    edges = 0
+    for f in fields(cls.config_cls):
+        for value, accepted in _bounded_values(f):
+            edges += 1
+            config = cls.config_cls(**{f.name: value})
+            if accepted:
+                cls.check_config(config)
+            else:
+                with pytest.raises(ValueError, match=f"needs {f.name} "):
+                    cls.check_config(config)
+    assert edges >= 4  # seed, repeats, warmup and the kernel's own
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_every_inputset_and_backend_passes_the_check(name):
+    cls = registry.get(name)
+    presets = inputsets.INPUTSETS[name.split(".", 1)[1]]
+    for overrides in presets.values():
+        for backend in cls.backends:
+            cls.check_config(cls.config_cls(backend=backend, **overrides))
 
 
 def test_run_kernel_with_overrides():

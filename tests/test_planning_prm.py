@@ -97,12 +97,12 @@ def test_distant_free_pair_distance_bounds():
     assert 2.0 <= float(np.linalg.norm(a - b)) <= 4.0
 
 
-def test_select_workspace_aliases():
+def test_select_workspace_takes_only_the_declared_names():
     assert select_workspace("map-c").name == "Map-C"
-    assert select_workspace("MAP_F").name == "Map-F"
-    assert select_workspace("cluttered").name == "Map-C"
-    with pytest.raises(ValueError):
-        select_workspace("mars")
+    assert select_workspace("map-f").name == "Map-F"
+    for name in ("MAP_F", "cluttered", "c", "mars"):
+        with pytest.raises(ValueError, match="map-c or map-f"):
+            select_workspace(name)
 
 
 def test_kernel_profiles_online_phases():
