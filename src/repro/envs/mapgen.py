@@ -30,6 +30,34 @@ from repro.envs.cache import cached_workload
 from repro.geometry.grid2d import OccupancyGrid2D
 from repro.geometry.grid3d import OccupancyGrid3D
 
+# The smallest floorplan :func:`wean_hall_like` lays out as one connected
+# free space, so any two free cells (every pfl region's start and goal)
+# have a path between them.  Smaller maps fail in pfl setup or leave a
+# pocket that some seeds' trajectories cannot reach.
+#
+# Rows >= 5: each room's depth is drawn from [rows // 10, rows // 5),
+# which is empty below 5 rows (rooms are laid out on every map 9 or more
+# columns wide).  From 5 rows on, both corridor centre rows lie inside
+# the one-cell border.
+#
+# Columns >= 16: the corridors span columns 2..cols-3, and the only
+# walls added after carving are max(2, cols // 60) two-cell pillars,
+# each in the row just above a corridor's centre row (the *pillar row*).
+# The free space stays connected when no run of pillars closes a pillar
+# row or a room's side of it:
+# - a corridor is cols - 4 cells wide, so two pillars can close it up to
+#   cols = 8 and cut the map in two (e.g. 100 x 8, seed 5);
+# - below 80 rows the upper corridor is 3 rows high and its rooms open
+#   onto its pillar row.  A room is at least cols // 16 + 1 cells wide:
+#   one cell below 16 columns, and a one-cell room at the corridor's far
+#   end touches only 4 pillar-row cells, which two pillars can fill
+#   (e.g. 12 x 15, seed 388: no path for region 4).
+# From 16 columns on, a room touches at least max(cols // 16, 2) + 3
+# pillar-row cells and a corridor is cols - 4 cells wide: both more than
+# the max(4, 2 * (cols // 60)) cells the pillars fill.
+WEAN_HALL_MIN_ROWS = 5
+WEAN_HALL_MIN_COLS = 16
+
 
 @cached_workload("wean_hall_like")
 def wean_hall_like(

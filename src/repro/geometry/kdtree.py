@@ -145,34 +145,46 @@ class KDTree:
         k: int,
         count: Optional[CountFn] = None,
     ) -> List[Tuple[np.ndarray, Any, float]]:
-        """The k closest points, nearest first."""
+        """The k closest points, nearest first.
+
+        Depth first, near side first, with an explicit stack so a
+        degenerate (chain-shaped) tree cannot overflow Python's recursion
+        limit.  A far subtree's entry carries its splitting offset: the
+        pruning test runs when the entry is popped, after the near subtree
+        is done, as a recursive descent would run it.
+        """
         q = np.asarray(query, dtype=float)
         heap: List[Tuple[float, int, _Node]] = []  # max-heap via negated dist
-        counter = [0]
-        tiebreak = [0]
-
-        def visit(node: Optional[_Node]) -> None:
-            if node is None:
-                return
-            counter[0] += 1
+        visits = 0
+        tiebreak = 0
+        # (node, None) visits node; (node, diff) first prunes it by diff.
+        stack: List[Tuple[_Node, Optional[float]]] = []
+        if self._root is not None:
+            stack.append((self._root, None))
+        while stack:
+            node, offset = stack.pop()
+            if offset is not None and not (
+                len(heap) < k or offset * offset < -heap[0][0]
+            ):
+                continue
+            visits += 1
             d2 = float(np.sum((node.point - q) ** 2))
             if len(heap) < k:
-                tiebreak[0] += 1
-                heapq.heappush(heap, (-d2, tiebreak[0], node))
+                tiebreak += 1
+                heapq.heappush(heap, (-d2, tiebreak, node))
             elif d2 < -heap[0][0]:
-                tiebreak[0] += 1
-                heapq.heapreplace(heap, (-d2, tiebreak[0], node))
+                tiebreak += 1
+                heapq.heapreplace(heap, (-d2, tiebreak, node))
             axis = node.axis
             diff = q[axis] - node.point[axis]
             near, far = (node.left, node.right) if diff < 0 else (node.right, node.left)
-            visit(near)
-            if len(heap) < k or diff * diff < -heap[0][0]:
-                visit(far)
-
-        visit(self._root)
-        self.visits += counter[0]
+            if far is not None:
+                stack.append((far, diff))
+            if near is not None:
+                stack.append((near, None))
+        self.visits += visits
         if count is not None:
-            count("nn_node_visits", counter[0])
+            count("nn_node_visits", visits)
         ordered = sorted(heap, key=lambda item: -item[0])
         return [
             (node.point, node.data, float(np.sqrt(-negd2)))
@@ -185,30 +197,33 @@ class KDTree:
         radius: float,
         count: Optional[CountFn] = None,
     ) -> List[Tuple[np.ndarray, Any, float]]:
-        """All points within ``radius`` of the query, nearest first."""
+        """All points within ``radius`` of the query, nearest first.
+
+        The same explicit-stack descent as :meth:`k_nearest`; the pruning
+        test does not change during the query, so a far subtree is pushed
+        only if it passes.
+        """
         q = np.asarray(query, dtype=float)
         r2 = radius * radius
         found: List[Tuple[np.ndarray, Any, float]] = []
-        counter = [0]
-
-        def visit(node: Optional[_Node]) -> None:
-            if node is None:
-                return
-            counter[0] += 1
+        visits = 0
+        stack: List[_Node] = [] if self._root is None else [self._root]
+        while stack:
+            node = stack.pop()
+            visits += 1
             d2 = float(np.sum((node.point - q) ** 2))
             if d2 <= r2:
                 found.append((node.point, node.data, float(np.sqrt(d2))))
             axis = node.axis
             diff = q[axis] - node.point[axis]
             near, far = (node.left, node.right) if diff < 0 else (node.right, node.left)
-            visit(near)
-            if diff * diff <= r2:
-                visit(far)
-
-        visit(self._root)
-        self.visits += counter[0]
+            if far is not None and diff * diff <= r2:
+                stack.append(far)
+            if near is not None:
+                stack.append(near)
+        self.visits += visits
         if count is not None:
-            count("nn_node_visits", counter[0])
+            count("nn_node_visits", visits)
         found.sort(key=lambda item: item[2])
         return found
 

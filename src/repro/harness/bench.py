@@ -44,6 +44,7 @@ from repro.geometry.raycast import (
     cast_rays_dda_batch,
     cast_rays_dda_lockstep,
     load_core,
+    ray_slices,
 )
 from repro.planning.pp3d import far_apart_free_voxels, plan_3d
 from repro.search.dijkstra import backward_dijkstra_grid
@@ -108,7 +109,10 @@ def bench_raycast(smoke: bool = False, seed: int = 7) -> Dict[str, float]:
     256 particles x 60 beams over a 320x400 building map at 0.125 m
     resolution (a standard indoor mapping resolution; the work, one check
     per cell crossed, grows as 1/resolution).  Rays are capped at 12 m
-    like the pfl lidar.
+    like the pfl lidar.  ``slices`` is the number of CPU slices each
+    timed call of the compiled caster cut its batch into
+    (:func:`~repro.geometry.raycast.ray_slices`), so a record tells a
+    one-core speedup from a multi-core one.
     """
     if smoke:
         grid = wean_hall_like(rows=160, cols=200, resolution=0.25, seed=seed)
@@ -154,6 +158,7 @@ def bench_raycast(smoke: bool = False, seed: int = 7) -> Dict[str, float]:
         "reference_cpu_s": ref_cpu,
         "vectorized_cpu_s": vec_cpu,
         "speedup": ref_s / vec_s,
+        "slices": ray_slices(len(xs)),
         "ops": ref_ops[0],
     }
 

@@ -126,8 +126,8 @@ class Kernel:
 
     :attr:`backends` lists the ``config.backend`` values the kernel
     implements: ``reference`` plus at most one optimized tier.  Every
-    execution path (:meth:`run`, :meth:`open_session`) passes the config
-    through :meth:`check_config` before building the workload, which
+    entry point (:meth:`run`, :meth:`open_session`) passes the config
+    through :meth:`check_config` once, before building the workload, which
     rejects any other backend and any option outside the bounds its
     :func:`~repro.harness.config.option` declaration gives.
     """
@@ -205,13 +205,23 @@ class Kernel:
 
         ``state=None`` builds the workload via :meth:`setup` first (an
         explicit ``state`` lets callers reuse one workload across many
-        episodes — the per-step real-time mode).  The one place a
-        session is built: the inherited :meth:`run_roi` opens its
-        session here too.
+        episodes — the per-step real-time mode).  The config passes
+        :meth:`check_config` first.
         """
         if config is None:
             config = self.config_cls()
         self.check_config(config)
+        return self._begin_session(config, state, profiler)
+
+    def _begin_session(
+        self,
+        config: KernelConfig,
+        state: Any,
+        profiler: Optional[PhaseProfiler],
+    ) -> StepSession:
+        """:meth:`open_session` after its check: the one place a session
+        is built.  The inherited :meth:`run_roi` comes here directly,
+        because :meth:`run` checked the config before timing the ROI."""
         if state is None:
             state = self.setup(config)
         if profiler is None:
@@ -228,12 +238,13 @@ class Kernel:
     ) -> Any:
         """Execute the measured region.
 
-        Steppable kernels inherit this: it opens a session and drives
-        every step back-to-back.  Batch kernels must override it.
+        Steppable kernels inherit this: it opens a session (without a
+        second :meth:`check_config`) and drives every step back-to-back.
+        Batch kernels must override it.
         """
         if not self.is_steppable():
             raise NotImplementedError
-        session = self.open_session(config, state, profiler)
+        session = self._begin_session(config, state, profiler)
         while not session.exhausted:
             session.step()
         return session.finish()

@@ -17,6 +17,7 @@ tiers never come here and need no compiler.
   the next call retries it.
 * ``-ffp-contract=off`` forbids fused multiply-adds, so every float the
   cores compute rounds exactly as the same expression does in Python.
+* ``-pthread`` links the threads the ray caster starts within a call.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import subprocess
 import tempfile
 from typing import Callable, List, Tuple
 
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 
 
 def _compiler() -> List[str]:

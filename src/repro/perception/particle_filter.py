@@ -16,7 +16,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.envs.mapgen import wean_hall_like
+from repro.envs.mapgen import (
+    WEAN_HALL_MIN_COLS,
+    WEAN_HALL_MIN_ROWS,
+    wean_hall_like,
+)
 from repro.geometry import raycast
 from repro.geometry.grid2d import OccupancyGrid2D
 from repro.geometry.transforms import SE2
@@ -332,8 +336,10 @@ class PflConfig(KernelConfig):
     steps: int = option(25, "Trajectory length (filter updates)", at_least=1)
     region: int = option(0, "Which part of the building (0-4)", at_least=0, at_most=4)
     hit_sigma: float = option(0.3, "Beam model hit standard deviation (m)", above=0)
-    map_rows: int = option(160, "Building map height (cells)", at_least=1)
-    map_cols: int = option(200, "Building map width (cells)", at_least=1)
+    map_rows: int = option(160, "Building map height (cells)",
+                           at_least=WEAN_HALL_MIN_ROWS)
+    map_cols: int = option(200, "Building map width (cells)",
+                           at_least=WEAN_HALL_MIN_COLS)
 
 
 @registry.register

@@ -74,15 +74,16 @@ def record_from_bench(
     """Record for a hot-path bench run (``phase -> metrics`` mapping).
 
     Mints ``<phase>.speedup`` / ``<phase>.reference_s`` /
-    ``<phase>.vectorized_s`` / ``<phase>.ops`` measurements per phase.
+    ``<phase>.vectorized_s`` / ``<phase>.ops`` measurements per phase,
+    and ``<phase>.slices`` where the phase reports one (``raycast``).
     """
     measurements: Dict[str, Measurement] = {}
     for phase, row in results.items():
         for key, value in row.items():
             if key == "speedup":
                 measurements[f"{phase}.speedup"] = _ratio(value)
-            elif key == "ops":
-                measurements[f"{phase}.ops"] = _count(value)
+            elif key in ("ops", "slices"):
+                measurements[f"{phase}.{key}"] = _count(value)
             elif key in _BENCH_FIELD_UNITS:
                 measurements[f"{phase}.{key}"] = _BENCH_FIELD_UNITS[key](value)
     provenance: Dict[str, Any] = {"phases": sorted(results), "smoke": smoke}

@@ -147,6 +147,113 @@ def test_build_validates_shape():
         KDTree.build(np.zeros(5))
 
 
+def test_chain_shaped_tree_queries_past_the_recursion_limit():
+    """Sorted inserts hang every point off its predecessor's right side:
+    a 5,000-deep chain, deeper than Python's default recursion limit."""
+    n = 5000
+    points = np.column_stack([np.arange(n, dtype=float)] * 2)
+    tree = KDTree(2)
+    for i, p in enumerate(points):
+        tree.insert(p, data=i)
+    q = [n - 0.6, n - 0.6]
+    _, data, dist = tree.nearest(q)
+    assert data == n - 1
+    assert dist == pytest.approx(0.4 * np.sqrt(2.0))
+    near = tree.k_nearest(q, 3)
+    assert [d for _, d, _ in near] == [n - 1, n - 2, n - 3]
+    hits = tree.within_radius([10.0, 10.0], 1.5)
+    assert [d for _, d, _ in hits] == [10, 9, 11]
+    counts = {}
+    end = tree.within_radius(
+        [n - 1.0, n - 1.0], 0.5,
+        count=lambda name, k: counts.__setitem__(name, k),
+    )
+    assert [d for _, d, _ in end] == [n - 1]
+    # Toward the chain's end, each node's near side is the rest of it.
+    assert counts["nn_node_visits"] == n
+
+
+def _recursive_k_nearest(tree, q, k):
+    """The recursive descent :meth:`KDTree.k_nearest` replaced: its
+    (payload, distance) answers, nearest first, and its node visits."""
+    import heapq
+
+    q = np.asarray(q, dtype=float)
+    heap, visits, tiebreak = [], [0], [0]
+
+    def visit(node):
+        if node is None:
+            return
+        visits[0] += 1
+        d2 = float(np.sum((node.point - q) ** 2))
+        if len(heap) < k:
+            tiebreak[0] += 1
+            heapq.heappush(heap, (-d2, tiebreak[0], node))
+        elif d2 < -heap[0][0]:
+            tiebreak[0] += 1
+            heapq.heapreplace(heap, (-d2, tiebreak[0], node))
+        diff = q[node.axis] - node.point[node.axis]
+        near, far = (node.left, node.right) if diff < 0 else (node.right, node.left)
+        visit(near)
+        if len(heap) < k or diff * diff < -heap[0][0]:
+            visit(far)
+
+    visit(tree._root)
+    ordered = sorted(heap, key=lambda item: -item[0])
+    return [(n.data, float(np.sqrt(-d))) for d, _, n in ordered], visits[0]
+
+
+def _recursive_within_radius(tree, q, radius):
+    """The recursive descent :meth:`KDTree.within_radius` replaced."""
+    q = np.asarray(q, dtype=float)
+    r2 = radius * radius
+    found, visits = [], [0]
+
+    def visit(node):
+        if node is None:
+            return
+        visits[0] += 1
+        d2 = float(np.sum((node.point - q) ** 2))
+        if d2 <= r2:
+            found.append((node.data, float(np.sqrt(d2))))
+        diff = q[node.axis] - node.point[node.axis]
+        near, far = (node.left, node.right) if diff < 0 else (node.right, node.left)
+        visit(near)
+        if diff * diff <= r2:
+            visit(far)
+
+    visit(tree._root)
+    found.sort(key=lambda item: item[1])
+    return found, visits[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+        min_size=1, max_size=50,
+    ),
+    q=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    k=st.integers(1, 6),
+    radius=st.sampled_from([0.0, 1.0, 2.5, 9.0]),
+)
+def test_iterative_queries_match_the_recursive_descent(points, q, k, radius):
+    """Same answers, tie order included, and the same ``nn_node_visits``
+    as the recursive descent; integer points make ties and duplicates
+    common."""
+    tree = KDTree(2)
+    for i, p in enumerate(points):
+        tree.insert([float(c) for c in p], data=i)
+    counts = []
+    got = tree.k_nearest(q, k, count=lambda _, n: counts.append(n))
+    want, want_visits = _recursive_k_nearest(tree, q, k)
+    assert [(d, dist) for _, d, dist in got] == want
+    hits = tree.within_radius(q, radius, count=lambda _, n: counts.append(n))
+    want_hits, want_hit_visits = _recursive_within_radius(tree, q, radius)
+    assert [(d, dist) for _, d, dist in hits] == want_hits
+    assert counts == [want_visits, want_hit_visits]
+
+
 # -- LinearNN ---------------------------------------------------------------
 
 

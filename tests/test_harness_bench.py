@@ -33,11 +33,15 @@ def smoke_results():
     return run_bench(smoke=True)
 
 
+#: Extra fields a phase reports: the CPU slices of raycast's timed calls.
+EXTRA_FIELDS = {"raycast": ("slices",)}
+
+
 def test_schema(smoke_results):
     assert set(smoke_results) == set(PHASES)
     for phase in PHASES:
         row = smoke_results[phase]
-        assert set(row) == set(FIELDS)
+        assert set(row) == set(FIELDS + EXTRA_FIELDS.get(phase, ()))
         assert row["reference_s"] > 0.0
         assert row["vectorized_s"] > 0.0
         assert row["speedup"] == pytest.approx(
@@ -92,6 +96,17 @@ def test_run_bench_record_mints_phase_measurements():
         assert record.metric(f"{phase}.ops") > 0
     # The nested report survives as the record's detail payload.
     assert set(record.detail) == set(PHASES)
+
+
+def test_raycast_records_the_slices_of_its_timed_calls(smoke_results):
+    from repro.geometry.raycast import ray_slices
+
+    # Smoke mode casts 64 particles x 30 beams per call.
+    assert smoke_results["raycast"]["slices"] == ray_slices(64 * 30)
+    record = record_from_bench(smoke_results, smoke=True)
+    slices = smoke_results["raycast"]["slices"]
+    assert record.metric("raycast.slices") == slices
+    assert record.metric("collision.slices") is None
 
 
 def test_run_bench_record_pins_thread_environment():

@@ -210,8 +210,9 @@ _REJECTED = [
     ("15.cem", "goal_x", _NAN), ("15.cem", "seed", -1),
     ("16.bo", "candidates", 0), ("16.bo", "iterations", 0),
     ("16.bo", "beta", _NAN), ("16.bo", "acquisition", "pi"),
-    ("01.pfl", "map_rows", 0), ("01.pfl", "repeats", 0),
-    ("01.pfl", "warmup", -1),
+    ("01.pfl", "map_rows", 0), ("01.pfl", "map_rows", 4),
+    ("01.pfl", "map_cols", 1), ("01.pfl", "map_cols", 15),
+    ("01.pfl", "repeats", 0), ("01.pfl", "warmup", -1),
 ]
 
 
@@ -261,6 +262,27 @@ def test_declared_bounds_are_inclusive_at_their_edges(name):
                 with pytest.raises(ValueError, match=f"needs {f.name} "):
                     cls.check_config(config)
     assert edges >= 4  # seed, repeats, warmup and the kernel's own
+
+
+#: (kernel, options) configs on the edge of their declared bounds that
+#: must run end to end, not only pass the check.  pfl's smallest maps
+#: (``mapgen.WEAN_HALL_MIN_ROWS`` x ``WEAN_HALL_MIN_COLS``, alone and with
+#: the other side at its default) build every region.
+_ACCEPTED = [
+    ("01.pfl", dict(map_rows=rows, map_cols=cols, region=region, seed=seed,
+                    particles=20, beams=4, steps=2))
+    for rows, cols in ((5, 16), (5, 200), (160, 16))
+    for region in range(5)
+    for seed in (0, 388)
+]
+
+
+@pytest.mark.parametrize("name, overrides", _ACCEPTED)
+def test_kernel_runs_at_the_edge_of_its_bounds(name, overrides):
+    cls = registry.get(name)
+    config = cls.config_cls(**overrides)
+    cls.check_config(config)
+    assert cls().run(config).output is not None
 
 
 @pytest.mark.parametrize("name", registry.names())
@@ -363,6 +385,38 @@ def test_session_refuses_steps_past_exhaustion_or_finalize():
     assert session.finish() is first  # idempotent
     with pytest.raises(RuntimeError, match="finalized"):
         session.step()
+
+
+def test_run_checks_a_steppable_config_once(monkeypatch):
+    """``Kernel.run`` checks the config once, before any repeat; the
+    inherited ``run_roi`` does not check it again inside the ROI."""
+    checked = []
+    check = _SteppableKernel.check_config.__func__
+
+    def counting_check(cls, config):
+        checked.append(config)
+        check(cls, config)
+
+    monkeypatch.setattr(
+        _SteppableKernel, "check_config", classmethod(counting_check)
+    )
+    result = _SteppableKernel().run(
+        _SteppableConfig(steps=3, repeats=3, warmup=1)
+    )
+    assert result.output == {"total": 3}
+    assert len(checked) == 1
+
+
+def test_bad_steppable_config_still_fails_in_open_session_and_rt(capsys):
+    from repro.harness.cli import main
+
+    with pytest.raises(ValueError, match="15.cem needs iterations >= 1"):
+        registry.get("cem")().open_session(
+            registry.get("cem").config_cls(iterations=0)
+        )
+    assert main(["rt", "cem", "--smoke", "--iterations", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "iterations >= 1" in err
 
 
 def test_steppable_kernel_runs_through_standard_runner():
