@@ -65,6 +65,15 @@ def _sample_plane(
     )
 
 
+# living_room gives each surface int(n_points * share) points.  The
+# floor's 0.25 is the largest share, so 4 points is the smallest scene
+# with any point (int(4 * 0.25) = 1; every share of 3 points rounds to 0).
+# An empty scene makes empty scans, which srec cannot register.  A
+# one-point scene makes one-point scans, which ICP registers and fusion
+# keeps.
+LIVING_ROOM_MIN_POINTS = 4
+
+
 @cached_workload("living_room")
 def living_room(
     n_points: int = 12000, seed: int = 0

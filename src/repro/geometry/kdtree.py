@@ -6,16 +6,55 @@ memory access over the sample set.  This tree supports the access pattern
 those kernels need — insert one sample, query nearest / near-radius — and
 counts node visits per query, which is the architecture-independent proxy
 for that irregular traversal work.
+
+srec's ``vectorized`` ICP instead batch-queries a fixed target cloud:
+:class:`BatchKDTree` and :class:`CertifiedNN` run an exact 3-D kd-tree in
+a small C core (``_nn.c``), compiled on first use by :mod:`repro.native`.
 """
 
 from __future__ import annotations
 
+import ctypes
 import heapq
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+import os
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.native import load_function
+
 CountFn = Callable[[str, int], None]
+
+#: C source of :class:`BatchKDTree`'s core, built on first use by
+#: :func:`load_core`.
+_CORE_SOURCE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "_nn.c"
+)
+
+
+class NNCore(NamedTuple):
+    """The compiled entry points of ``_nn.c``."""
+
+    build: Callable[..., None]
+    query: Callable[..., None]
+    certify: Callable[..., int]
+
+
+def load_core() -> NNCore:
+    """The compiled kd-tree (see :func:`repro.native.load_function`)."""
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    tree = (i64, ptr, ptr, ptr, ptr)
+    return NNCore(
+        load_function(_CORE_SOURCE, "rtr_nn_build", None, (
+            i64, ptr, ptr, ptr, ptr, ptr,
+        )),
+        load_function(_CORE_SOURCE, "rtr_nn_query", None, (
+            *tree, i64, ptr, ptr, ptr, ptr,
+        )),
+        load_function(_CORE_SOURCE, "rtr_nn_certified", i64, (
+            *tree, ptr, i64, ptr, ptr, ptr, ptr, ptr, f64, ptr,
+        )),
+    )
 
 
 class _Node:
@@ -229,38 +268,45 @@ class KDTree:
 
 
 class BatchKDTree:
-    """Exact kd-tree over a fixed ``(n, d)`` point array, queried in batches.
+    """Exact 3-D kd-tree over a fixed ``(n, 3)`` point array, queried in batches.
 
-    A thin wrapper over :class:`scipy.spatial.cKDTree` (imported on first
-    use, so processes that never batch-query never load it).  The tree
-    computes each candidate distance as a direct sum of squared coordinate
-    differences, the same arithmetic as :meth:`KDTree.nearest` and
-    :func:`_tree_distances`, so its distances are bit-identical to both.
-    Build it once per point set and query it many times: ICP queries one
-    tree per iteration.  The reported work is ``nn_queries``, one per
-    query point (the C tree does not expose node visits).
+    The tree and its queries run in a small C core (``_nn.c``), compiled
+    on first use by :mod:`repro.native`; its arrays are owned by numpy
+    and built once here.  Each candidate distance is the direct sum of
+    squared coordinate differences before the square root, the
+    arithmetic of :func:`_tree_distances` and :meth:`KDTree.nearest`, so
+    the distances are bit-identical to both.  Exactly equal distances go
+    to the lowest point index, numpy ``argmin``'s rule: every answer is
+    a brute-force scan's.  Build it once per point set and query it many
+    times: ICP queries one tree per iteration.  The reported work is
+    ``nn_queries``, one per query point.  Raises a ``RuntimeError``
+    naming the compiler if the core cannot be built.
     """
 
     def __init__(self, points: np.ndarray) -> None:
-        from scipy.spatial import cKDTree
-
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2:
-            raise ValueError("points must be an (n, d) array")
+        points = np.ascontiguousarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError("points must be an (n, 3) array")
         if len(points) == 0:
             raise ValueError("BatchKDTree() with no points")
         if not np.isfinite(points).all():
             raise ValueError("points must be finite")
-        self.dimensions = points.shape[1]
         self.points = points
-        self._tree = cKDTree(points)
+        self._core = load_core()
+        n = len(points)
+        xyz, index = np.empty((n, 3)), np.empty(n, dtype=np.int64)
+        split, axis = np.empty(n), np.empty(n, dtype=np.int8)
+        self._core.build(
+            n, points.ctypes.data, xyz.ctypes.data, index.ctypes.data,
+            split.ctypes.data, axis.ctypes.data,
+        )
+        self._arrays = (xyz, index, split, axis)
+        self._tree_args = (n, *(a.ctypes.data for a in self._arrays))
 
     def _checked(self, queries: np.ndarray) -> np.ndarray:
-        queries = np.asarray(queries, dtype=float)
-        if queries.ndim != 2 or queries.shape[1] != self.dimensions:
-            raise ValueError(
-                f"queries must be an (m, {self.dimensions}) array"
-            )
+        queries = np.ascontiguousarray(queries, dtype=float)
+        if queries.ndim != 2 or queries.shape[1] != 3:
+            raise ValueError("queries must be an (m, 3) array")
         if not np.isfinite(queries).all():
             raise ValueError("queries must be finite")
         return queries
@@ -269,11 +315,26 @@ class BatchKDTree:
         self, queries: np.ndarray, count: Optional[CountFn] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Each query's closest point: returns ``(indices, distances)``."""
-        queries = self._checked(queries)
-        if count is not None:
-            count("nn_queries", len(queries))
-        distances, indices = self._tree.query(queries)
+        indices, distances, _ = self.query_two(queries, count)
         return indices, distances
+
+    def query_two(
+        self, queries: np.ndarray, count: Optional[CountFn] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each query's closest point and second-closest distance: returns
+        ``(indices, distances, seconds)``; ``seconds`` is ``inf`` on a
+        one-point tree and equals ``distances`` on an exact tie."""
+        queries = self._checked(queries)
+        m = len(queries)
+        if count is not None:
+            count("nn_queries", m)
+        indices = np.empty(m, dtype=np.int64)
+        distances, seconds = np.empty(m), np.empty(m)
+        self._core.query(
+            *self._tree_args, m, queries.ctypes.data, indices.ctypes.data,
+            distances.ctypes.data, seconds.ctypes.data,
+        )
+        return indices, distances, seconds
 
 
 def _tree_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -308,34 +369,35 @@ class CertifiedNN:
     ``|p - q| >= |a - q| - |p - a| >= d2 - |p - a|`` (triangle
     inequality), so ``m`` is still the strictly unique nearest when
     ``|p - m| + eps < d2 - |p - a| - eps``.  Such a point keeps its match
-    and only its distance is recomputed, with :func:`_tree_distances`;
-    every other point is queried again (nearest two) and re-anchored.
+    and only its distance is recomputed, with :func:`_tree_distances`'
+    arithmetic; every other point is queried again (nearest two) and
+    re-anchored.  One call of the C core does the whole pass and updates
+    the anchors, matches and second distances in place.
 
     ``eps`` absorbs rounding.  Every distance involved is at most
     ``2 sqrt(d) M``, where ``M`` is the largest coordinate magnitude of
     the target and of every query cloud seen so far.  Each computed
     distance is within a few units in the last place (ulps) of its exact
-    value, and the tree's pruning bounds within a few ulps per tree
-    level.  ``eps = CERTIFICATE_MARGIN * M``, about 8192 ulps of ``M``,
-    covers both with room to spare; it grows with a cloud's offset from
+    value.  ``eps = CERTIFICATE_MARGIN * M``, about 8192 ulps of ``M``,
+    covers that with room to spare; it grows with a cloud's offset from
     the origin instead of being a fixed length.
 
-    Where a re-queried point's two nearest distances lie within ``eps``
-    of each other, the tree's single-nearest answer decides which of
-    them is the match, and the point is never certified from that
-    anchor.  Each call therefore returns exactly what
-    ``tree.query(queries)`` returns: the same indices and the same
-    distance bits.  Counters: ``nn_queries`` (points sent to the tree;
-    a tie's single-nearest follow-up belongs to the same point) and
-    ``nn_reused`` (points whose match was certified), which sum to the
-    number of query points.
+    A re-queried point's match is the tree's nearest, the lowest index on
+    an exact tie.  Where its two nearest distances lie within ``2 eps``
+    of each other, the test can never pass from that anchor: since
+    ``|p - m| >= |a - m| - |p - a|`` up to rounding far below ``eps``,
+    it needs ``d2 - |a - m| > 2 eps``.  Each call therefore returns
+    exactly what ``tree.query(queries)`` returns: the same indices and
+    the same distance bits.  Counters: ``nn_queries`` (points sent to
+    the tree) and ``nn_reused`` (points whose match was certified),
+    which sum to the number of query points.
     """
 
     def __init__(self, tree: BatchKDTree) -> None:
         self.tree = tree
-        self._scale = float(np.abs(tree.points).max())
+        self._scale = np.array([float(np.abs(tree.points).max())])
         self._anchors: Optional[np.ndarray] = None
-        self._matches = np.empty(0, dtype=np.intp)
+        self._matches = np.empty(0, dtype=np.int64)
         self._second = np.empty(0)
 
     def query(
@@ -349,39 +411,24 @@ class CertifiedNN:
         queries = self.tree._checked(queries)
         if self._anchors is None:
             self._anchors = queries.copy()
-            self._matches = np.zeros(len(queries), dtype=np.intp)
+            self._matches = np.zeros(len(queries), dtype=np.int64)
             self._second = np.full(len(queries), -np.inf)
         elif queries.shape != self._anchors.shape:
             raise ValueError(
                 f"queries must keep the shape {self._anchors.shape} "
                 "of the first call"
             )
-        self._scale = max(self._scale, float(np.abs(queries).max(initial=0.0)))
-        eps = CERTIFICATE_MARGIN * self._scale
-        points = self.tree.points
-        distances = _tree_distances(queries, points[self._matches])
-        moved = _tree_distances(queries, self._anchors)
-        certified = distances + eps < self._second - moved - eps
-        stale = np.flatnonzero(~certified)
-        if len(stale):
-            fresh = queries[stale]
-            pair_d, pair_i = self.tree._tree.query(fresh, k=2)
-            nearest, second = pair_d[:, 0], pair_d[:, 1]
-            matches = pair_i[:, 0]
-            tied = np.flatnonzero(second - nearest <= eps)
-            if len(tied):
-                nearest[tied], matches[tied] = self.tree._tree.query(
-                    fresh[tied]
-                )
-                # Every other point lies at least ``nearest`` away.
-                second[tied] = nearest[tied]
-            self._anchors[stale] = fresh
-            self._matches[stale] = matches
-            self._second[stale] = second
-            distances[stale] = nearest
+        distances = np.empty(len(queries))
+        stale = self.tree._core.certify(
+            *self.tree._tree_args, self.tree.points.ctypes.data,
+            len(queries), queries.ctypes.data, self._anchors.ctypes.data,
+            self._matches.ctypes.data, self._second.ctypes.data,
+            distances.ctypes.data, CERTIFICATE_MARGIN,
+            self._scale.ctypes.data,
+        )
         if count is not None:
-            count("nn_queries", len(stale))
-            count("nn_reused", len(queries) - len(stale))
+            count("nn_queries", stale)
+            count("nn_reused", len(queries) - stale)
         return self._matches.copy(), distances
 
 

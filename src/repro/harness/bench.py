@@ -210,7 +210,8 @@ def bench_collision(smoke: bool = False, seed: int = 7) -> Dict[str, float]:
 
 
 def bench_nn(smoke: bool = False, seed: int = 7) -> Dict[str, float]:
-    """Time nearest-neighbor correspondence, kd-tree loop vs batched C tree.
+    """Time nearest-neighbor correspondence, Python kd-tree loop vs the
+    compiled kd-tree core (``BatchKDTree``, ``geometry/_nn.c``).
 
     ICP-correspondence-shaped: each of the query points (a subsampled
     scan) finds its nearest model point.  Both trees are built outside

@@ -1,8 +1,9 @@
 """Build-on-first-use loader for the suite's compiled C cores.
 
-Two optimized tiers run a small C loop through :mod:`ctypes`: the
-``array`` tier's A* (``search/_astar.c``) and pfl's ``vectorized`` ray
-caster (``geometry/_raycast.c``).  :func:`load_function` compiles a
+Three optimized tiers run a small C core through :mod:`ctypes`: the
+``array`` tier's A* (``search/_astar.c``), pfl's ``vectorized`` ray
+caster (``geometry/_raycast.c``) and srec's ``vectorized`` kd-tree
+(``geometry/_nn.c``).  :func:`load_function` compiles a
 core's source with ``$CC`` (default ``cc``) on first use into the
 cache dir (``.rtrbench_cache/``, or ``RTRBENCH_CACHE_DIR``), so the
 package runs from a source checkout with no build step.  ``reference``

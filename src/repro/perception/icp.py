@@ -253,7 +253,7 @@ def icp(
             if mask.sum() < 3:
                 break
         else:
-            mask = np.ones(len(current), dtype=bool)
+            mask = slice(None)  # every pair, indexed as views: no copies
         with prof.phase("transform_estimation"):
             if target_normals is not None:
                 delta = best_fit_point_to_plane(

@@ -17,7 +17,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.envs.pointcloud import SimulatedScan, living_room, scan_trajectory
+from repro.envs.pointcloud import (
+    LIVING_ROOM_MIN_POINTS,
+    SimulatedScan,
+    living_room,
+    scan_trajectory,
+)
+from repro.geometry.kdtree import load_core
 from repro.geometry.transforms import RigidTransform3D
 from repro.harness.config import KernelConfig, option
 from repro.harness.profiler import PhaseProfiler
@@ -245,7 +251,9 @@ class SrecConfig(KernelConfig):
 
     frames: int = option(6, "Number of camera frames to fuse", at_least=1)
     scan_points: int = option(1800, "Points per scan", at_least=1)
-    scene_points: int = option(9000, "Points in the underlying scene", at_least=1)
+    scene_points: int = option(
+        9000, "Points in the underlying scene", at_least=LIVING_ROOM_MIN_POINTS
+    )
     icp_iterations: int = option(15, "Max ICP iterations per frame", at_least=1)
     noise_sigma: float = option(0.004, "Sensor noise std dev (m)", at_least=0)
 
@@ -262,8 +270,7 @@ class SrecKernel(Kernel):
 
     def setup(self, config: SrecConfig) -> SrecWorkload:
         if config.backend == "vectorized":
-            # BatchKDTree's lazy import, paid here rather than in the ROI.
-            import scipy.spatial  # noqa: F401
+            load_core()  # builds the kd-tree core here, not in the ROI
         return make_srec_workload(
             n_frames=config.frames,
             scene_points=config.scene_points,

@@ -34,6 +34,7 @@ from repro.geometry.kdtree import (
     CertifiedNN,
     KDTree,
     LinearNN,
+    _tree_distances,
 )
 from repro.geometry.raycast import (
     cast_ray_dda,
@@ -570,6 +571,73 @@ def test_nn_batch_matches_kdtree(seed):
         assert d == dist[i]
 
 
+def _assert_brute_force_answers(target, queries):
+    """The core's nearest index, nearest distance bits and second-distance
+    bits equal a full scan's: ``_tree_distances`` to every target point,
+    then ``argmin`` (the lowest index among equal distances)."""
+    tree = BatchKDTree(target)
+    idx, dist, second = tree.query_two(queries)
+    idx1, dist1 = tree.query(queries)
+    for i, q in enumerate(queries):
+        scan = _tree_distances(np.broadcast_to(q, target.shape), target)
+        want = int(np.argmin(scan))
+        want_second = np.partition(scan, 1)[1] if len(scan) > 1 else np.inf
+        assert idx[i] == idx1[i] == want
+        assert dist[i].hex() == dist1[i].hex() == scan[want].hex()
+        assert second[i].hex() == float(want_second).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    duplicates=st.integers(0, 30),
+    lattice=st.booleans(),
+    scale=st.sampled_from([1.0, 2.0**-537]),
+    offset=st.sampled_from([0.0, -3.0, 1e6]),
+)
+@example(seed=0, n=1, duplicates=0, lattice=False, scale=1.0, offset=0.0)
+@example(seed=0, n=2, duplicates=0, lattice=False, scale=1.0, offset=1e6)
+@example(seed=1, n=400, duplicates=30, lattice=True, scale=1.0, offset=0.0)
+@example(seed=2, n=400, duplicates=0, lattice=False, scale=2.0**-537,
+         offset=0.0)
+def test_nn_core_matches_brute_force_property(
+    seed, n, duplicates, lattice, scale, offset
+):
+    """Lattice targets put many points at equal distances from lattice
+    and half-lattice queries, and every split plane through the queries
+    that sit on target points; duplicates tie exactly.  At scale 2^-537
+    squared gaps are deep subnormals, so ``sqrt(g*g)`` falls short of a
+    gap ``g`` and distances round coarsely and tie often."""
+    rng = np.random.default_rng(seed)
+    if lattice:
+        target = rng.integers(0, 4, size=(n, 3)) * 0.5
+    else:
+        target = rng.random((n, 3)) * 2.0
+    target = np.vstack([target, target[rng.integers(0, n, duplicates)]])
+    queries = np.vstack([
+        target[rng.integers(0, len(target), 8)],
+        rng.integers(0, 8, size=(8, 3)) * 0.25,
+        rng.random((8, 3)) * 3.0 - 0.5,
+    ])
+    _assert_brute_force_answers(
+        target * scale + offset, queries * scale + offset
+    )
+
+
+def test_nn_core_one_and_two_point_targets():
+    """One point: the second distance is inf.  Two points: the origin
+    ties them, and the lower index wins in either order."""
+    queries = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [3.0, 1.0, 1.0]])
+    one = np.array([[1.0, 2.0, 3.0]])
+    assert np.isinf(BatchKDTree(one).query_two(queries)[2]).all()
+    two = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    for target in (one, two, two[::-1].copy()):
+        _assert_brute_force_answers(target, queries)
+    idx, dist, second = BatchKDTree(two).query_two(queries[:1])
+    assert (idx[0], dist[0], second[0]) == (0, 1.0, 1.0)
+
+
 def _assert_same_neighbors(got, want):
     """Same payloads in the same order, equal points, equal distance bits."""
     assert [payload for _, payload, _ in got] == [
@@ -790,7 +858,9 @@ def _certified_against_fresh(target, clouds):
 
 
 def test_certified_nn_defers_exact_ties_to_the_single_query():
-    """Duplicated target points tie exactly; the k=1 answer decides."""
+    """Duplicated target points tie exactly; the lowest index is the
+    match, as a single-nearest query answers, and the point is never
+    certified from that anchor."""
     rng = np.random.default_rng(5)
     base = rng.random((150, 3))
     target = np.vstack([base, base[:60][::-1], base[:20]])
@@ -821,6 +891,17 @@ def test_certified_nn_far_from_the_origin():
         target, _converging_clouds(source, 12, 0.1, (0.03, 0.02, -0.01))
     )
     assert counters["nn_reused"] > counters["nn_queries"] // 2
+
+
+def test_certified_nn_re_anchors_a_cloud_that_moves_back():
+    """A cloud that jumps between two poses: each re-query moves the
+    anchor, so the certificate is measured from the latest one."""
+    rng = np.random.default_rng(9)
+    target = rng.random((300, 3))
+    here = target[rng.permutation(300)[:200]]
+    there = here + np.array([0.04, -0.03, 0.02])
+    counters = _certified_against_fresh(target, [here, there] * 4)
+    assert counters["nn_reused"] > 0
 
 
 def test_certified_nn_large_misalignment_requeries():

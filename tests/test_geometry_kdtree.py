@@ -295,23 +295,30 @@ def test_linear_nn_dimension_mismatch():
         lin.insert([1.0, 2.0])
 
 
-_LAZY_SPATIAL_SCRIPT = """
-import sys
+_LAZY_CORE_SCRIPT = """
+import os, sys
 sys.path.insert(0, {src!r})
+from repro import native
 import repro.perception.scene_recon
 from repro.geometry.kdtree import BatchKDTree
-assert "scipy.spatial" not in sys.modules, "imported at module load"
+assert native.load_function.cache_info().currsize == 0, "loaded at import"
+assert os.listdir({cache!r}) == [], "compiled at import"
 BatchKDTree([[0.0, 0.0, 0.0]])
-assert "scipy.spatial" in sys.modules
+assert [n.startswith("_nn-") for n in os.listdir({cache!r})] == [True]
+assert "scipy.spatial" not in sys.modules
 """
 
 
-def test_batch_tree_imports_scipy_spatial_lazily():
-    """Loading ICP must not load ``scipy.spatial``: processes that never
-    batch-query (the pfl/mpc loops) would pay its resident memory."""
+def test_batch_tree_loads_its_core_lazily(tmp_path):
+    """Loading ICP must not build or load the kd-tree core: processes
+    that never batch-query (the pfl/mpc loops) would pay for it."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    script = _LAZY_SPATIAL_SCRIPT.format(src=os.path.abspath(src))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    script = _LAZY_CORE_SCRIPT.format(
+        src=os.path.abspath(src), cache=str(cache)
+    )
     subprocess.run(
-        [sys.executable, "-c", script],
-        check=True, timeout=60,
+        [sys.executable, "-c", script], check=True, timeout=60,
+        env=dict(os.environ, RTRBENCH_CACHE_DIR=str(cache)),
     )

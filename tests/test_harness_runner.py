@@ -196,6 +196,7 @@ _REJECTED = [
     ("02.ekfslam", "landmarks", 0), ("02.ekfslam", "bearing_sigma", 0.0),
     ("02.ekfslam", "range_sigma", _NAN), ("02.ekfslam", "seed", -1),
     ("03.srec", "icp_iterations", 0), ("03.srec", "scene_points", 0),
+    ("03.srec", "scene_points", 3),
     ("03.srec", "noise_sigma", -0.1),
     ("04.pp2d", "car_length", 0.0), ("04.pp2d", "car_width", -1.0),
     ("04.pp2d", "resolution", _NAN), ("04.pp2d", "epsilon", 0.5),
@@ -267,13 +268,18 @@ def test_declared_bounds_are_inclusive_at_their_edges(name):
 #: (kernel, options) configs on the edge of their declared bounds that
 #: must run end to end, not only pass the check.  pfl's smallest maps
 #: (``mapgen.WEAN_HALL_MIN_ROWS`` x ``WEAN_HALL_MIN_COLS``, alone and with
-#: the other side at its default) build every region.
+#: the other side at its default) build every region.  srec's smallest
+#: scene (``pointcloud.LIVING_ROOM_MIN_POINTS``) registers on both tiers.
 _ACCEPTED = [
     ("01.pfl", dict(map_rows=rows, map_cols=cols, region=region, seed=seed,
                     particles=20, beams=4, steps=2))
     for rows, cols in ((5, 16), (5, 200), (160, 16))
     for region in range(5)
     for seed in (0, 388)
+] + [
+    ("03.srec", dict(scene_points=4, frames=3, backend=backend, seed=seed))
+    for backend in ("reference", "vectorized")
+    for seed in (0, 1)
 ]
 
 

@@ -1,8 +1,9 @@
 """Build and load path of the compiled C cores.
 
-The ``array`` tier's A* (``repro/search/_astar.c``) and pfl's
-``vectorized`` ray caster (``repro/geometry/_raycast.c``) are compiled
-into the cache dir on first use by :mod:`repro.native`.  These
+The ``array`` tier's A* (``repro/search/_astar.c``), pfl's
+``vectorized`` ray caster (``repro/geometry/_raycast.c``) and srec's
+``vectorized`` kd-tree (``repro/geometry/_nn.c``) are compiled into the
+cache dir on first use by :mod:`repro.native`.  These
 tests pin the failure modes: a missing or failing compiler must raise a
 clear error without touching the pure Python ``reference`` tiers,
 concurrent cold builds must never load a half-written library, and a
@@ -18,11 +19,12 @@ import pytest
 
 from repro import native
 from repro.envs.cache import WorkloadCache, default_cache, set_default_cache
-from repro.geometry import raycast
+from repro.geometry import kdtree, raycast
 from repro.geometry.grid2d import OccupancyGrid2D
 from repro.harness.cli import main as cli_main
 from repro.harness.profiler import PhaseProfiler
 from repro.perception.particle_filter import PflConfig, PflKernel
+from repro.perception.scene_recon import SrecConfig, SrecKernel
 from repro.planning.pp2d import Pp2dConfig, Pp2dKernel, plan_2d
 from repro.planning.pp3d import Pp3dConfig, Pp3dKernel
 from repro.search import grid_core
@@ -117,6 +119,31 @@ def test_pfl_reference_never_compiles(fresh_core, monkeypatch):
     assert not fresh_core.exists() or os.listdir(fresh_core) == []
 
 
+def test_missing_compiler_fails_srec_vectorized_only(fresh_core, monkeypatch):
+    monkeypatch.setenv("CC", "/nonexistent/bin/cc")
+    config = SrecConfig(frames=2, scan_points=100, scene_points=800)
+    ref = SrecKernel().run(config)
+    assert ref.profiler.counters["nn_node_visits"] > 0
+    with pytest.raises(RuntimeError) as excinfo:
+        SrecKernel().run(config.replace(backend="vectorized"))
+    message = str(excinfo.value)
+    assert "/nonexistent/bin/cc" in message
+    assert kdtree._CORE_SOURCE in message
+    assert not any(name.endswith(".so") for name in os.listdir(fresh_core))
+
+
+def test_srec_reference_never_compiles(fresh_core, monkeypatch):
+    """srec's reference tier matches in Python: no core is built or loaded."""
+    def refuse(source, path):
+        raise AssertionError(f"reference srec compiled {source}")
+
+    monkeypatch.setattr(native, "_compile", refuse)
+    config = SrecConfig(frames=3, scan_points=200, scene_points=1500)
+    result = SrecKernel().run(config)
+    assert result.profiler.counters["nn_node_visits"] > 0
+    assert not fresh_core.exists() or os.listdir(fresh_core) == []
+
+
 def test_failed_compile_reports_compiler_stderr(fresh_core, monkeypatch):
     monkeypatch.setenv("CC", "cc --no-such-flag-for-this-test")
     cells = np.zeros((4, 4), dtype=bool)
@@ -131,6 +158,8 @@ def test_failed_compile_reports_compiler_stderr(fresh_core, monkeypatch):
     (Pp3dKernel(), Pp3dConfig(nx=16, ny=16, nz=6, backend="array")),
     (PflKernel(), PflConfig(particles=50, beams=6, steps=2, map_rows=60,
                             map_cols=80, backend="vectorized")),
+    (SrecKernel(), SrecConfig(frames=2, scan_points=100, scene_points=800,
+                              backend="vectorized")),
 ])
 def test_setup_builds_the_core_outside_the_roi(fresh_core, monkeypatch,
                                                kernel, config):
