@@ -160,10 +160,10 @@ def ablate_particles(
 
 @dataclass
 class IcpCorrespondenceAblation:
-    """ICP correspondence: instrumented KD-tree vs vectorized brute force."""
+    """ICP correspondence tiers: numpy full scan vs compiled kd-tree."""
 
-    kdtree_time: float
-    brute_time: float
+    reference_time: float
+    vectorized_time: float
     translation_gap: float
     both_converged_close: bool
 
@@ -171,24 +171,25 @@ class IcpCorrespondenceAblation:
 def ablate_icp_correspondence(seed: int = 0) -> IcpCorrespondenceAblation:
     """Same registration problem, both matchers: equal answer, different cost."""
     from repro.envs.pointcloud import living_room
+    from repro.geometry.kdtree import load_core
     from repro.geometry.transforms import RigidTransform3D, rotation_matrix_3d
     from repro.perception.icp import icp
 
-    rng = np.random.default_rng(seed)
+    load_core()  # compile the kd-tree core outside the timed calls
     scene = living_room(2500, seed=seed)
     true = RigidTransform3D(
         rotation_matrix_3d(0.05, -0.04, 0.06), np.array([0.06, -0.05, 0.04])
     )
     source = true.inverse().apply(scene[:800])
     outcomes = {}
-    for method in ("kdtree", "brute"):
+    for backend in ("reference", "vectorized"):
         t0 = time.perf_counter()
-        result = icp(source, scene, max_iterations=20, correspondence=method)
-        outcomes[method] = (time.perf_counter() - t0, result)
+        result = icp(source, scene, max_iterations=20, backend=backend)
+        outcomes[backend] = (time.perf_counter() - t0, result)
     gap = float(
         np.linalg.norm(
-            outcomes["kdtree"][1].transform.translation
-            - outcomes["brute"][1].transform.translation
+            outcomes["reference"][1].transform.translation
+            - outcomes["vectorized"][1].transform.translation
         )
     )
     close = all(
@@ -196,8 +197,8 @@ def ablate_icp_correspondence(seed: int = 0) -> IcpCorrespondenceAblation:
         for _, out in outcomes.values()
     )
     return IcpCorrespondenceAblation(
-        kdtree_time=outcomes["kdtree"][0],
-        brute_time=outcomes["brute"][0],
+        reference_time=outcomes["reference"][0],
+        vectorized_time=outcomes["vectorized"][0],
         translation_gap=gap,
         both_converged_close=close,
     )
@@ -384,8 +385,7 @@ def ablate_icp_metric(seed: int = 0) -> IcpMetricAblation:
     outcomes = {}
     for metric in ("point_to_point", "point_to_plane"):
         result = icp(
-            source, scene, max_iterations=30, correspondence="brute",
-            metric=metric,
+            source, scene, max_iterations=30, metric=metric
         )
         outcomes[metric] = (
             result.iterations,

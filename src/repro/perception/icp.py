@@ -22,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.geometry.kdtree import BatchKDTree, CertifiedNN, KDTree
+from repro.geometry.kdtree import BatchKDTree, CertifiedNN, scan_nearest
 from repro.geometry.transforms import RigidTransform3D
 from repro.harness.profiler import PhaseProfiler
 
@@ -137,7 +137,6 @@ def icp(
     max_correspondence_distance: Optional[float] = None,
     initial: Optional[RigidTransform3D] = None,
     profiler: Optional[PhaseProfiler] = None,
-    correspondence: str = "kdtree",
     metric: str = "point_to_point",
     backend: str = "reference",
 ) -> ICPResult:
@@ -148,36 +147,30 @@ def icp(
     (point updates).  Convergence is declared when the RMS correspondence
     error improves by less than ``tolerance`` between iterations.
 
-    ``correspondence`` selects the matcher: ``"kdtree"`` (the instrumented
-    tree with per-query node-visit counts) or ``"brute"`` (a vectorized
-    all-pairs distance matrix — faster in numpy for the sizes srec fuses,
-    and the same memory-bandwidth-bound behaviour the paper describes).
-
     ``metric`` selects the alignment step: ``"point_to_point"`` (Kabsch)
     or ``"point_to_plane"`` (linearized solve against target normals,
     estimated once per call).
 
-    ``backend="vectorized"`` ignores ``correspondence``: it builds one
-    exact C kd-tree (:class:`~repro.geometry.kdtree.BatchKDTree`) over
-    ``target`` per call and matches through
-    :class:`~repro.geometry.kdtree.CertifiedNN`, which re-queries the
-    tree only for points whose previous match it cannot prove is still
-    the nearest.  Its distances use the same direct sum of squared
-    differences as the ``"kdtree"`` matcher, so the registration
-    (iterations, error history, transform) is bit-identical to
-    ``correspondence="kdtree"``.  The ``"brute"`` matcher's expanded-form
-    distances (``|q|^2 - 2 q.p + |p|^2``) pick the same correspondences
-    but carry cancellation error of ~1e-8 in the reported RMS.  Work
-    counters: the reference matchers report ``nn_node_visits``, the
-    vectorized backend ``nn_queries`` (points sent to the tree) and
-    ``nn_reused`` (points whose match was certified); the two sum to
-    iterations times ``len(source)``.
+    ``backend`` selects the matcher.  ``"reference"`` scans every
+    source-target pair in numpy
+    (:func:`~repro.geometry.kdtree.scan_nearest`), the
+    memory-bandwidth-bound behaviour the paper describes.
+    ``"vectorized"`` builds one exact C kd-tree
+    (:class:`~repro.geometry.kdtree.BatchKDTree`) over ``target`` per
+    call and matches through :class:`~repro.geometry.kdtree.CertifiedNN`,
+    which re-queries the tree only for points whose previous match it
+    cannot prove is still the nearest.  Both compute distances with the
+    same arithmetic and give equal distances to the lowest target index,
+    so the registration (iterations, error history, transform) is
+    bit-identical across backends.  Work counters: the reference reports
+    ``nn_node_visits`` (pairs scanned), the vectorized backend
+    ``nn_queries`` (points sent to the tree) and ``nn_reused`` (points
+    whose match was certified); the two sum to iterations times
+    ``len(source)``.
 
     Raises ``ValueError`` when ``source`` or ``target`` holds a NaN or
     infinite coordinate, on both backends.
     """
-    if correspondence not in ("kdtree", "brute"):
-        raise ValueError("correspondence must be 'kdtree' or 'brute'")
     if backend not in ("reference", "vectorized"):
         raise ValueError("backend must be 'reference' or 'vectorized'")
     if metric not in ("point_to_point", "point_to_plane"):
@@ -195,12 +188,9 @@ def icp(
         raise ValueError("source and target must be finite")
 
     with prof.phase("correspondence"):
-        if backend == "vectorized":
-            tree = CertifiedNN(BatchKDTree(target))
-        elif correspondence == "kdtree":
-            tree = KDTree.build(target)
-        else:
-            tree = None
+        tree = (
+            CertifiedNN(BatchKDTree(target)) if backend == "vectorized" else None
+        )
         target_normals = (
             estimate_normals(target) if metric == "point_to_plane" else None
         )
@@ -214,40 +204,13 @@ def icp(
 
     for iterations in range(1, max_iterations + 1):
         with prof.phase("correspondence"):
-            if backend == "vectorized":
+            if tree is not None:
                 matched_idx, distances = tree.query(current, count=prof.count)
-                matched_target = target[matched_idx]
-            elif tree is not None:
-                matched_idx = np.empty(len(current), dtype=int)
-                matched_target = np.empty_like(current)
-                distances = np.empty(len(current))
-                for i, point in enumerate(current):
-                    nn_point, payload, d = tree.nearest(point, count=prof.count)
-                    matched_target[i] = nn_point
-                    matched_idx[i] = payload
-                    distances[i] = d
             else:
-                # All-pairs squared distances, chunked to bound memory.
-                matched_idx = np.empty(len(current), dtype=int)
-                matched_target = np.empty_like(current)
-                distances = np.empty(len(current))
-                chunk = 512
-                tgt_sq = np.einsum("ij,ij->i", target, target)
-                for lo in range(0, len(current), chunk):
-                    block = current[lo : lo + chunk]
-                    d2 = (
-                        np.einsum("ij,ij->i", block, block)[:, None]
-                        - 2.0 * block @ target.T
-                        + tgt_sq[None, :]
-                    )
-                    idx = np.argmin(d2, axis=1)
-                    matched_target[lo : lo + chunk] = target[idx]
-                    matched_idx[lo : lo + chunk] = idx
-                    rows = np.arange(len(block))
-                    distances[lo : lo + chunk] = np.sqrt(
-                        np.maximum(0.0, d2[rows, idx])
-                    )
-                prof.count("nn_node_visits", len(current) * len(target))
+                matched_idx, distances = scan_nearest(
+                    current, target, count=prof.count
+                )
+            matched_target = target[matched_idx]
         if max_correspondence_distance is not None:
             mask = distances <= max_correspondence_distance
             if mask.sum() < 3:

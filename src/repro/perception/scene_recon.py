@@ -130,7 +130,6 @@ class SceneReconstruction:
             max_iterations=self.icp_iterations,
             initial=initial,
             profiler=prof,
-            correspondence="brute",
             backend=self.backend,
         )
         pose = result.transform

@@ -24,6 +24,7 @@ from repro.harness.profiler import PhaseProfiler
 from repro.harness.runner import Kernel, registry
 from repro.search.astar import SearchResult, weighted_astar
 from repro.search.dijkstra import backward_dijkstra_grid
+from repro.search.grid_core import dijkstra_grid_bucketed
 
 _MOVES: Tuple[Tuple[int, int, float], ...] = (
     (-1, 0, 1.0), (1, 0, 1.0), (0, -1, 1.0), (0, 1, 1.0),
@@ -101,10 +102,13 @@ class MovingTargetPlanner:
         self.trajectory = np.asarray(trajectory, dtype=int)
         self.epsilon = float(epsilon)
         self.profiler = profiler if profiler is not None else PhaseProfiler()
-        # 'reference' keeps the scalar heapq sweep for the precompute;
-        # 'array' runs the bucketed batch engine, falling back
-        # automatically if the cost field is unquantizable.
-        self.dijkstra_backend = "auto" if backend == "array" else "reference"
+        # The precompute's sweep: the scalar heapq reference, or the
+        # bucketed batch engine on 'array' (bitwise the same table).
+        self._sweep = (
+            dijkstra_grid_bucketed
+            if backend == "array"
+            else backward_dijkstra_grid
+        )
         self._h_table: Optional[np.ndarray] = None
 
     def precompute_heuristic(self) -> np.ndarray:
@@ -118,9 +122,8 @@ class MovingTargetPlanner:
                 (int(r), int(c))
                 for r, c in {(int(r), int(c)) for r, c in self.trajectory}
             ]
-            self._h_table = backward_dijkstra_grid(
-                self.field.cost, goals, self.field.obstacles,
-                backend=self.dijkstra_backend,
+            self._h_table = self._sweep(
+                self.field.cost, goals, self.field.obstacles
             )
             self.profiler.count(
                 "dijkstra_cells", int(np.isfinite(self._h_table).sum())

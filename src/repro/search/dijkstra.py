@@ -14,6 +14,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.search.grid_core import blocked_cells, dijkstra_grid_bucketed
 from repro.search.space import SearchSpace
 
 
@@ -66,7 +67,8 @@ def shortest_grid_path(
 ) -> List[Tuple[int, int]]:
     """Shortest 8-connected cell path through free space, start to goal.
 
-    Runs backward Dijkstra from the goal on a unit costmap, then descends
+    Runs backward Dijkstra (the bucketed engine: unit costs always
+    bucket) from the goal on a unit costmap, then descends
     the cost-to-go table greedily from the start.  Returns an empty list
     when no path exists.  Used by workload generators to lay out robot
     trajectories through procedurally generated maps.
@@ -74,7 +76,9 @@ def shortest_grid_path(
     blocked = np.asarray(obstacle_mask, dtype=bool)
     if blocked[start] or blocked[goal]:
         return []
-    dist = backward_dijkstra_grid(np.ones_like(blocked, dtype=float), [goal], blocked)
+    dist = dijkstra_grid_bucketed(
+        np.ones_like(blocked, dtype=float), [goal], blocked
+    )
     if not np.isfinite(dist[start]):
         return []
     path = [start]
@@ -99,7 +103,6 @@ def backward_dijkstra_grid(
     traversal_cost: np.ndarray,
     goals: Iterable[Tuple[int, int]],
     obstacle_mask: Optional[np.ndarray] = None,
-    backend: str = "auto",
 ) -> np.ndarray:
     """Cost-to-go table from every cell to the nearest goal cell.
 
@@ -111,34 +114,15 @@ def backward_dijkstra_grid(
     Dijkstra *from* the goals yields exactly the forward cost-to-go — the
     backward-Dijkstra heuristic of the paper.
 
-    ``backend`` selects the engine: ``"reference"`` runs the original
-    scalar heapq loop, and ``"auto"`` (default) runs the Dial-style
-    batched sweep of :func:`repro.search.grid_core.dijkstra_grid_bucketed`
-    whenever the cost field is quantizable (positive finite minimum
-    cost) and falls back to the heap otherwise.
+    This is the scalar heapq ``reference``; the ``array`` tier's
+    :func:`repro.search.grid_core.dijkstra_grid_bucketed` returns the
+    same table bit for bit on every cost field it can bucket.  Raises
+    ``ValueError`` when ``obstacle_mask`` and ``traversal_cost`` differ
+    in shape.
     """
-    if backend not in ("auto", "reference"):
-        raise ValueError(
-            f"backend must be 'auto' or 'reference', got {backend!r}"
-        )
-    goals = list(goals)  # the heap fallback may need a second pass
-    if backend == "auto":
-        from repro.search.grid_core import (
-            BucketQuantizationError,
-            dijkstra_grid_bucketed,
-        )
-
-        try:
-            return dijkstra_grid_bucketed(traversal_cost, goals, obstacle_mask)
-        except BucketQuantizationError:
-            pass
     cost = np.asarray(traversal_cost, dtype=float)
     rows, cols = cost.shape
-    blocked = (
-        np.zeros_like(cost, dtype=bool)
-        if obstacle_mask is None
-        else np.asarray(obstacle_mask, dtype=bool)
-    )
+    blocked = blocked_cells(cost, obstacle_mask)
     dist = np.full((rows, cols), np.inf)
     heap: List[Tuple[float, int, int]] = []
     for r, c in goals:

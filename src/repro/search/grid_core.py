@@ -43,11 +43,12 @@ open list is chosen to match the cost structure:
   ``math.hypot``, since ``np.hypot`` rounds differently on some integer
   offsets.
 
-``backward_dijkstra_grid`` (movtar's heuristic-table sweep — the
-full-grid recompute whenever the table invalidates) and the pp2d/pp3d
-``backend="array"`` planners are built on these engines; the heapq
-implementations in :mod:`repro.search.astar` / :mod:`.dijkstra` remain
-the ``reference`` backend for equivalence testing.
+:func:`dijkstra_grid_bucketed` is movtar's ``array``-tier heuristic
+sweep (the full-grid cost-to-go table) and the path sweep of
+``shortest_grid_path``; :func:`astar_flat` runs the pp2d/pp3d ``array``
+planners.  The heapq implementations in :mod:`repro.search.astar` /
+:mod:`.dijkstra` are the ``reference`` tier, and each kernel's
+``backend`` alone picks between them.
 """
 
 from __future__ import annotations
@@ -87,9 +88,11 @@ MOVES_3D_26: Tuple[Tuple[int, int, int], ...] = tuple(
 class BucketQuantizationError(ValueError):
     """The cost structure cannot be bucket-quantized exactly.
 
-    Raised when the minimum edge cost is not a positive finite number —
-    the caller should fall back to the lazy binary-heap implementation,
-    which handles general costs.
+    Raised when the minimum edge cost is not a positive finite number.
+    Every cost field movtar builds buckets (``CostField`` rejects
+    non-positive costs); the heapq reference
+    (:func:`repro.search.dijkstra.backward_dijkstra_grid`) takes any
+    non-negative costs.
     """
 
 
@@ -193,6 +196,23 @@ class GridSweepStats:
     batches: int = 0
 
 
+def blocked_cells(
+    cost: np.ndarray, obstacle_mask: Optional[np.ndarray]
+) -> np.ndarray:
+    """``obstacle_mask`` as a boolean grid shaped like ``cost`` (all free
+    when ``None``); raises ``ValueError`` naming both shapes if they
+    differ."""
+    if obstacle_mask is None:
+        return np.zeros_like(cost, dtype=bool)
+    blocked = np.asarray(obstacle_mask, dtype=bool)
+    if blocked.shape != cost.shape:
+        raise ValueError(
+            f"obstacle_mask shape {blocked.shape} does not match "
+            f"traversal_cost shape {cost.shape}"
+        )
+    return blocked
+
+
 def dijkstra_grid_bucketed(
     traversal_cost: np.ndarray,
     goals: Iterable[Tuple[int, int]],
@@ -204,16 +224,14 @@ def dijkstra_grid_bucketed(
     Drop-in for the heapq reference in :mod:`repro.search.dijkstra`:
     8-connected moves, diagonal step sqrt(2), ``traversal_cost[r, c]``
     paid on *entering* (r, c), obstacles and unreachable cells +inf.
-    Raises :class:`BucketQuantizationError` when the cost field has no
-    positive finite minimum (the caller falls back to the heap).
+    Returns the reference's table bit for bit.  Raises
+    :class:`BucketQuantizationError` when the cost field has no positive
+    finite minimum, and ``ValueError`` when ``obstacle_mask`` and
+    ``traversal_cost`` differ in shape.
     """
     cost = np.asarray(traversal_cost, dtype=float)
     rows, cols = cost.shape
-    blocked = (
-        np.zeros_like(cost, dtype=bool)
-        if obstacle_mask is None
-        else np.asarray(obstacle_mask, dtype=bool)
-    )
+    blocked = blocked_cells(cost, obstacle_mask)
     seeds: List[int] = []
     pcols = cols + 2
     for r, c in goals:

@@ -87,7 +87,9 @@ def test_pop_undoes_the_latest_inserts(points, extra, q):
 @settings(max_examples=60, deadline=None)
 @given(point_lists, queries)
 def test_built_nearest_matches_brute_force(points, q):
-    tree = KDTree.build(np.asarray(points))
+    tree = KDTree(3)
+    for i, p in enumerate(points):
+        tree.insert(p, data=i)
     _, _, d = tree.nearest(q)
     assert d == pytest.approx(_brute_nearest(points, q), abs=1e-9)
 
@@ -143,8 +145,8 @@ def test_query_counts_node_visits():
 
 
 def test_build_validates_shape():
-    with pytest.raises(ValueError):
-        KDTree.build(np.zeros(5))
+    with pytest.raises(ValueError, match="3-dimensional"):
+        KDTree(3).insert(np.zeros(5))
 
 
 def test_chain_shaped_tree_queries_past_the_recursion_limit():

@@ -74,8 +74,7 @@ def test_icp_metrics_both_register(rng, metric):
         rotation_matrix_3d(0.05, -0.04, 0.06), np.array([0.08, -0.06, 0.05])
     )
     source = true.inverse().apply(scene[:500])
-    result = icp(source, scene, max_iterations=30, correspondence="brute",
-                 metric=metric)
+    result = icp(source, scene, max_iterations=30, metric=metric)
     error = np.linalg.norm(result.transform.translation - true.translation)
     assert error < 0.02, metric
 

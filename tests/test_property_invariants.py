@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.envs.movingai import parse_movingai, save_movingai
 from repro.geometry.grid2d import OccupancyGrid2D
-from repro.geometry.kdtree import KDTree
+from repro.geometry.kdtree import KDTree, scan_nearest
 
 
 grids = st.builds(
@@ -48,16 +48,15 @@ def test_inflate_zero_identity(grid):
     ),
     st.tuples(st.floats(-6, 6), st.floats(-6, 6)),
 )
-def test_kdtree_build_and_incremental_agree(points, query):
-    """Balanced build and incremental insertion answer queries identically."""
-    arr = np.asarray(points)
-    built = KDTree.build(arr)
+def test_scan_nearest_and_kdtree_agree(points, query):
+    """The full scan and incremental insertion answer queries with the
+    same distance bits."""
     incremental = KDTree(2)
     for i, p in enumerate(points):
         incremental.insert(p, i)
-    _, _, d_built = built.nearest(query)
+    _, d_scan = scan_nearest(np.asarray([query]), np.asarray(points))
     _, _, d_incr = incremental.nearest(query)
-    assert d_built == pytest.approx(d_incr, abs=1e-9)
+    assert d_scan[0] == d_incr
 
 
 @settings(max_examples=25, deadline=None)
