@@ -78,7 +78,11 @@ LIVING_ROOM_MIN_POINTS = 4
 def living_room(
     n_points: int = 12000, seed: int = 0
 ) -> np.ndarray:
-    """A living-room-like scene as an ``(n, 3)`` point cloud (meters).
+    """A living-room-like scene as an ``(m, 3)`` point cloud (meters).
+
+    ``m`` is at most ``n_points``: each surface gets its share of
+    ``n_points`` rounded down, so the floors can drop a few points
+    (``n_points=9000`` gives 8998; 800 and 12000 are exact).
 
     Contents: floor, two walls, a sofa (two boxes), a table (top + legs),
     and a cabinet — flat and boxy surfaces like the ICL-NUIM room, which is

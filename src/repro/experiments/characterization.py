@@ -149,39 +149,18 @@ def characterize_kernel_by_name(kernel: str) -> KernelCharacterization:
 
 def run_characterization(
     kernels: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    timeout: Optional[float] = None,
 ) -> List[KernelCharacterization]:
-    """Characterize the whole suite (or a named subset).
+    """Characterize the whole suite (or a named subset), serially.
 
-    ``jobs > 1`` fans the kernels out over worker processes via
-    :func:`repro.harness.parallel.map_tasks` — each kernel is seeded by
-    its own configuration, so parallel and serial runs produce identical
-    operation counters.  Any kernel failure raises with the worker's
-    traceback; callers that want failure *rows* instead (the suite)
-    dispatch per-kernel tasks themselves.
+    Any kernel failure raises.  To characterize kernels in parallel,
+    with a failure row per kernel, run them as suite tasks:
+    ``rtrbench suite -j N --filter 'characterize:*'``.
     """
-    selected = [
-        e for e in EXPECTATIONS if kernels is None or e.kernel in kernels
+    return [
+        characterize_kernel(e)
+        for e in EXPECTATIONS
+        if kernels is None or e.kernel in kernels
     ]
-    if jobs <= 1:
-        return [characterize_kernel(e) for e in selected]
-    from repro.harness.parallel import map_tasks
-
-    results = map_tasks(
-        characterize_kernel_by_name,
-        [e.kernel for e in selected],
-        jobs=jobs,
-        timeout=timeout,
-        names=[f"characterize:{e.kernel}" for e in selected],
-    )
-    failed = [r for r in results if not r.ok]
-    if failed:
-        raise RuntimeError(
-            "characterization failures:\n"
-            + "\n".join(f"{r.name}: {r.error}" for r in failed)
-        )
-    return [r.value for r in results]
 
 
 def render_characterization(

@@ -86,49 +86,26 @@ def run_fig21_point(
     )
 
 
-def _fig21_task(task: Tuple[int, int]) -> ComparisonPoint:
-    """map_tasks adapter: ``(scale, educational_max_scale)`` tuple entry."""
-    scale, educational_max_scale = task
-    return run_fig21_point(scale, educational_max_scale)
-
-
 def run_fig21(
     scales: Optional[List[int]] = None,
     educational_max_scale: int = 2,
-    jobs: int = 1,
 ) -> List[ComparisonPoint]:
-    """Run both planners over the scale sweep.
+    """Run both planners over the scale sweep, serially.
 
     The educational baseline's obstacle-map rebuild is O(cells x obstacle
     points) and its open list is a linear scan, so runs beyond
     ``educational_max_scale`` are skipped (they would take minutes to
     hours, exactly the non-real-time behaviour the paper documents).
 
-    ``jobs > 1`` runs the scale points on worker processes — each point
-    rebuilds its map independently (a few milliseconds), so
-    the sweep order carries no state and points may run concurrently.
+    Each point rebuilds its map independently, so the sweep order
+    carries no state; ``rtrbench suite -j N --filter 'fig21:*'`` runs
+    the points concurrently.
     """
     if scales is None:
         scales = [1, 2, 4, 8]
-    if jobs <= 1:
-        return [
-            run_fig21_point(scale, educational_max_scale) for scale in scales
-        ]
-    from repro.harness.parallel import map_tasks
-
-    results = map_tasks(
-        _fig21_task,
-        [(scale, educational_max_scale) for scale in scales],
-        jobs=jobs,
-        names=[f"fig21:x{scale}" for scale in scales],
-    )
-    failed = [r for r in results if not r.ok]
-    if failed:
-        raise RuntimeError(
-            "fig21 sweep failures:\n"
-            + "\n".join(f"{r.name}: {r.error}" for r in failed)
-        )
-    return [r.value for r in results]
+    return [
+        run_fig21_point(scale, educational_max_scale) for scale in scales
+    ]
 
 
 def render_fig21(points: List[ComparisonPoint]) -> str:

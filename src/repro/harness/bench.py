@@ -360,57 +360,29 @@ def select_phases(
     return selected
 
 
-def _bench_task(task: tuple) -> Dict[str, float]:
-    """Worker entry: run one named bench phase (module-level, fork-safe)."""
-    phase, smoke, seed = task
-    return BENCH_PHASES[phase](smoke=smoke, seed=seed)
-
-
 def run_bench(
     smoke: bool = False,
     seed: int = 7,
-    jobs: int = 1,
     phases: Optional[List[str]] = None,
 ) -> Dict[str, Dict[str, float]]:
-    """Run the hot-path benchmarks; returns ``phase -> metrics``.
+    """Run the hot-path benchmarks serially; returns ``phase -> metrics``.
 
     ``phases`` optionally restricts the run to the phase names matching
-    the given glob patterns (e.g. ``["search_*"]``).  ``jobs > 1``
-    dispatches the phases over worker processes via
-    :func:`repro.harness.parallel.map_tasks`.  Per-phase timings from a
-    parallel run share the machine with sibling phases and are noisier
-    than a serial run's; the suite report records them as such, while
-    floor gates (``rtrbench gate``) are intended for serial runs.
-    A phase that fails raises, as in serial mode.
+    the given glob patterns (e.g. ``["search_*"]``).  The phases run one
+    after another so that no phase's timing shares the CPUs with a
+    sibling's: the speedup-floor gates (``rtrbench gate``) judge these
+    timings.  A phase that fails raises.  ``rtrbench suite -j N
+    --filter 'bench:*'`` runs the phases concurrently, as suite tasks.
     """
-    selected = select_phases(phases)
-    if jobs <= 1:
-        return {
-            phase: fn(smoke=smoke, seed=seed)
-            for phase, fn in selected.items()
-        }
-    from repro.harness.parallel import map_tasks
-
-    phase_names = list(selected)
-    results = map_tasks(
-        _bench_task,
-        [(phase, smoke, seed) for phase in phase_names],
-        jobs=jobs,
-        names=[f"bench:{phase}" for phase in phase_names],
-    )
-    failed = [r for r in results if not r.ok]
-    if failed:
-        raise RuntimeError(
-            "bench phase failures:\n"
-            + "\n".join(f"{r.name}: {r.error}" for r in failed)
-        )
-    return {phase: r.value for phase, r in zip(phase_names, results)}
+    return {
+        phase: fn(smoke=smoke, seed=seed)
+        for phase, fn in select_phases(phases).items()
+    }
 
 
 def run_bench_record(
     smoke: bool = False,
     seed: int = 7,
-    jobs: int = 1,
     phases: Optional[List[str]] = None,
 ) -> RunRecord:
     """Run the bench under a pinned thread environment; return a record.
@@ -421,15 +393,12 @@ def run_bench_record(
     set them, in which case their values win.  Either way the observed
     mapping lands in the record's environment fingerprint, so two
     records' timings are never compared without knowing the thread
-    configuration each was measured under.  Parallel workers fork while
-    the pin is active and inherit it.
+    configuration each was measured under.
     """
     with pinned_thread_env() as thread_env:
-        results = run_bench(smoke=smoke, seed=seed, jobs=jobs, phases=phases)
+        results = run_bench(smoke=smoke, seed=seed, phases=phases)
         env = capture_environment(thread_env=thread_env)
-    return record_from_bench(
-        results, smoke=smoke, seed=seed, jobs=jobs, env=env
-    )
+    return record_from_bench(results, smoke=smoke, seed=seed, env=env)
 
 
 def render_report(results: Dict[str, Dict[str, float]]) -> str:

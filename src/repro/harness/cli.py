@@ -10,8 +10,8 @@ defaults.
     rtrbench run pp2d --inputset dense-city
     rtrbench run pfl --repeats 5 --warmup 1
     rtrbench inputsets pp2d
-    rtrbench characterize [-j N]
-    rtrbench bench [--smoke] [-j N]
+    rtrbench characterize
+    rtrbench bench [--smoke]
     rtrbench suite [-j N] [--smoke] [--filter GLOB]
     rtrbench rt pfl --period-ms 100 --deadline-ms 100 --jobs 200
     rtrbench rt pfl --granularity step
@@ -211,14 +211,14 @@ def _cmd_characterize(argv: List[str]) -> int:
 
     parser = argparse.ArgumentParser(
         prog="rtrbench characterize",
-        description="Reproduce the Table I workload characterization.",
+        description=(
+            "Reproduce the Table I workload characterization, one kernel "
+            "after another (rtrbench suite -j N --filter "
+            "'characterize:*' runs the kernels in parallel)."
+        ),
     )
     parser.add_argument(
         "kernels", nargs="*", help="kernel subset (default: whole suite)"
-    )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes (default: 1, serial)",
     )
     args = parser.parse_args(argv)
     kernels = None
@@ -229,7 +229,7 @@ def _cmd_characterize(argv: List[str]) -> int:
         except KeyError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    rows = run_characterization(kernels, jobs=args.jobs)
+    rows = run_characterization(kernels)
     print(render_characterization(rows))
     return 0 if all(r.matches_paper for r in rows) else 1
 
@@ -266,10 +266,6 @@ def _cmd_bench(argv: List[str]) -> int:
         help="write the record without enforcing the speedup-floor gates",
     )
     parser.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes for the bench phases (default: 1, serial)",
-    )
-    parser.add_argument(
         "--phases", nargs="+", metavar="GLOB", default=None,
         help=(
             "run only the bench phases matching these glob patterns "
@@ -280,8 +276,7 @@ def _cmd_bench(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     try:
         record = run_bench_record(
-            smoke=args.smoke, seed=args.seed, jobs=args.jobs,
-            phases=args.phases,
+            smoke=args.smoke, seed=args.seed, phases=args.phases
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -341,9 +336,9 @@ def _cmd_suite(argv: List[str]) -> int:
         action="store_true",
         help=(
             "re-run the task list serially after the parallel pass to "
-            "measure speedup directly (doubles wall time); without it "
-            "the comparison is derived from the latest comparable "
-            "serial record in the result store"
+            "measure the parallel speedup and check determinism "
+            "(doubles wall time); without it a parallel run reports "
+            "no speedup"
         ),
     )
     parser.add_argument(

@@ -226,12 +226,9 @@ def render_suite_report(report: Dict[str, Any]) -> str:
             f"({executor['scheduling']})"
         )
     if suite.get("serial_wall_s"):
-        source = suite.get("baseline_source")
         lines.append(
             f"serial baseline: {suite['serial_wall_s']:.2f}s "
-            f"(parallel speedup {suite['parallel_speedup']:.2f}x"
-            + (f", from {source}" if source else "")
-            + ")"
+            f"(parallel speedup {suite['parallel_speedup']:.2f}x)"
         )
     elif suite.get("parallel_speedup_reason"):
         lines.append(

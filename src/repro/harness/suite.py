@@ -12,12 +12,17 @@ through :func:`repro.harness.parallel.map_tasks`:
 * workload setup goes through each process's content-keyed memo
   (:mod:`repro.envs.cache`); with ``jobs > 1`` the parent orders
   dispatch longest-first using per-task durations from the previous
-  run record;
-* the serial baseline is opt-in (``baseline=True`` runs the task list a
-  second time, inline) or derived from the latest comparable serial
-  record in the result store; either way the run cross-checks per-task
-  fingerprints (operation counters — the timing-free part of each
-  result) against the baseline, the suite's determinism guarantee.
+  run record — a scheduling hint only, never a measurement;
+* the serial baseline is opt-in: ``baseline=True`` runs the task list a
+  second time, inline, in the same process on the same host, and the
+  run cross-checks per-task fingerprints (operation counters — the
+  timing-free part of each result) against that pass, the suite's
+  determinism guarantee.  Without it a parallel run reports no
+  speedup.
+
+This is the one place that runs benchmark work in parallel: the
+``characterize``, ``bench`` and Fig. 21 drivers are serial, and their
+work runs concurrently as suite tasks (``--filter 'bench:*'``).
 
 ``run_suite`` returns a machine-readable report with per-task ROI,
 queue-wait, and execution time, cache hit/miss accounting, wall clocks,
@@ -40,6 +45,7 @@ import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.harness.parallel import TaskResult, derive_seed, map_tasks
+from repro.results import ResultStore
 
 #: Fast kernels for ``--smoke`` runs (sub-second at default configs).
 SMOKE_KERNELS = (
@@ -349,7 +355,7 @@ def filter_tasks(
 
 
 def _task_priorities(
-    tasks: Sequence[Dict[str, Any]], store: Any
+    tasks: Sequence[Dict[str, Any]], store: ResultStore
 ) -> Optional[List[float]]:
     """Per-task duration hints from the newest stored suite record.
 
@@ -357,13 +363,9 @@ def _task_priorities(
     time the last time the suite ran (``tasks.<name>.exec_s``, falling
     back to ``wall_s`` for older records), 0.0 when unknown.  Returns
     ``None`` — input order — when no record knows any of these tasks.
+    A corrupt newest record raises the store's ``ValueError``.
     """
-    if store is None:
-        return None
-    try:
-        record = store.latest("suite")
-    except Exception:
-        return None
+    record = store.latest("suite")
     if record is None:
         return None
     priorities: List[float] = []
@@ -379,59 +381,6 @@ def _task_priorities(
             priorities.append(float(measurement.value))
             known += 1
     return priorities if known else None
-
-
-def _find_serial_baseline(
-    store: Any, names: Sequence[str], smoke: bool, seed: int
-) -> Optional[Dict[str, Any]]:
-    """Newest stored record usable as a serial baseline for this run.
-
-    Comparable means: same smoke mode, same seed, the exact same task
-    list, and no failed rows.  A ``jobs <= 1`` record contributes its
-    own wall clock; a parallel record is usable only when it measured an
-    inline serial pass *and* that pass matched fingerprints (which makes
-    its stored per-task fingerprints valid serial fingerprints too).
-    Returns ``{"serial_wall_s", "source", "fingerprints"}`` or ``None``.
-    """
-    if store is None:
-        return None
-    want = sorted(names)
-    try:
-        history = store.history("suite")
-    except Exception:
-        return None
-    for path in reversed(history):
-        try:
-            record = store.load(path)
-        except Exception:
-            continue
-        detail = record.detail or {}
-        suite = detail.get("suite") or {}
-        if bool(suite.get("smoke", False)) != bool(smoke):
-            continue
-        if suite.get("seed") != seed:
-            continue
-        rows = detail.get("tasks") or []
-        if sorted(row.get("task") for row in rows) != want:
-            continue
-        if any(not row.get("ok") for row in rows):
-            continue
-        if (suite.get("jobs") or 1) <= 1:
-            serial_wall = suite.get("wall_s")
-        else:
-            serial_wall = suite.get("serial_wall_s")
-            if not (detail.get("determinism") or {}).get("matches"):
-                continue
-        if not serial_wall:
-            continue
-        return {
-            "serial_wall_s": float(serial_wall),
-            "source": getattr(record, "run_id", path),
-            "fingerprints": {
-                row["task"]: row.get("fingerprint") for row in rows
-            },
-        }
-    return None
 
 
 def _fingerprint_mismatches(
@@ -468,11 +417,12 @@ def run_suite(
     With ``jobs > 1`` the task list runs once on a persistent worker
     pool, scheduled longest-first when a previous run record knows the
     task durations; each worker memoizes the workloads it builds.  The
-    serial comparison is **opt-in**: ``baseline=True`` re-runs the task list
-    inline (doubling wall time) and cross-checks fingerprints; otherwise
-    the comparison is derived from the latest comparable serial record
-    in the result store, and when none exists ``parallel_speedup`` is
-    ``null`` with ``parallel_speedup_reason`` saying why.
+    serial comparison is **opt-in**: ``baseline=True`` re-runs the task
+    list inline (doubling wall time) and cross-checks fingerprints.
+    Without it ``parallel_speedup`` is ``null`` and
+    ``parallel_speedup_reason`` says why: a stored record may come from
+    another commit or host, so only a serial pass of this run on this
+    host can show the speedup.
     ``task_filter`` selects a task subset by name glob (see
     :func:`filter_tasks`).
     """
@@ -481,14 +431,7 @@ def run_suite(
     )
     names = [t["name"] for t in tasks]
 
-    store = None
-    try:
-        from repro.results import ResultStore
-
-        store = ResultStore(results_dir)
-    except Exception:  # pragma: no cover - results layer unavailable
-        store = None
-    priorities = _task_priorities(tasks, store)
+    priorities = _task_priorities(tasks, ResultStore(results_dir))
 
     pool_stats: Dict[str, Any] = {}
     t0 = time.perf_counter()
@@ -506,52 +449,31 @@ def run_suite(
 
     serial_wall_s = None
     speedup_reason: Optional[str] = None
-    baseline_source: Optional[str] = None
     determinism: Dict[str, Any] = {"checked": False}
-    if jobs > 1:
-        if baseline:
-            t0 = time.perf_counter()
-            serial_results = map_tasks(
-                run_suite_task, tasks, jobs=1, names=names
-            )
-            serial_wall_s = time.perf_counter() - t0
-            baseline_source = "inline"
-            expected = {
-                r.name: r.value.get("fingerprint")
-                for r in serial_results
-                if r.ok
-            }
-            mismatches = _fingerprint_mismatches(results, expected)
-            determinism = {
-                "checked": True,
-                "matches": not mismatches,
-                "mismatches": mismatches,
-                "source": "inline",
-            }
-        else:
-            found = _find_serial_baseline(
-                store, names, smoke=smoke, seed=seed
-            )
-            if found is None:
-                speedup_reason = (
-                    "no comparable serial baseline in the result "
-                    "store; run once with --baseline (or -j 1) to "
-                    "record one"
-                )
-            else:
-                serial_wall_s = found["serial_wall_s"]
-                baseline_source = f"record:{found['source']}"
-                mismatches = _fingerprint_mismatches(
-                    results, found["fingerprints"]
-                )
-                determinism = {
-                    "checked": True,
-                    "matches": not mismatches,
-                    "mismatches": mismatches,
-                    "source": baseline_source,
-                }
-    else:
+    if jobs <= 1:
         speedup_reason = "serial run (jobs <= 1): nothing to compare"
+    elif not baseline:
+        speedup_reason = (
+            "no serial baseline; run with --baseline to measure one "
+            "inline"
+        )
+    else:
+        t0 = time.perf_counter()
+        serial_results = map_tasks(
+            run_suite_task, tasks, jobs=1, names=names
+        )
+        serial_wall_s = time.perf_counter() - t0
+        expected = {
+            r.name: r.value.get("fingerprint")
+            for r in serial_results
+            if r.ok
+        }
+        mismatches = _fingerprint_mismatches(results, expected)
+        determinism = {
+            "checked": True,
+            "matches": not mismatches,
+            "mismatches": mismatches,
+        }
 
     ok_results = [r for r in results if r.ok]
     exec_total = sum(r.exec_s for r in ok_results)
@@ -577,7 +499,6 @@ def run_suite(
                 else None
             ),
             "parallel_speedup_reason": speedup_reason,
-            "baseline_source": baseline_source,
             "dispatch_overhead_s": dispatch_overhead_s,
             "dispatch_overhead_share": (
                 dispatch_overhead_s / duration_total

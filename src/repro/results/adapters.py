@@ -68,7 +68,6 @@ def record_from_bench(
     results: Mapping[str, Mapping[str, float]],
     smoke: bool = False,
     seed: Optional[int] = None,
-    jobs: Optional[int] = None,
     env: Optional[EnvironmentFingerprint] = None,
 ) -> RunRecord:
     """Record for a hot-path bench run (``phase -> metrics`` mapping).
@@ -89,8 +88,6 @@ def record_from_bench(
     provenance: Dict[str, Any] = {"phases": sorted(results), "smoke": smoke}
     if seed is not None:
         provenance["seed"] = seed
-    if jobs is not None:
-        provenance["jobs"] = jobs
     return RunRecord(
         kind="bench",
         environment=_env(env),
@@ -175,7 +172,6 @@ def record_from_suite(
             "seed": suite.get("seed"),
             "smoke": suite.get("smoke", False),
             "filter": suite.get("filter"),
-            "baseline_source": suite.get("baseline_source"),
         },
         tags=tags,
         measurements=measurements,

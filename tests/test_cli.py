@@ -225,6 +225,15 @@ def test_characterize_unknown_kernel_errors(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["characterize", "bench"])
+def test_serial_drivers_take_no_jobs_flag(command, capsys):
+    # Parallel runs go through the suite: rtrbench suite -j N --filter.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-j", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -j" in capsys.readouterr().err
+
+
 def test_suite_smoke_writes_report(tmp_path, capsys):
     target = tmp_path / "BENCH_suite.json"
     code = main(
@@ -265,6 +274,26 @@ def test_suite_filter_selects_task_subset(tmp_path, capsys):
     assert [row["task"] for row in report["tasks"]] == [
         "characterize:15.cem"
     ]
+
+
+def test_suite_names_a_corrupt_stored_record(tmp_path, capsys):
+    from repro.results import ResultStore
+
+    results_dir = str(tmp_path / "results")
+    args = ["suite", "--smoke", "--filter", "characterize:15.cem",
+            "--output", str(tmp_path / "BENCH_suite.json"),
+            "--results-dir", results_dir]
+    assert main(args) == 0
+    path = ResultStore(results_dir).latest_path("suite")
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text[:300])
+    capsys.readouterr()
+    # The newest record only orders dispatch, but a corrupt one must
+    # not fall back to input order without a word.
+    assert main(args) == 2
+    assert f"corrupt record {path}" in capsys.readouterr().err
 
 
 def test_suite_filter_with_no_match_errors(capsys):
@@ -379,7 +408,7 @@ def seeded_store(tmp_path):
             for phase, speedup in
             (("raycast", 6.0), ("collision", 4.0), ("nn", 3.0))
         },
-        smoke=False, seed=7, jobs=1,
+        smoke=False, seed=7,
     )
     store.save(record)
     return store

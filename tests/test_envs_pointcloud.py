@@ -16,6 +16,15 @@ def test_living_room_shape_and_extent():
     assert scene[:, 2].min() >= -0.1 and scene[:, 2].max() <= 2.6
 
 
+@pytest.mark.parametrize(
+    "n_points, count", [(8, 4), (9, 5), (800, 800), (9000, 8998), (12000, 12000)]
+)
+def test_living_room_floors_each_surface_share(n_points, count):
+    # Each surface gets int(n_points * share) points, so the scene holds
+    # at most n_points; srec's default 9000 loses two to the floors.
+    assert living_room(n_points, seed=0).shape == (count, 3)
+
+
 def test_living_room_deterministic():
     assert np.array_equal(living_room(1000, seed=4), living_room(1000, seed=4))
 

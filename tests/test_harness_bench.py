@@ -62,13 +62,6 @@ def test_cpu_time_recorded(smoke_results):
         assert smoke_results[phase]["vectorized_cpu_s"] >= 0.0
 
 
-def test_parallel_bench_matches_serial_ops(smoke_results):
-    parallel = run_bench(smoke=True, jobs=3)
-    assert set(parallel) == set(PHASES)
-    for phase in PHASES:
-        assert parallel[phase]["ops"] == smoke_results[phase]["ops"]
-
-
 def test_gc_reenabled_after_bench(smoke_results):
     import gc
 
@@ -85,11 +78,11 @@ def test_render_report_lists_every_phase(smoke_results):
 
 
 def test_run_bench_record_mints_phase_measurements():
-    record = run_bench_record(smoke=True, seed=7, jobs=2)
+    record = run_bench_record(smoke=True, seed=7)
     assert record.kind == "bench"
     assert record.has_tag("smoke")
     assert record.provenance["seed"] == 7
-    assert record.provenance["jobs"] == 2
+    assert "jobs" not in record.provenance
     for phase in PHASES:
         speedup = record.metric(f"{phase}.speedup")
         assert speedup is not None and speedup > 0.0
