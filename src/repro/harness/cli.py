@@ -23,11 +23,15 @@ defaults.
 
 ``bench`` / ``suite`` / ``rt`` emit schema-versioned run records: the
 ``--output`` file is a record, and a copy is appended to the
-``.rtrbench_results/`` history (``--no-store`` skips that).  ``report``
-lists or renders stored records, ``compare`` diffs two records with a
-noise tolerance, and ``gate`` judges records against the declarative
-regression gates (the single CI entry point replacing the old
-per-subsystem floor checkers).
+``.rtrbench_results/`` history (``--no-store`` skips that).  Each then
+judges its record with the declarative regression gates and exits 1 on
+a failure, ``--smoke`` included (gates skip smoke-tagged records through
+their ``skip_tags``); ``--no-check`` is the only opt-out, and a partial
+``bench --phases`` record is not judged.  ``report`` lists or renders
+stored records, ``compare`` diffs two records with a noise tolerance,
+and ``gate`` judges stored records or record files with the same gates
+(the single CI entry point replacing the old per-subsystem floor
+checkers).
 """
 
 from __future__ import annotations
@@ -68,14 +72,11 @@ def _persist_record(record, args) -> None:
     print(f"report written to {args.output}")
 
 
-def _enforce_gates(record, args) -> int:
+def _enforce_gates(record) -> int:
     """Judge a freshly produced record against the shipped gate policy."""
-    from repro.results import ResultStore, evaluate_gates
+    from repro.results import evaluate_gates
 
-    store = None if args.no_store else ResultStore(args.results_dir)
-    failures = [
-        r for r in evaluate_gates(record, store=store) if r.failed
-    ]
+    failures = [r for r in evaluate_gates(record) if r.failed]
     for failure in failures:
         print(f"GATE FAILURE {failure.gate}: {failure.reason}",
               file=sys.stderr)
@@ -250,7 +251,10 @@ def _cmd_bench(argv: List[str]) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small workloads, no gate enforcement (CI sanity run)",
+        help=(
+            "small workloads, tagged 'smoke' so the speedup floors skip "
+            "(CI sanity run)"
+        ),
     )
     parser.add_argument(
         "--seed", type=int, default=7, help="workload seed (default: 7)"
@@ -288,9 +292,9 @@ def _cmd_bench(argv: List[str]) -> int:
         # on_missing='fail' would misread that as a regression.
         print("phase filter active: skipping gate enforcement")
         return 0
-    if args.smoke or args.no_check:
+    if args.no_check:
         return 0
-    return _enforce_gates(record, args)
+    return _enforce_gates(record)
 
 
 def _cmd_suite(argv: List[str]) -> int:
@@ -315,8 +319,8 @@ def _cmd_suite(argv: List[str]) -> int:
         "--smoke",
         action="store_true",
         help=(
-            "fast-kernel subset, small workloads, no floor enforcement "
-            "(CI sanity run)"
+            "fast-kernel subset, small workloads, tagged 'smoke' so the "
+            "timing floors skip (CI sanity run)"
         ),
     )
     parser.add_argument(
@@ -373,9 +377,9 @@ def _cmd_suite(argv: List[str]) -> int:
     record = record_from_suite(report, env=capture_environment())
     print(render_suite_report(report))
     _persist_record(record, args)
-    if args.smoke or args.no_check:
+    if args.no_check:
         return 0
-    return _enforce_gates(record, args)
+    return _enforce_gates(record)
 
 
 def _cmd_rt(argv: List[str]) -> int:
@@ -392,8 +396,8 @@ def _cmd_rt(argv: List[str]) -> int:
         description=(
             "Run a kernel as a periodic real-time task: fire jobs on a "
             "fixed period, record response-time quantiles, release "
-            "jitter, and deadline misses, and judge the run against an "
-            "SLO.  Unrecognized options are forwarded to the kernel's "
+            "jitter, and deadline misses, and judge the record with the "
+            "rt gates.  Unrecognized options are forwarded to the kernel's "
             "own configuration (same flags as 'rtrbench run')."
         ),
     )
@@ -438,12 +442,8 @@ def _cmd_rt(argv: List[str]) -> int:
         help="antagonist workload (default: cpu)",
     )
     parser.add_argument(
-        "--max-miss-rate", type=float, default=None,
-        help="SLO miss-rate bound (default: 0.1, or 1.0 with --smoke)",
-    )
-    parser.add_argument(
         "--smoke", action="store_true",
-        help="small job count, relaxed miss-rate bound, no floors",
+        help="small job count, tagged 'smoke' so the rt gates skip",
     )
     parser.add_argument(
         "--output", default="BENCH_rt.json",
@@ -480,7 +480,6 @@ def _cmd_rt(argv: List[str]) -> int:
             antagonists=args.antagonists,
             antagonist_kind=args.antagonist_kind,
             smoke=args.smoke,
-            max_miss_rate=args.max_miss_rate,
             config=config,
             granularity=args.granularity,
         )
@@ -490,9 +489,9 @@ def _cmd_rt(argv: List[str]) -> int:
     record = record_from_rt(report, env=capture_environment())
     print(render_rt_report(report))
     _persist_record(record, args)
-    if args.smoke or args.no_check:
+    if args.no_check:
         return 0
-    return _enforce_gates(record, args)
+    return _enforce_gates(record)
 
 
 def _cmd_cache(argv: List[str]) -> int:
@@ -717,7 +716,7 @@ def _cmd_gate(argv: List[str]) -> int:
             if args.strict:
                 failed = True
             continue
-        results = evaluate_gates(record, gates=gates, store=store)
+        results = evaluate_gates(record, gates=gates)
         print(render_gate_results(record, results))
         gated += 1
         if gate_failures(results):

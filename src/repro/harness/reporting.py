@@ -100,7 +100,7 @@ def render_record(record: Any) -> str:
 
 
 def render_rt_report(report: Dict[str, Any]) -> str:
-    """Human view of a ``run_rt`` report: per-condition latency table + SLO."""
+    """Human view of a ``run_rt`` report: per-condition latency table."""
     rt = report["rt"]
     header = (
         f"rt {rt['kernel']} ({rt['stage']}): "
@@ -169,9 +169,6 @@ def render_rt_report(report: Dict[str, Any]) -> str:
             f"({dominant['share']:.0%}, per-job "
             f"{dominant['min_ms']:.3f}..{dominant['max_ms']:.3f}ms)"
         )
-    slo = report["slo"]
-    lines.append(f"SLO: {slo['verdict'].upper()}")
-    lines.extend(f"  - {reason}" for reason in slo["reasons"])
     return "\n".join(lines)
 
 

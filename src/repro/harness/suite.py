@@ -226,7 +226,6 @@ def run_suite_task(task: Dict[str, Any]) -> Dict[str, Any]:
                 "response_p50_ms": unloaded["response_ms"]["p50"],
                 "response_p99_ms": unloaded["response_ms"]["p99"],
                 "jitter_p99_ms": unloaded["jitter_ms"]["p99"],
-                "slo": report["slo"]["verdict"],
             },
         }
     elif section == "fig21":

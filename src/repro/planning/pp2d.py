@@ -47,17 +47,13 @@ class GridPlanningSpace2D:
         robot_length: float = 4.8,
         robot_width: float = 1.8,
         profiler: Optional[PhaseProfiler] = None,
-        footprint_resolution: Optional[float] = None,
     ) -> None:
         self.grid = grid
         self.goal = goal
         self.profiler = profiler if profiler is not None else PhaseProfiler()
-        res = (
-            footprint_resolution
-            if footprint_resolution is not None
-            else grid.resolution
+        self.body_points = footprint_points(
+            robot_length, robot_width, grid.resolution
         )
-        self.body_points = footprint_points(robot_length, robot_width, res)
         self.collision_checks = 0
 
     def state_collides(self, row: int, col: int, theta: float) -> bool:

@@ -191,28 +191,16 @@ def record_from_rt(
     measurements: Dict[str, Measurement] = {
         "rt.period_ms": Measurement(float(rt["period_ms"]), unit="ms"),
         "rt.deadline_ms": Measurement(float(rt["deadline_ms"]), unit="ms"),
-        "slo.pass": _flag(report["slo"]["verdict"] == "pass"),
     }
-    # Step-granularity runs additionally expose the per-iteration SLO
-    # numbers under stable ``rt.step.*`` names for the rt.step-* gates.
+    # Step-granularity runs also expose the unloaded p99 as a share of
+    # the deadline for the rt.step-p99-deadline-ceiling gate.
     if rt.get("granularity") == "step":
         unloaded = report.get("conditions", {}).get("unloaded", {})
-        step_response = unloaded.get("response_ms", {})
-        if "p99" in step_response:
-            measurements["rt.step.p99_ms"] = Measurement(
-                float(step_response["p99"]),
-                unit="ms",
-                higher_is_better=False,
-            )
-            deadline_ms = float(rt["deadline_ms"])
-            if deadline_ms > 0:
-                measurements["rt.step.p99_deadline_ratio"] = _ratio(
-                    float(step_response["p99"]) / deadline_ms,
-                    higher_is_better=False,
-                )
-        if "miss_rate" in unloaded:
-            measurements["rt.step.miss_rate"] = _ratio(
-                unloaded["miss_rate"], higher_is_better=False
+        step_p99 = unloaded.get("response_ms", {}).get("p99")
+        deadline_ms = float(rt["deadline_ms"])
+        if step_p99 is not None and deadline_ms > 0:
+            measurements["rt.step.p99_deadline_ratio"] = _ratio(
+                float(step_p99) / deadline_ms, higher_is_better=False
             )
     for condition, summary in report.get("conditions", {}).items():
         response = summary.get("response_ms", {})

@@ -4,10 +4,10 @@ Before this layer the suite had three hand-rolled checkers — bench
 speedup floors, suite determinism/speedup floors, rt SLO floors — each a
 bespoke function over its own report layout.  A :class:`Gate` re-expresses
 one such check as a datum: *which* records it applies to (``kind`` +
-``skip_tags``), *which* metric it reads, and *what* must hold — either a
-fixed threshold (``op`` + ``threshold``) or a bounded regression against
-a stored baseline (``baseline`` + ``max_regression``).  The engine
-(:func:`evaluate_gates`) is the single generic interpreter, so a new
+``skip_tags``), *which* metric it reads, and the fixed bound it must
+meet (``op`` + ``threshold``).  A gate judges one record on its own,
+never against another stored record.  The engine (:func:`evaluate_gates`)
+is the single generic interpreter and the only pass/fail judge: a new
 subsystem adds gates by appending dicts, not by writing another checker.
 
 :data:`DEFAULT_GATES` carries the suite's shipped policy, the successor
@@ -21,11 +21,10 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
 from repro.results.record import RunRecord
-from repro.results.store import ResultStore
 
 #: Comparators a gate may name.  ``==`` / ``!=`` are exact — meant for
 #: pass-bits and counts, not timings.
@@ -44,21 +43,13 @@ ON_MISSING = ("fail", "skip")
 
 @dataclass(frozen=True)
 class Gate:
-    """One declarative check against a record's metric.
-
-    Exactly one of ``threshold`` (fixed bound) or ``baseline`` (a store
-    reference such as ``"latest"`` or a run id, compared via the
-    measurement's ``higher_is_better`` direction with ``max_regression``
-    slack) must be set.
-    """
+    """One declarative check: ``record.metric(metric) <op> threshold``."""
 
     name: str
     kind: str
     metric: str
+    threshold: float
     op: str = ">="
-    threshold: Optional[float] = None
-    baseline: Optional[str] = None
-    max_regression: float = 0.0
     on_missing: str = "fail"
     skip_tags: tuple = ()
 
@@ -73,25 +64,40 @@ class Gate:
                 f"gate {self.name!r}: on_missing must be one of "
                 f"{ON_MISSING}, got {self.on_missing!r}"
             )
-        if (self.threshold is None) == (self.baseline is None):
+        if isinstance(self.threshold, bool) or not isinstance(
+            self.threshold, (int, float)
+        ):
             raise ValueError(
-                f"gate {self.name!r}: exactly one of threshold/baseline "
-                "must be set"
+                f"gate {self.name!r}: threshold must be a number, "
+                f"got {self.threshold!r}"
             )
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "Gate":
-        """Parse one gate declaration (e.g. an entry of a gates file)."""
+        """Parse one gate declaration (e.g. an entry of a gates file).
+
+        A key the declaration form does not have is an error, not a
+        silent default: a misspelt ``skip_tags`` would otherwise judge
+        records the gate was meant to skip.
+        """
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(payload) - set(known))
+        if unknown:
+            raise ValueError(
+                f"gate {payload.get('name')!r}: unknown key(s) "
+                f"{', '.join(unknown)} (have: {', '.join(known)})"
+            )
+        missing = [
+            f.name for f in fields(cls)
+            if f.default is MISSING and f.name not in payload
+        ]
+        if missing:
+            raise ValueError(
+                f"gate {payload.get('name')!r}: missing key(s) "
+                f"{', '.join(missing)}"
+            )
         return cls(
-            name=payload["name"],
-            kind=payload["kind"],
-            metric=payload["metric"],
-            op=payload.get("op", ">="),
-            threshold=payload.get("threshold"),
-            baseline=payload.get("baseline"),
-            max_regression=float(payload.get("max_regression", 0.0)),
-            on_missing=payload.get("on_missing", "fail"),
-            skip_tags=tuple(payload.get("skip_tags", ())),
+            **{**payload, "skip_tags": tuple(payload.get("skip_tags", ()))}
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -101,13 +107,9 @@ class Gate:
             "kind": self.kind,
             "metric": self.metric,
             "op": self.op,
+            "threshold": self.threshold,
             "on_missing": self.on_missing,
         }
-        if self.threshold is not None:
-            payload["threshold"] = self.threshold
-        if self.baseline is not None:
-            payload["baseline"] = self.baseline
-            payload["max_regression"] = self.max_regression
         if self.skip_tags:
             payload["skip_tags"] = list(self.skip_tags)
         return payload
@@ -138,9 +140,11 @@ class GateResult:
 #: ``harness.bench.check_floors`` (speedup floors), ``harness.suite.
 #: check_suite_floors`` (failed tasks, determinism, parallel/cache
 #: floors), and ``rt.run.check_rt_floors`` (SLO + interference), with the
-#: old smoke exemptions expressed as ``skip_tags``.  Structural suite
-#: gates (failed tasks, determinism) stay active even on smoke records:
-#: they are machine-independent, so CI smoke runs can enforce them.
+#: old smoke exemptions expressed as ``skip_tags`` — the only smoke
+#: exemption: ``rtrbench bench/suite/rt --smoke`` enforce these gates on
+#: their records like any other run.  Structural suite gates (failed
+#: tasks, determinism) stay active even on smoke records: they are
+#: machine-independent, so CI smoke runs can enforce them.
 DEFAULT_GATES: List[Dict[str, Any]] = [
     # bench: vectorized-over-reference speedup floors (PR 1).
     {"name": "bench.raycast-speedup-floor", "kind": "bench",
@@ -185,19 +189,18 @@ DEFAULT_GATES: List[Dict[str, Any]] = [
     {"name": "suite.cache-hit-speedup-floor", "kind": "suite",
      "metric": "cache.hit_speedup", "op": ">=", "threshold": 5.0,
      "on_missing": "fail", "skip_tags": ["smoke"]},
-    # rt: the SLO verdict and honest interference degradation.
-    {"name": "rt.slo-pass", "kind": "rt",
-     "metric": "slo.pass", "op": "==", "threshold": 1.0,
+    # rt: the deadline-miss budget (at most 10% of unloaded jobs, in
+    # either granularity; a record without the unloaded miss rate fails)
+    # and honest interference degradation.
+    {"name": "rt.miss-rate-ceiling", "kind": "rt",
+     "metric": "unloaded.miss_rate", "op": "<=", "threshold": 0.1,
      "on_missing": "fail", "skip_tags": ["smoke"]},
     {"name": "rt.interference-degrades", "kind": "rt",
      "metric": "degradation.p99_ratio", "op": ">", "threshold": 1.0,
      "on_missing": "skip", "skip_tags": ["smoke"]},
-    # rt, step granularity: per-iteration SLO numbers.  ``on_missing:
-    # skip`` keeps run-granularity records (which never emit rt.step.*)
-    # judged exactly as before.
-    {"name": "rt.step-miss-rate-ceiling", "kind": "rt",
-     "metric": "rt.step.miss_rate", "op": "<=", "threshold": 0.1,
-     "on_missing": "skip", "skip_tags": ["smoke"]},
+    # rt, step granularity: per-iteration p99 against the deadline.
+    # ``on_missing: skip`` keeps run-granularity records (which never
+    # emit rt.step.*) out of it.
     {"name": "rt.step-p99-deadline-ceiling", "kind": "rt",
      "metric": "rt.step.p99_deadline_ratio", "op": "<=", "threshold": 1.0,
      "on_missing": "skip", "skip_tags": ["smoke"]},
@@ -223,84 +226,7 @@ def default_gates() -> List[Gate]:
     return gates_from_dicts(DEFAULT_GATES)
 
 
-def _evaluate_threshold(gate: Gate, value: float) -> GateResult:
-    bound = gate.threshold
-    assert bound is not None
-    if OPS[gate.op](value, bound):
-        return GateResult(
-            gate.name, gate.metric, "pass", value,
-            f"{value:.6g} {gate.op} {bound:.6g}",
-        )
-    return GateResult(
-        gate.name, gate.metric, "fail", value,
-        f"{gate.metric} = {value:.6g} violates {gate.op} {bound:.6g}",
-    )
-
-
-def _evaluate_baseline(
-    gate: Gate, record: RunRecord, value: float, store: Optional[ResultStore]
-) -> GateResult:
-    if store is None:
-        return _missing(
-            gate, value, "baseline gate evaluated without a result store"
-        )
-    assert gate.baseline is not None
-    ref = (
-        f"{record.kind}@{gate.baseline}"
-        if "@" not in gate.baseline and not gate.baseline.count("/")
-        else gate.baseline
-    )
-    try:
-        baseline = store.load(ref)
-    except (OSError, ValueError) as exc:
-        return _missing(gate, value, f"no baseline record ({exc})")
-    if baseline.run_id == record.run_id:
-        history = store.history(record.kind)
-        if len(history) < 2:
-            return _missing(
-                gate, value, "baseline is the record under test"
-            )
-        baseline = store._load_file(history[-2])
-    base_value = baseline.metric(gate.metric)
-    if base_value is None or math.isnan(base_value):
-        return _missing(
-            gate, value,
-            f"baseline {baseline.run_id} lacks metric {gate.metric!r}",
-        )
-    measurement = record.measurements[gate.metric]
-    higher = measurement.higher_is_better
-    if higher is None:
-        return _missing(
-            gate, value,
-            f"{gate.metric!r} is direction-free; baseline gates need "
-            "higher_is_better",
-        )
-    slack = abs(base_value) * gate.max_regression
-    bound = base_value - slack if higher else base_value + slack
-    ok = value >= bound if higher else value <= bound
-    verb = ">=" if higher else "<="
-    detail = (
-        f"{value:.6g} {verb} {bound:.6g} "
-        f"(baseline {baseline.run_id}: {base_value:.6g}, "
-        f"slack {gate.max_regression:.1%})"
-    )
-    if ok:
-        return GateResult(gate.name, gate.metric, "pass", value, detail)
-    return GateResult(
-        gate.name, gate.metric, "fail", value,
-        f"{gate.metric} regressed vs baseline: {detail}",
-    )
-
-
-def _missing(gate: Gate, value: Optional[float], why: str) -> GateResult:
-    if gate.on_missing == "fail":
-        return GateResult(gate.name, gate.metric, "fail", value, why)
-    return GateResult(gate.name, gate.metric, "skip", value, why)
-
-
-def evaluate_gate(
-    gate: Gate, record: RunRecord, store: Optional[ResultStore] = None
-) -> GateResult:
+def evaluate_gate(gate: Gate, record: RunRecord) -> GateResult:
     """Judge one gate against one record (kind/tag filtering included)."""
     if gate.kind != record.kind:
         return GateResult(
@@ -315,8 +241,10 @@ def evaluate_gate(
             )
     value = record.metric(gate.metric)
     if value is None:
-        return _missing(
-            gate, None, f"metric {gate.metric!r} absent from record"
+        status = "fail" if gate.on_missing == "fail" else "skip"
+        return GateResult(
+            gate.name, gate.metric, status, None,
+            f"metric {gate.metric!r} absent from record",
         )
     if math.isnan(value):
         # NaN never satisfies a bound; surface it explicitly instead of
@@ -325,15 +253,20 @@ def evaluate_gate(
             gate.name, gate.metric, "fail", value,
             f"metric {gate.metric!r} is NaN",
         )
-    if gate.threshold is not None:
-        return _evaluate_threshold(gate, value)
-    return _evaluate_baseline(gate, record, value, store)
+    bound = gate.threshold
+    if OPS[gate.op](value, bound):
+        return GateResult(
+            gate.name, gate.metric, "pass", value,
+            f"{value:.6g} {gate.op} {bound:.6g}",
+        )
+    return GateResult(
+        gate.name, gate.metric, "fail", value,
+        f"{gate.metric} = {value:.6g} violates {gate.op} {bound:.6g}",
+    )
 
 
 def evaluate_gates(
-    record: RunRecord,
-    gates: Optional[Iterable[Gate]] = None,
-    store: Optional[ResultStore] = None,
+    record: RunRecord, gates: Optional[Iterable[Gate]] = None
 ) -> List[GateResult]:
     """Judge a record against a gate set (default: the shipped policy).
 
@@ -344,7 +277,7 @@ def evaluate_gates(
     if gates is None:
         gates = default_gates()
     return [
-        evaluate_gate(gate, record, store)
+        evaluate_gate(gate, record)
         for gate in gates
         if gate.kind == record.kind
     ]

@@ -7,8 +7,9 @@ load.  This package runs any registered kernel as a **periodic task** —
 a release loop fires jobs at a configurable period, each job advancing
 the kernel's step session by one step or one whole episode — and
 reports latency quantiles (exact, from a mergeable log-bucketed
-histogram), release jitter, deadline-miss rate, and an SLO verdict,
-optionally under CPU / memory-bandwidth antagonist load.
+histogram), release jitter and deadline-miss rate, optionally under
+CPU / memory-bandwidth antagonist load.  The rt gates
+(:mod:`repro.results.gates`) judge the record it emits.
 
 Modules:
 
@@ -19,14 +20,15 @@ Modules:
   exclusion;
 * :mod:`repro.rt.interference` — CPU and memory-bandwidth antagonist
   processes for degradation-under-load measurements;
-* :mod:`repro.rt.slo` — deadline/SLO evaluation and report dataclasses;
+* :mod:`repro.rt.slo` — deadline accounting: the per-condition summary
+  (quantiles, jitter, miss rate);
 * :mod:`repro.rt.run` — end-to-end orchestration behind ``rtrbench rt``
   (``BENCH_rt.json``).
 """
 
 from repro.rt.histogram import LatencyHistogram
 from repro.rt.scheduler import JobRecord, PeriodicScheduler, ScheduleResult
-from repro.rt.slo import SLOPolicy, SLOVerdict, evaluate_slo, summarize_jobs
+from repro.rt.slo import summarize_jobs
 from repro.rt.run import run_rt
 
 __all__ = [
@@ -34,9 +36,6 @@ __all__ = [
     "JobRecord",
     "PeriodicScheduler",
     "ScheduleResult",
-    "SLOPolicy",
-    "SLOVerdict",
-    "evaluate_slo",
     "summarize_jobs",
     "run_rt",
 ]

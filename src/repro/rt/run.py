@@ -4,9 +4,9 @@ Glue between the rt building blocks and the rest of the harness: resolve
 a kernel from the registry, run it as a periodic task through
 :class:`~repro.rt.scheduler.PeriodicScheduler`, optionally repeat the
 run under antagonist load, and assemble the machine-readable report
-with latency quantiles, release jitter, deadline-miss rate, an SLO
-verdict, and a phase breakdown with per-phase min/max durations from
-the shared profiler stats.
+with latency quantiles, release jitter, deadline-miss rate, and a phase
+breakdown with per-phase min/max durations from the shared profiler
+stats.  The report judges nothing; pass/fail is the gates' call.
 
 Every periodic job is one call of a :class:`SessionJob`, which advances
 a :class:`~repro.harness.runner.StepSession` (a batch kernel is a
@@ -21,19 +21,19 @@ granularity (``granularity=``) decides only two things:
 * ``"step"`` — a job runs one step, and every episode reuses one
   workload built up front.  This is the RT-Bench periodic-application
   model at the kernel's natural iteration rate (one scan, one control
-  tick, one CEM generation...), so deadline/SLO accounting becomes
+  tick, one CEM generation...), so deadline accounting becomes
   per-iteration and slow kernels like pfl and mpc are rt-schedulable.
   The job that opens an episode also pays the kernel's ``begin_roi``,
   exactly like a deployed system re-initializing between missions.
 
 Warmup jobs stay out of every statistic, the phase breakdown included.
 
-The CI contract — outside smoke mode the unloaded SLO must pass, and an
-antagonist run must actually degrade p99 latency — is expressed as the
-``rt.*`` gate declarations in :data:`repro.results.gates.DEFAULT_GATES`
-and enforced by ``rtrbench gate`` over the record that ``rtrbench rt``
-emits; step records additionally carry the ``rt.step.*`` measurements
-their own ``rt.step-*`` gates judge.
+The CI contract — outside smoke mode at most 10% of unloaded jobs may
+miss their deadline, and an antagonist run must actually degrade p99
+latency — is expressed as the ``rt.*`` gate declarations in
+:data:`repro.results.gates.DEFAULT_GATES`, which ``rtrbench rt`` and
+``rtrbench gate`` enforce on the emitted record; step records also
+carry ``rt.step.p99_deadline_ratio`` for ``rt.step-p99-deadline-ceiling``.
 """
 
 from __future__ import annotations
@@ -53,16 +53,10 @@ from repro.harness.runner import (
 from repro.rt.histogram import LatencyHistogram
 from repro.rt.interference import AntagonistPool
 from repro.rt.scheduler import PeriodicScheduler
-from repro.rt.slo import SLOPolicy, evaluate_slo, summarize_jobs
+from repro.rt.slo import summarize_jobs
 
 #: Valid execution granularities, in documentation order.
 GRANULARITIES = ("run", "step")
-
-#: Deadline-miss budget outside smoke mode (10% of jobs may miss).
-RT_DEFAULT_MAX_MISS_RATE = 0.1
-
-#: Smoke mode never fails on misses: CI machines are noisy and shared.
-RT_SMOKE_MAX_MISS_RATE = 1.0
 
 #: Auto-calibrated period = headroom x median job wall clock.
 CALIBRATION_HEADROOM = 2.0
@@ -208,7 +202,6 @@ def run_rt(
     antagonists: int = 0,
     antagonist_kind: str = "cpu",
     smoke: bool = False,
-    max_miss_rate: Optional[float] = None,
     config: Optional[KernelConfig] = None,
     granularity: str = "run",
     **overrides: Any,
@@ -288,13 +281,6 @@ def run_rt(
             ),
         }
 
-    if max_miss_rate is None:
-        max_miss_rate = (
-            RT_SMOKE_MAX_MISS_RATE if smoke else RT_DEFAULT_MAX_MISS_RATE
-        )
-    policy = SLOPolicy(deadline_s=deadline_s, max_miss_rate=max_miss_rate)
-    verdict = evaluate_slo(conditions["unloaded"], policy)
-
     return {
         "rt": {
             "kernel": cls.name,
@@ -314,5 +300,4 @@ def run_rt(
         },
         "conditions": conditions,
         "degradation": degradation,
-        "slo": {"policy": policy.as_dict(), **verdict.as_dict()},
     }

@@ -1,67 +1,19 @@
-"""Deadline/SLO evaluation and report dataclasses.
+"""Deadline accounting for a periodic run.
 
 A periodic run produces a list of :class:`~repro.rt.scheduler.JobRecord`
 rows; this module turns them into the serving-style numbers the rt
 report leads with — response/latency quantiles, release-jitter stats,
-deadline-miss rate — and judges them against an :class:`SLOPolicy`.
-The verdict is machine-checkable (``rtrbench rt`` exits non-zero on a
-failed SLO outside smoke mode) and carries human-readable reasons.
+deadline-miss rate.  It reports them and judges nothing: the rt gates
+(:data:`repro.results.gates.DEFAULT_GATES`) decide pass/fail on the
+record ``rtrbench rt`` emits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 from repro.rt.histogram import LatencyHistogram
 from repro.rt.scheduler import JobRecord
-
-
-@dataclass
-class SLOPolicy:
-    """What a run must achieve to pass.
-
-    ``deadline_s`` classifies each job; ``max_miss_rate`` bounds the
-    fraction of jobs allowed to miss (inclusive — a run exactly at the
-    bound passes); ``max_p99_response_s`` optionally bounds the p99
-    response time; ``max_skip_rate`` bounds skipped releases per
-    measured job under the "skip" overrun policy.
-    """
-
-    deadline_s: float
-    max_miss_rate: float = 0.0
-    max_p99_response_s: Optional[float] = None
-    max_skip_rate: Optional[float] = None
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Plain-dict view for JSON reports."""
-        return {
-            "deadline_ms": self.deadline_s * 1e3,
-            "max_miss_rate": self.max_miss_rate,
-            "max_p99_response_ms": (
-                None
-                if self.max_p99_response_s is None
-                else self.max_p99_response_s * 1e3
-            ),
-            "max_skip_rate": self.max_skip_rate,
-        }
-
-
-@dataclass
-class SLOVerdict:
-    """Outcome of judging one run against a policy."""
-
-    passed: bool
-    reasons: List[str] = field(default_factory=list)
-
-    @property
-    def verdict(self) -> str:
-        """``"pass"`` or ``"fail"``, the report's headline string."""
-        return "pass" if self.passed else "fail"
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Plain-dict view for JSON reports."""
-        return {"verdict": self.verdict, "reasons": list(self.reasons)}
 
 
 def summarize_jobs(
@@ -101,39 +53,3 @@ def summarize_jobs(
         },
     }
 
-
-def evaluate_slo(
-    summary: Dict[str, Any], policy: SLOPolicy
-) -> SLOVerdict:
-    """Judge a :func:`summarize_jobs` summary against ``policy``.
-
-    Bounds are inclusive: a run exactly at ``max_miss_rate`` (or exactly
-    at the p99/skip bound) passes.  An empty run fails — no evidence is
-    not a met SLO.
-    """
-    reasons: List[str] = []
-    if not summary.get("jobs"):
-        return SLOVerdict(passed=False, reasons=["no measured jobs"])
-    miss_rate = summary["miss_rate"]
-    if miss_rate > policy.max_miss_rate:
-        reasons.append(
-            f"miss rate {miss_rate:.3f} exceeds bound "
-            f"{policy.max_miss_rate:.3f} "
-            f"({summary['misses']}/{summary['jobs']} jobs past the "
-            f"{policy.deadline_s * 1e3:.3g}ms deadline)"
-        )
-    if policy.max_p99_response_s is not None:
-        p99_s = summary["response_ms"]["p99"] / 1e3
-        if p99_s > policy.max_p99_response_s:
-            reasons.append(
-                f"p99 response {p99_s * 1e3:.3f}ms exceeds bound "
-                f"{policy.max_p99_response_s * 1e3:.3f}ms"
-            )
-    if policy.max_skip_rate is not None:
-        skip_rate = summary.get("skip_rate", 0.0)
-        if skip_rate > policy.max_skip_rate:
-            reasons.append(
-                f"skip rate {skip_rate:.3f} exceeds bound "
-                f"{policy.max_skip_rate:.3f}"
-            )
-    return SLOVerdict(passed=not reasons, reasons=reasons)

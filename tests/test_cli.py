@@ -296,6 +296,25 @@ def test_suite_names_a_corrupt_stored_record(tmp_path, capsys):
     assert f"corrupt record {path}" in capsys.readouterr().err
 
 
+def test_suite_smoke_with_a_failed_task_exits_nonzero(
+    tmp_path, capsys, monkeypatch
+):
+    # --smoke skips only the gates tagged for it; suite.no-failed-tasks
+    # judges smoke records too, so a failed task fails the command.
+    from repro.harness import suite
+
+    def broken(task):
+        raise RuntimeError("task exploded")
+
+    monkeypatch.setattr(suite, "run_suite_task", broken)
+    code = main(
+        ["suite", "--smoke", "--filter", "characterize:15.cem",
+         "--output", str(tmp_path / "BENCH_suite.json")]
+    )
+    assert code == 1
+    assert "GATE FAILURE suite.no-failed-tasks" in capsys.readouterr().err
+
+
 def test_suite_filter_with_no_match_errors(capsys):
     code = main(["suite", "--smoke", "--filter", "no-such-task-*"])
     assert code == 2
@@ -532,3 +551,28 @@ def test_gate_cli_strict_names_a_malformed_measurement(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"unreadable record {broken}" in err
     assert "nn.speedup" in err
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        # A misspelt skip_tags would leave the gate failing the smoke
+        # records it was meant to skip.
+        ({"skip_tag": ["smoke"]}, "skip_tag"),
+        # Gates judge one record on its own, never a stored baseline.
+        ({"baseline": "latest", "max_regression": 0.1},
+         "baseline, max_regression"),
+    ],
+    ids=["misspelt-skip-tags", "stored-baseline"],
+)
+def test_gate_cli_rejects_a_gates_file_with_unknown_keys(
+    tmp_path, capsys, extra, named
+):
+    gate = {"name": "floor", "kind": "bench", "metric": "raycast.speedup",
+            "op": ">=", "threshold": 5.0}
+    gates = tmp_path / "gates.json"
+    gates.write_text(json.dumps([dict(gate, **extra)]))
+    code = main(["gate", "--gates", str(gates), HOTPATHS,
+                 "--results-dir", str(tmp_path / "results")])
+    assert code == 2
+    assert f"unknown key(s) {named}" in capsys.readouterr().err

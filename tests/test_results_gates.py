@@ -29,11 +29,11 @@ from repro.results.gates import (
     render_gate_results,
 )
 
-def _bench_record(value=6.0, tags=(), hib=True):
+def _bench_record(value=6.0, tags=()):
     return RunRecord(
         kind="bench",
         tags=list(tags),
-        measurements={"raycast.speedup": Measurement(value, "ratio", hib)},
+        measurements={"raycast.speedup": Measurement(value, "ratio", True)},
     )
 
 
@@ -60,10 +60,13 @@ def test_gate_rejects_bad_on_missing():
 
 
 def test_gate_requires_exactly_one_bound():
-    with pytest.raises(ValueError, match="exactly one"):
+    # The fixed threshold is the one bound a gate has; it is required.
+    with pytest.raises(ValueError, match="threshold must be a number"):
         _floor_gate(threshold=None)
-    with pytest.raises(ValueError, match="exactly one"):
-        _floor_gate(baseline="latest")
+    spec = _floor_gate().to_dict()
+    del spec["threshold"]
+    with pytest.raises(ValueError, match="missing key.*threshold"):
+        Gate.from_dict(spec)
 
 
 def test_gate_dict_roundtrip():
@@ -140,99 +143,6 @@ def test_render_gate_results_summarizes_verdict():
     assert "-> FAIL" in text
 
 
-# -- baseline gates ------------------------------------------------------------
-
-
-def _baseline_gate(**overrides):
-    spec = dict(
-        name="vs-baseline", kind="bench", metric="raycast.speedup",
-        baseline="latest", max_regression=0.1, on_missing="skip",
-    )
-    spec.update(overrides)
-    return Gate(**spec)
-
-
-@pytest.fixture
-def store(tmp_path):
-    return ResultStore(str(tmp_path / "results"))
-
-
-def test_baseline_gate_allows_bounded_regression(store):
-    store.save(_bench_record(6.0))
-    gate = _baseline_gate()
-    assert evaluate_gate(gate, _bench_record(5.5), store).passed
-    result = evaluate_gate(gate, _bench_record(5.3), store)
-    assert result.failed
-    assert "regressed vs baseline" in result.reason
-
-
-def test_baseline_gate_lower_is_better_direction(store):
-    store.save(
-        RunRecord(
-            kind="bench",
-            measurements={"t.wall_s": Measurement(1.0, "s", False)},
-        )
-    )
-    gate = _baseline_gate(metric="t.wall_s")
-    slower_ok = RunRecord(
-        kind="bench",
-        measurements={"t.wall_s": Measurement(1.05, "s", False)},
-    )
-    assert evaluate_gate(gate, slower_ok, store).passed
-    too_slow = RunRecord(
-        kind="bench",
-        measurements={"t.wall_s": Measurement(1.2, "s", False)},
-    )
-    assert evaluate_gate(gate, too_slow, store).failed
-
-
-def test_baseline_gate_without_store_follows_on_missing():
-    assert evaluate_gate(
-        _baseline_gate(on_missing="skip"), _bench_record(5.0)
-    ).status == "skip"
-    assert evaluate_gate(
-        _baseline_gate(on_missing="fail"), _bench_record(5.0)
-    ).failed
-
-
-def test_baseline_gate_missing_baseline_record(store):
-    result = evaluate_gate(_baseline_gate(), _bench_record(5.0), store)
-    assert result.status == "skip"
-    assert "no baseline record" in result.reason
-
-
-def test_baseline_gate_skips_when_baseline_lacks_metric(store):
-    store.save(RunRecord(kind="bench"))
-    result = evaluate_gate(_baseline_gate(), _bench_record(5.0), store)
-    assert result.status == "skip"
-    assert "lacks metric" in result.reason
-
-
-def test_baseline_gate_steps_past_the_record_under_test(store):
-    store.save(_bench_record(6.0))
-    candidate = _bench_record(5.5)
-    store.save(candidate)
-    # "latest" resolves to the candidate itself; the engine steps back
-    # one entry so a freshly stored run is judged against its
-    # predecessor, not itself.
-    assert evaluate_gate(_baseline_gate(), candidate, store).passed
-    lone = ResultStore(store.root + "-lone")
-    only = _bench_record(5.5)
-    lone.save(only)
-    result = evaluate_gate(_baseline_gate(), only, lone)
-    assert result.status == "skip"
-    assert "record under test" in result.reason
-
-
-def test_baseline_gate_needs_a_direction(store):
-    store.save(_bench_record(6.0, hib=None))
-    result = evaluate_gate(
-        _baseline_gate(), _bench_record(5.5, hib=None), store
-    )
-    assert result.status == "skip"
-    assert "direction-free" in result.reason
-
-
 # == verdicts on the committed records ==========================================
 #
 # Each committed BENCH_*.json record, as committed and perturbed to trip
@@ -285,7 +195,7 @@ _SPEEDUPS_50 = _both(*(
                   "search_pp3d")
 ))
 _GOOD_PARALLEL = _set("suite.parallel_speedup", 2.5)
-_SLO_FAIL = _set("slo.pass", 0.0)
+_MISSES = _set("unloaded.miss_rate", 0.2)
 _DEGRADES_NOT = _set("degradation.p99_ratio", 0.98)
 
 #: (kind, label, perturbation, failing gates).
@@ -313,11 +223,11 @@ VERDICTS = [
            "determinism."),
      []),
     ("rt", "as-committed", None, []),
-    ("rt", "slo-fail", _SLO_FAIL, ["rt.slo-pass"]),
+    ("rt", "miss-rate-above-ceiling", _MISSES, ["rt.miss-rate-ceiling"]),
     ("rt", "non-degrading-interference", _DEGRADES_NOT,
      ["rt.interference-degrades"]),
     ("rt", "unloaded-only", _drop("degradation."), []),
-    ("rt", "smoke-exempt", _both(_smoke, _SLO_FAIL, _DEGRADES_NOT), []),
+    ("rt", "smoke-exempt", _both(_smoke, _MISSES, _DEGRADES_NOT), []),
 ]
 
 

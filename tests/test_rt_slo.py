@@ -1,11 +1,12 @@
-"""Tests for SLO summarization and verdict boundaries."""
+"""Tests for deadline summarization and the miss-rate gate's boundary."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.results import Measurement, RunRecord, evaluate_gates
 from repro.rt.scheduler import JobRecord
-from repro.rt.slo import SLOPolicy, evaluate_slo, summarize_jobs
+from repro.rt.slo import summarize_jobs
 
 
 def _records(responses, period=10.0):
@@ -52,82 +53,73 @@ def test_summarize_jitter_block():
     assert summary["jitter_ms"]["mean"] == pytest.approx(1.0)
 
 
+def _verdicts(summary, deadline_s=None):
+    """Per-gate rt verdicts on a record built from this summary.
+
+    With ``deadline_s`` the record is a step record, which also carries
+    the unloaded p99 over the deadline.
+    """
+    measurements = {}
+    if "miss_rate" in summary:
+        measurements["unloaded.miss_rate"] = Measurement(
+            summary["miss_rate"], "ratio", False
+        )
+    if deadline_s is not None:
+        measurements["rt.step.p99_deadline_ratio"] = Measurement(
+            summary["response_ms"]["p99"] / (deadline_s * 1e3), "ratio", False
+        )
+    record = RunRecord(kind="rt", measurements=measurements)
+    return {r.gate: r for r in evaluate_gates(record)}
+
+
+def _judged(summary):
+    """The rt.miss-rate-ceiling verdict on a run with this summary."""
+    return _verdicts(summary)["rt.miss-rate-ceiling"]
+
+
 def test_empty_records_summary_and_verdict():
     summary = summarize_jobs([], deadline_s=1.0)
     assert summary == {"jobs": 0}
-    verdict = evaluate_slo(summary, SLOPolicy(deadline_s=1.0))
-    assert not verdict.passed
-    assert verdict.verdict == "fail"
-    assert "no measured jobs" in verdict.reasons[0]
+    # No evidence is not a met deadline budget: the gate fails a record
+    # that carries no unloaded miss rate.
+    verdict = _judged(summary)
+    assert verdict.failed
+    assert "absent" in verdict.reason
 
 
 def test_miss_rate_bound_is_inclusive():
-    records = _records([1.0, 1.0, 1.0, 12.0])  # 25% miss at deadline 10
-    summary = summarize_jobs(records, deadline_s=10.0)
-    at_bound = SLOPolicy(deadline_s=10.0, max_miss_rate=0.25)
-    assert evaluate_slo(summary, at_bound).passed
-    below_bound = SLOPolicy(deadline_s=10.0, max_miss_rate=0.249)
-    verdict = evaluate_slo(summary, below_bound)
-    assert not verdict.passed
-    assert "miss rate" in verdict.reasons[0]
+    # 1 of 10 jobs past the deadline sits exactly on the 10% ceiling.
+    at_bound = summarize_jobs(_records([1.0] * 9 + [12.0]), deadline_s=10.0)
+    assert at_bound["miss_rate"] == pytest.approx(0.1)
+    assert _judged(at_bound).passed
+    above = summarize_jobs(_records([1.0] * 8 + [12.0] * 2), deadline_s=10.0)
+    verdict = _judged(above)
+    assert verdict.failed
+    assert "unloaded.miss_rate" in verdict.reason
 
 
 def test_zero_miss_policy_passes_clean_run():
     summary = summarize_jobs(_records([1.0, 2.0]), deadline_s=10.0)
-    verdict = evaluate_slo(summary, SLOPolicy(deadline_s=10.0))
-    assert verdict.passed
-    assert verdict.reasons == []
-    assert verdict.as_dict() == {"verdict": "pass", "reasons": []}
+    assert summary["misses"] == 0
+    assert _judged(summary).passed
 
 
 def test_p99_response_bound():
-    records = _records([1.0] * 98 + [50.0, 50.0])
-    summary = summarize_jobs(records, deadline_s=100.0)
-    tight = SLOPolicy(
-        deadline_s=100.0, max_miss_rate=1.0, max_p99_response_s=10.0
-    )
-    verdict = evaluate_slo(summary, tight)
-    assert not verdict.passed
-    assert "p99 response" in verdict.reasons[0]
-    loose = SLOPolicy(
-        deadline_s=100.0, max_miss_rate=1.0, max_p99_response_s=50.0
-    )
-    assert evaluate_slo(summary, loose).passed  # inclusive bound
-
-
-def test_skip_rate_bound():
-    records = _records([1.0, 1.0])
-    summary = summarize_jobs(records, deadline_s=10.0, skipped_releases=4)
-    policy = SLOPolicy(
-        deadline_s=10.0, max_miss_rate=1.0, max_skip_rate=1.0
-    )
-    verdict = evaluate_slo(summary, policy)
-    assert not verdict.passed
-    assert "skip rate" in verdict.reasons[0]
-    assert evaluate_slo(
-        summary,
-        SLOPolicy(deadline_s=10.0, max_miss_rate=1.0, max_skip_rate=2.0),
-    ).passed
+    # rt.step-p99-deadline-ceiling: a step run's p99 may reach the
+    # deadline (inclusive) but not pass it.
+    records = _records([1.0] * 98 + [50.0, 50.0], period=100.0)
+    summary = summarize_jobs(records, deadline_s=50.0)
+    at_deadline = _verdicts(summary, deadline_s=50.0)
+    assert at_deadline["rt.step-p99-deadline-ceiling"].passed
+    past = _verdicts(summary, deadline_s=49.0)
+    assert past["rt.step-p99-deadline-ceiling"].failed
 
 
 def test_multiple_violations_all_reported():
-    records = _records([20.0, 20.0])
-    summary = summarize_jobs(records, deadline_s=10.0, skipped_releases=10)
-    policy = SLOPolicy(
-        deadline_s=10.0,
-        max_miss_rate=0.0,
-        max_p99_response_s=1.0,
-        max_skip_rate=0.1,
+    summary = summarize_jobs(_records([20.0, 20.0]), deadline_s=10.0)
+    failed = sorted(
+        name
+        for name, result in _verdicts(summary, deadline_s=10.0).items()
+        if result.failed
     )
-    verdict = evaluate_slo(summary, policy)
-    assert len(verdict.reasons) == 3
-
-
-def test_policy_as_dict_round_trip_units():
-    policy = SLOPolicy(
-        deadline_s=0.05, max_miss_rate=0.1, max_p99_response_s=0.04
-    )
-    d = policy.as_dict()
-    assert d["deadline_ms"] == pytest.approx(50.0)
-    assert d["max_p99_response_ms"] == pytest.approx(40.0)
-    assert d["max_skip_rate"] is None
+    assert failed == ["rt.miss-rate-ceiling", "rt.step-p99-deadline-ceiling"]
