@@ -16,20 +16,14 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from repro.geometry.transforms import wrap_angle, wrap_angles
+from repro.geometry.transforms import wrap_angle
 from repro.harness.config import KernelConfig, option
 from repro.harness.profiler import PhaseProfiler
 from repro.harness.runner import Kernel, registry
 from repro.robots.bicycle import BicycleModel, BicycleState
 
 N_STATE = 4  # x, y, theta, v
-N_CONTROL = 2  # accel, steer
-
-#: The gufunc ``np.linalg.inv`` dispatches to, without its per-call
-#: errstate context (~4x cheaper on a 2x2, same bits).
-_inv = _umath_linalg.inv
 
 
 @dataclass
@@ -80,11 +74,29 @@ class ModelPredictiveController:
         ``(horizon, 2)`` control plan; callers apply the first row
         (receding horizon).
 
-        The closed loop is chaotic, so this is pinned bit for bit to the
-        plain per-step form: every multi-term product keeps its numpy
-        expression and association (OpenBLAS decides those bits), and
-        only products with one nonzero term (diagonal ``q`` and ``r``)
-        are batched.
+        Each iteration rolls the plan out, then runs the backward Riccati
+        pass of the matrix form
+
+            H = B^T S B + R,  K = H^-1 (B^T S A),
+            kf = H^-1 (B^T s + R u),  A_cl = A - B K,
+            s <- A_cl^T (s - S B kf) + Q e,
+            S <- A_cl^T (S A_cl) + (K^T R) K + Q,
+
+        and a clamped forward pass ``u <- u - K e - 0.2 kf``, all in
+        plain float arithmetic in one fixed order, with no BLAS call, so
+        the bits do not depend on the host's linear-algebra build:
+
+        * ``A`` and ``B`` are the plant's Jacobians: the identity plus
+          the entries of :meth:`BicycleModel.jacobian_entries`, and
+          ``B[3, 0] = dt``.  Every product drops its structural zero
+          terms and folds its ``x 1.0`` terms; what is left sums over
+          the inner index in ascending order.
+        * ``S`` is held as its upper triangle, ``s_ij`` with ``i <= j``;
+          ``Q`` and ``R`` are diagonal.
+        * ``H`` is symmetric (``h01`` is ``(B^T S)[0] B[:, 1]``) and is
+          inverted in closed form; ``det == 0`` or a non-finite ``det``
+          raises :class:`numpy.linalg.LinAlgError`.
+        * ``S B kf`` is ``s_i3 (b30 kf0) + s_i2 (b21 kf1)``.
         """
         t_len = self.horizon
         reference = np.asarray(reference, dtype=float)
@@ -98,62 +110,144 @@ class ModelPredictiveController:
             raise ValueError("state and reference window must be finite")
         prof = self.profiler
         model, dt = self.model, self.dt
-        q, r = self.q, self.r
-        q_diag, r_diag = np.diagonal(q), np.diagonal(r)
+        b30 = dt  # B[3, 0]
+        propagate, clamp = model.propagate, model.clamp_control
+        jacobian_entries = model.jacobian_entries
+        q0, q1, q2, q3 = np.diagonal(self.q).tolist()
+        r0, r1 = np.diagonal(self.r).tolist()
         ref_rows = reference.tolist()
-        controls = np.zeros((t_len, N_CONTROL))
-        # A singular btsb fills the gufunc's output with NaN and sets the
-        # invalid flag; it is re-raised as np.linalg.inv's LinAlgError.
-        with prof.phase("optimize"), np.errstate(invalid="ignore"):
+        controls = [(0.0, 0.0)] * t_len
+        # Per step: K's eight entries, then 0.2 kf.
+        policy = [None] * t_len
+        with prof.phase("optimize"):
             for _ in range(self.iterations):
                 with prof.phase("dynamics"):
-                    states = model.rollout(state, controls, dt)
-                # Linearize along the nominal trajectory.
-                a_mats, b_mats = model.jacobian_stack(
-                    states[:t_len, 2].tolist(),
-                    states[:t_len, 3].tolist(),
-                    controls[:, 1].tolist(),
-                    dt,
-                )
-                errors = states - reference
-                errors[:, 2] = wrap_angles(errors[:, 2])
-                q_err = errors * q_diag
-                r_u = controls * r_diag
+                    current = x0
+                    states = [current]
+                    for u_a, u_d in controls:
+                        current = propagate(*current, u_a, u_d, dt)
+                        states.append(current)
+                # Terminal cost-to-go: S = Q, s = Q e_T.
+                x, y, theta, v = states[t_len]
+                rx, ry, rtheta, rv = ref_rows[t_len]
+                s00, s11, s22, s33 = q0, q1, q2, q3
+                s01 = s02 = s03 = s12 = s13 = s23 = 0.0
+                sv0 = (x - rx) * q0
+                sv1 = (y - ry) * q1
+                sv2 = wrap_angle(theta - rtheta) * q2
+                sv3 = (v - rv) * q3
                 # Backward Riccati pass on the error system.
-                s_mat = q.copy()
-                s_vec = q_err[t_len]
-                k_gains = [None] * t_len
-                k_ff = [None] * t_len
                 for t in range(t_len - 1, -1, -1):
-                    a, b = a_mats[t], b_mats[t]
-                    bts = b.T @ s_mat
-                    btsb = bts @ b + r
-                    inv = _inv(btsb)
-                    if inv[0, 0] != inv[0, 0]:
-                        inv = np.linalg.inv(btsb)
-                    k = k_gains[t] = inv @ (bts @ a)
-                    kf = k_ff[t] = inv @ (b.T @ s_vec + r_u[t])
-                    a_cl = a - b @ k
-                    s_vec = a_cl.T @ (s_vec - s_mat @ b @ kf) + q_err[t]
-                    s_mat = a_cl.T @ s_mat @ a_cl + k.T @ r @ k + q
+                    x, y, theta, v = states[t]
+                    rx, ry, rtheta, rv = ref_rows[t]
+                    u_a, u_d = controls[t]
+                    a02, a03, a12, a13, a23, b21 = jacobian_entries(
+                        theta, v, u_d, dt
+                    )
+                    # B^T S: row 0 is b30 S[3], row 1 is b21 S[2].
+                    p0, p1, p2, p3 = b30 * s03, b30 * s13, b30 * s23, b30 * s33
+                    m0, m1, m2, m3 = b21 * s02, b21 * s12, b21 * s22, b21 * s23
+                    h00 = p3 * b30 + r0
+                    h01 = p2 * b21
+                    h11 = m2 * b21 + r1
+                    det = h00 * h11 - h01 * h01
+                    if det == 0.0 or not math.isfinite(det):
+                        raise np.linalg.LinAlgError("Singular matrix")
+                    i00, i01, i11 = h11 / det, -h01 / det, h00 / det
+                    # G = (B^T S) A, then K = H^-1 G.
+                    g02 = p0 * a02 + p1 * a12 + p2
+                    g03 = p0 * a03 + p1 * a13 + p2 * a23 + p3
+                    g12 = m0 * a02 + m1 * a12 + m2
+                    g13 = m0 * a03 + m1 * a13 + m2 * a23 + m3
+                    k00, k10 = i00 * p0 + i01 * m0, i01 * p0 + i11 * m0
+                    k01, k11 = i00 * p1 + i01 * m1, i01 * p1 + i11 * m1
+                    k02, k12 = i00 * g02 + i01 * g12, i01 * g02 + i11 * g12
+                    k03, k13 = i00 * g03 + i01 * g13, i01 * g03 + i11 * g13
+                    # kf = H^-1 (B^T s + R u).
+                    c0 = b30 * sv3 + r0 * u_a
+                    c1 = b21 * sv2 + r1 * u_d
+                    kf0 = i00 * c0 + i01 * c1
+                    kf1 = i01 * c0 + i11 * c1
+                    policy[t] = (k00, k01, k02, k03, k10, k11, k12, k13,
+                                 0.2 * kf0, 0.2 * kf1)
+                    # A_cl = A - B K: rows 0 and 1 are A's, rows 2 and 3
+                    # are c2j and c3j.
+                    c20, c21 = -(b21 * k10), -(b21 * k11)
+                    c22, c23 = 1.0 - b21 * k12, a23 - b21 * k13
+                    c30, c31 = -(b30 * k00), -(b30 * k01)
+                    c32, c33 = -(b30 * k02), 1.0 - b30 * k03
+                    # s <- A_cl^T w + Q e, with w = s - S B kf.
+                    d0, d1 = b30 * kf0, b21 * kf1
+                    w0 = sv0 - (s03 * d0 + s02 * d1)
+                    w1 = sv1 - (s13 * d0 + s12 * d1)
+                    w2 = sv2 - (s23 * d0 + s22 * d1)
+                    w3 = sv3 - (s33 * d0 + s23 * d1)
+                    sv0 = w0 + c20 * w2 + c30 * w3 + (x - rx) * q0
+                    sv1 = w1 + c21 * w2 + c31 * w3 + (y - ry) * q1
+                    sv2 = (a02 * w0 + a12 * w1 + c22 * w2 + c32 * w3
+                           + wrap_angle(theta - rtheta) * q2)
+                    sv3 = (a03 * w0 + a13 * w1 + c23 * w2 + c33 * w3
+                           + (v - rv) * q3)
+                    # N = S A_cl (n10 is not needed) ...
+                    n00 = s00 + s02 * c20 + s03 * c30
+                    n01 = s01 + s02 * c21 + s03 * c31
+                    n02 = s00 * a02 + s01 * a12 + s02 * c22 + s03 * c32
+                    n03 = s00 * a03 + s01 * a13 + s02 * c23 + s03 * c33
+                    n11 = s11 + s12 * c21 + s13 * c31
+                    n12 = s01 * a02 + s11 * a12 + s12 * c22 + s13 * c32
+                    n13 = s01 * a03 + s11 * a13 + s12 * c23 + s13 * c33
+                    n20 = s02 + s22 * c20 + s23 * c30
+                    n21 = s12 + s22 * c21 + s23 * c31
+                    n22 = s02 * a02 + s12 * a12 + s22 * c22 + s23 * c32
+                    n23 = s02 * a03 + s12 * a13 + s22 * c23 + s23 * c33
+                    n30 = s03 + s23 * c20 + s33 * c30
+                    n31 = s13 + s23 * c21 + s33 * c31
+                    n32 = s03 * a02 + s13 * a12 + s23 * c22 + s33 * c32
+                    n33 = s03 * a03 + s13 * a13 + s23 * c23 + s33 * c33
+                    # ... K^T R ...
+                    rk00, rk01 = k00 * r0, k01 * r0
+                    rk02, rk03 = k02 * r0, k03 * r0
+                    rk10, rk11 = k10 * r1, k11 * r1
+                    rk12, rk13 = k12 * r1, k13 * r1
+                    # ... and S <- A_cl^T N + (K^T R) K + Q.
+                    s00 = (n00 + c20 * n20 + c30 * n30
+                           + (rk00 * k00 + rk10 * k10) + q0)
+                    s01 = (n01 + c20 * n21 + c30 * n31
+                           + (rk00 * k01 + rk10 * k11))
+                    s02 = (n02 + c20 * n22 + c30 * n32
+                           + (rk00 * k02 + rk10 * k12))
+                    s03 = (n03 + c20 * n23 + c30 * n33
+                           + (rk00 * k03 + rk10 * k13))
+                    s11 = (n11 + c21 * n21 + c31 * n31
+                           + (rk01 * k01 + rk11 * k11) + q1)
+                    s12 = (n12 + c21 * n22 + c31 * n32
+                           + (rk01 * k02 + rk11 * k12))
+                    s13 = (n13 + c21 * n23 + c31 * n33
+                           + (rk01 * k03 + rk11 * k13))
+                    s22 = (a02 * n02 + a12 * n12 + c22 * n22 + c32 * n32
+                           + (rk02 * k02 + rk12 * k12) + q2)
+                    s23 = (a02 * n03 + a12 * n13 + c22 * n23 + c32 * n33
+                           + (rk02 * k03 + rk12 * k13))
+                    s33 = (a03 * n03 + a13 * n13 + c23 * n23 + c33 * n33
+                           + (rk03 * k03 + rk13 * k13) + q3)
                 prof.count("riccati_steps", t_len)
                 # Forward pass: apply the affine policy, clamped.
-                feedforward = (0.2 * np.array(k_ff)).tolist()
                 new_controls = []
                 current = x0
-                for t, (u_a, u_d) in enumerate(controls.tolist()):
+                for t, (u_a, u_d) in enumerate(controls):
                     x, y, theta, v = current
                     rx, ry, rtheta, rv = ref_rows[t]
-                    err = np.array(
-                        [x - rx, y - ry, wrap_angle(theta - rtheta), v - rv]
+                    e0, e1 = x - rx, y - ry
+                    e2, e3 = wrap_angle(theta - rtheta), v - rv
+                    k00, k01, k02, k03, k10, k11, k12, k13, f0, f1 = policy[t]
+                    u = clamp(
+                        u_a - (k00 * e0 + k01 * e1 + k02 * e2 + k03 * e3) - f0,
+                        u_d - (k10 * e0 + k11 * e1 + k12 * e2 + k13 * e3) - f1,
                     )
-                    fb_a, fb_d = (k_gains[t] @ err).tolist()
-                    ff_a, ff_d = feedforward[t]
-                    u = model.clamp_control(u_a - fb_a - ff_a, u_d - fb_d - ff_d)
                     new_controls.append(u)
-                    current = model.propagate(*current, *u, dt)
-                controls = np.array(new_controls)
-        return controls
+                    current = propagate(*current, *u, dt)
+                controls = new_controls
+        return np.array(controls)
 
     def track_begin(
         self,

@@ -398,7 +398,10 @@ def run_bench_record(
     with pinned_thread_env() as thread_env:
         results = run_bench(smoke=smoke, seed=seed, phases=phases)
         env = capture_environment(thread_env=thread_env)
-    return record_from_bench(results, smoke=smoke, seed=seed, env=env)
+    return record_from_bench(
+        results, smoke=smoke, seed=seed, env=env,
+        partial=len(results) < len(BENCH_PHASES),
+    )
 
 
 def render_report(results: Dict[str, Dict[str, float]]) -> str:

@@ -25,9 +25,9 @@ defaults.
 ``--output`` file is a record, and a copy is appended to the
 ``.rtrbench_results/`` history (``--no-store`` skips that).  Each then
 judges its record with the declarative regression gates and exits 1 on
-a failure, ``--smoke`` included (gates skip smoke-tagged records through
-their ``skip_tags``); ``--no-check`` is the only opt-out, and a partial
-``bench --phases`` record is not judged.  ``report`` lists or renders
+a failure, ``--smoke`` included (gates skip smoke-tagged records, and
+``partial`` ones from ``bench --phases``, through their ``skip_tags``);
+``--no-check`` is the only opt-out.  ``report`` lists or renders
 stored records, ``compare`` diffs two records with a noise tolerance,
 and ``gate`` judges stored records or record files with the same gates
 (the single CI entry point replacing the old per-subsystem floor
@@ -273,7 +273,8 @@ def _cmd_bench(argv: List[str]) -> int:
         "--phases", nargs="+", metavar="GLOB", default=None,
         help=(
             "run only the bench phases matching these glob patterns "
-            "(e.g. 'search_*'); partial records skip gate enforcement"
+            "(e.g. 'search_*'); a record of only some phases is tagged "
+            "'partial', which the speedup floors skip"
         ),
     )
     _add_store_options(parser)
@@ -287,11 +288,6 @@ def _cmd_bench(argv: List[str]) -> int:
         return 2
     print(render_report(record.detail))
     _persist_record(record, args)
-    if args.phases:
-        # A filtered record lacks the other phases' metrics; gates with
-        # on_missing='fail' would misread that as a regression.
-        print("phase filter active: skipping gate enforcement")
-        return 0
     if args.no_check:
         return 0
     return _enforce_gates(record)

@@ -86,9 +86,11 @@ def render_record(record: Any) -> str:
         ", ".join(f"{k}={v}" for k, v in sorted(env.thread_env.items()))
         or "unpinned"
     )
+    sha = env.git_sha or "unknown"
+    short_sha = sha[:12] + ("-dirty" if sha.endswith("-dirty") else "")
     lines.append(
         f"environment: python {env.python or '?'}, numpy {env.numpy or '?'}, "
-        f"{env.cpu_count or '?'} cpus, git {(env.git_sha or 'unknown')[:12]}, "
+        f"{env.cpu_count or '?'} cpus, git {short_sha}, "
         f"threads: {thread_env} [{env.digest()}]"
     )
     rows = [

@@ -69,12 +69,15 @@ def record_from_bench(
     smoke: bool = False,
     seed: Optional[int] = None,
     env: Optional[EnvironmentFingerprint] = None,
+    partial: bool = False,
 ) -> RunRecord:
     """Record for a hot-path bench run (``phase -> metrics`` mapping).
 
     Mints ``<phase>.speedup`` / ``<phase>.reference_s`` /
     ``<phase>.vectorized_s`` / ``<phase>.ops`` measurements per phase,
     and ``<phase>.slices`` where the phase reports one (``raycast``).
+    ``partial`` tags a run of only some phases (``bench --phases``),
+    which the bench floors skip.
     """
     measurements: Dict[str, Measurement] = {}
     for phase, row in results.items():
@@ -92,7 +95,7 @@ def record_from_bench(
         kind="bench",
         environment=_env(env),
         provenance=provenance,
-        tags=["smoke"] if smoke else [],
+        tags=(["smoke"] if smoke else []) + (["partial"] if partial else []),
         measurements=measurements,
         detail=_jsonable(dict(results)),
     )

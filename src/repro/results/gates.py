@@ -142,29 +142,31 @@ class GateResult:
 #: floors), and ``rt.run.check_rt_floors`` (SLO + interference), with the
 #: old smoke exemptions expressed as ``skip_tags`` — the only smoke
 #: exemption: ``rtrbench bench/suite/rt --smoke`` enforce these gates on
-#: their records like any other run.  Structural suite gates (failed
-#: tasks, determinism) stay active even on smoke records: they are
-#: machine-independent, so CI smoke runs can enforce them.
+#: their records like any other run.  The bench floors also skip records
+#: tagged ``partial`` (``bench --phases`` runs of only some phases).
+#: Structural suite gates (failed tasks, determinism) stay active even
+#: on smoke records: they are machine-independent, so CI smoke runs can
+#: enforce them.
 DEFAULT_GATES: List[Dict[str, Any]] = [
     # bench: vectorized-over-reference speedup floors (PR 1).
     {"name": "bench.raycast-speedup-floor", "kind": "bench",
      "metric": "raycast.speedup", "op": ">=", "threshold": 5.0,
-     "on_missing": "fail", "skip_tags": ["smoke"]},
+     "on_missing": "fail", "skip_tags": ["smoke", "partial"]},
     {"name": "bench.collision-speedup-floor", "kind": "bench",
      "metric": "collision.speedup", "op": ">=", "threshold": 3.0,
-     "on_missing": "fail", "skip_tags": ["smoke"]},
+     "on_missing": "fail", "skip_tags": ["smoke", "partial"]},
     {"name": "bench.nn-speedup-floor", "kind": "bench",
      "metric": "nn.speedup", "op": ">=", "threshold": 2.0,
-     "on_missing": "fail", "skip_tags": ["smoke"]},
+     "on_missing": "fail", "skip_tags": ["smoke", "partial"]},
     # Flat-array search core floors (PR 7).  ``on_missing: skip`` (not
     # fail): bench records stored before the search core existed carry
     # no search_* metrics and keep the verdicts they had.
     {"name": "bench.search-dijkstra-speedup-floor", "kind": "bench",
      "metric": "search_dijkstra.speedup", "op": ">=", "threshold": 5.0,
-     "on_missing": "skip", "skip_tags": ["smoke"]},
+     "on_missing": "skip", "skip_tags": ["smoke", "partial"]},
     {"name": "bench.search-pp3d-speedup-floor", "kind": "bench",
      "metric": "search_pp3d.speedup", "op": ">=", "threshold": 2.0,
-     "on_missing": "skip", "skip_tags": ["smoke"]},
+     "on_missing": "skip", "skip_tags": ["smoke", "partial"]},
     # suite: structural invariants (active in smoke) + timing floors.
     {"name": "suite.no-failed-tasks", "kind": "suite",
      "metric": "suite.failures", "op": "==", "threshold": 0.0,

@@ -70,19 +70,32 @@ def pinned_thread_env(threads: int = 1) -> Iterator[Dict[str, str]]:
             os.environ.pop(var, None)
 
 
-def _git_sha() -> Optional[str]:
-    """Current git HEAD sha, or ``None`` outside a repository."""
+def _git(*args: str) -> Optional[str]:
+    """Stripped stdout of one git command, or ``None`` if it fails."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             capture_output=True,
             text=True,
             timeout=5,
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _git_sha() -> Optional[str]:
+    """Current git HEAD sha, or ``None`` outside a repository.
+
+    Suffixed ``-dirty`` when a tracked file differs from HEAD, so a
+    record made from uncommitted code does not claim the commit.
+    """
+    sha = _git("rev-parse", "HEAD")
+    if not sha:
+        return None
+    if _git("status", "--porcelain", "--untracked-files=no"):
+        return f"{sha}-dirty"
+    return sha
 
 
 @dataclass

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -101,50 +100,50 @@ class BicycleModel:
             states.append(current)
         return np.array(states, dtype=float)
 
-    def jacobian_stack(
-        self,
-        thetas: Sequence[float],
-        speeds: Sequence[float],
-        deltas: Sequence[float],
-        dt: float,
+    def jacobian_entries(
+        self, theta: float, v: float, delta: float, dt: float
     ) -> tuple:
-        """Discrete-time Jacobians (A, B) of :meth:`step` at T points.
+        """The nonzero off-identity entries of :meth:`step`'s Jacobians.
 
-        Takes the points' headings, speeds and steering angles as
-        sequences of floats; returns ``(T, 4, 4)`` and ``(T, 4, 2)``
-        stacks, each point's matrices contiguous, built with ``math``
-        scalars in one ``np.array`` call.
+        At heading ``theta``, speed ``v`` and steering angle ``delta``,
+        returns ``(a02, a03, a12, a13, a23, b21)``: ``A`` is the identity
+        plus ``a02 a03 a12 a13 a23`` at those (row, column) places, and
+        ``B`` is zero but for ``b21`` and ``B[3, 0] = dt``.  The MPC's
+        Riccati pass works on these scalars; :meth:`jacobians` builds
+        the matrices from them.
         """
         wb = self.wheelbase
-        flat = []
-        for theta, v, delta in zip(thetas, speeds, deltas):
-            ct, st = math.cos(theta), math.sin(theta)
-            flat += (
-                1.0, 0.0, -v * st * dt, ct * dt,
-                0.0, 1.0, v * ct * dt, st * dt,
-                0.0, 0.0, 1.0, math.tan(delta) / wb * dt,
-                0.0, 0.0, 0.0, 1.0,
-                0.0, 0.0,
-                0.0, 0.0,
-                0.0, v / (wb * math.cos(delta) ** 2) * dt,
-                dt, 0.0,
-            )
-        ab = np.array(flat, dtype=float).reshape(-1, 24)
-        n = len(ab)
-        return ab[:, :16].reshape(n, 4, 4), ab[:, 16:].reshape(n, 4, 2)
+        ct, st = math.cos(theta), math.sin(theta)
+        return (
+            -v * st * dt,
+            ct * dt,
+            v * ct * dt,
+            st * dt,
+            math.tan(delta) / wb * dt,
+            v / (wb * math.cos(delta) ** 2) * dt,
+        )
 
     def jacobians(
         self, state: BicycleState, a: float, delta: float, dt: float
     ) -> tuple:
         """Discrete-time Jacobians (A, B) of :meth:`step` at a point.
 
-        The MPC's iterative LQR-style solver needs only these, not the
-        affine term :meth:`linearize` adds.
+        Built from :meth:`jacobian_entries`; :meth:`linearize` adds the
+        affine term.
         """
-        a_mats, b_mats = self.jacobian_stack(
-            (state.theta,), (state.v,), (delta,), dt
+        a02, a03, a12, a13, a23, b21 = self.jacobian_entries(
+            state.theta, state.v, delta, dt
         )
-        return a_mats[0], b_mats[0]
+        A = np.array(
+            [
+                [1.0, 0.0, a02, a03],
+                [0.0, 1.0, a12, a13],
+                [0.0, 0.0, 1.0, a23],
+                [0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        B = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, b21], [dt, 0.0]])
+        return A, B
 
     def linearize(
         self, state: BicycleState, a: float, delta: float, dt: float

@@ -503,6 +503,31 @@ def test_gate_cli_passes_stored_record(seeded_store, capsys):
     assert "PASS" in out
 
 
+def test_partial_bench_record_passes_strict_gate(
+    tmp_path, monkeypatch, capsys
+):
+    # A --phases run stores a record that lacks the other phases'
+    # metrics; it is tagged 'partial', so their floors skip, not fail.
+    from repro.harness import bench
+
+    row = {"reference_s": 6.0, "vectorized_s": 1.0, "speedup": 6.0,
+           "ops": 10}
+    monkeypatch.setitem(
+        bench.BENCH_PHASES, "search_dijkstra", lambda smoke, seed: row
+    )
+    results_dir = str(tmp_path / "results")
+    output = tmp_path / "partial.json"
+    code = main(["bench", "--phases", "search_dijkstra", "--output",
+                 str(output), "--results-dir", results_dir])
+    assert code == 0
+    assert json.loads(output.read_text())["tags"] == ["partial"]
+    capsys.readouterr()
+    assert main(["gate", "--strict", "--results-dir", results_dir]) == 0
+    out = capsys.readouterr().out
+    assert "bench.raycast-speedup-floor" in out
+    assert "FAIL" not in out
+
+
 def test_gate_cli_strict_fails_on_empty_store(tmp_path, capsys):
     empty = str(tmp_path / "empty")
     assert main(["gate", "--results-dir", empty]) == 0

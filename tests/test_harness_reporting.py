@@ -4,6 +4,7 @@ from repro.harness.profiler import PhaseProfiler
 from repro.harness.reporting import (
     characterization_table,
     format_table,
+    render_record,
     result_summary,
 )
 from repro.harness.runner import KernelResult
@@ -49,3 +50,16 @@ def test_characterization_table_lists_dominant():
     text = characterization_table([_fake_result()])
     assert "04.pp2d" in text
     assert "planning" in text
+
+
+def test_render_record_keeps_the_dirty_mark():
+    from repro.results import EnvironmentFingerprint, record_from_bench
+
+    sha = "0123456789abcdef0123456789abcdef01234567"
+    for git_sha, shown in ((sha, "git 0123456789ab,"),
+                           (f"{sha}-dirty", "git 0123456789ab-dirty,")):
+        record = record_from_bench(
+            {"nn": {"speedup": 3.0}},
+            env=EnvironmentFingerprint(git_sha=git_sha),
+        )
+        assert shown in render_record(record)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,30 @@ def test_capture_environment_records_interpreter_and_threads():
     assert env.numpy
     assert env.cpu_count >= 1
     assert env.thread_env == {"OMP_NUM_THREADS": "1"}
+
+
+def _git(cwd, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+         "-c", "commit.gpgsign=false", *args],
+        cwd=cwd, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+
+
+def test_capture_environment_marks_a_dirty_tree(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _git(tmp_path, "init", "-q")
+    tracked = tmp_path / "tracked.txt"
+    tracked.write_text("one\n")
+    _git(tmp_path, "add", "tracked.txt")
+    _git(tmp_path, "commit", "-q", "-m", "one")
+    sha = _git(tmp_path, "rev-parse", "HEAD")
+    assert capture_environment().git_sha == sha
+    # Untracked files leave the code at HEAD; a changed tracked one not.
+    (tmp_path / "untracked.txt").write_text("scratch\n")
+    assert capture_environment().git_sha == sha
+    tracked.write_text("two\n")
+    assert capture_environment().git_sha == f"{sha}-dirty"
 
 
 def test_fingerprint_digest_is_short_and_stable():
