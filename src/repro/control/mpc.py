@@ -74,15 +74,16 @@ class ModelPredictiveController:
         ``(horizon, 2)`` control plan; callers apply the first row
         (receding horizon).
 
-        Each iteration rolls the plan out, then runs the backward Riccati
-        pass of the matrix form
+        The plan is rolled out once (phase ``dynamics``); each iteration
+        then runs the backward Riccati pass of the matrix form
 
             H = B^T S B + R,  K = H^-1 (B^T S A),
             kf = H^-1 (B^T s + R u),  A_cl = A - B K,
             s <- A_cl^T (s - S B kf) + Q e,
             S <- A_cl^T (S A_cl) + (K^T R) K + Q,
 
-        and a clamped forward pass ``u <- u - K e - 0.2 kf``, all in
+        and a clamped forward pass ``u <- u - K e - 0.2 kf``, whose
+        propagated states are the next iteration's rollout, all in
         plain float arithmetic in one fixed order, with no BLAS call, so
         the bits do not depend on the host's linear-algebra build:
 
@@ -120,13 +121,13 @@ class ModelPredictiveController:
         # Per step: K's eight entries, then 0.2 kf.
         policy = [None] * t_len
         with prof.phase("optimize"):
+            with prof.phase("dynamics"):
+                current = x0
+                states = [current]
+                for u_a, u_d in controls:
+                    current = propagate(*current, u_a, u_d, dt)
+                    states.append(current)
             for _ in range(self.iterations):
-                with prof.phase("dynamics"):
-                    current = x0
-                    states = [current]
-                    for u_a, u_d in controls:
-                        current = propagate(*current, u_a, u_d, dt)
-                        states.append(current)
                 # Terminal cost-to-go: S = Q, s = Q e_T.
                 x, y, theta, v = states[t_len]
                 rx, ry, rtheta, rv = ref_rows[t_len]
@@ -231,9 +232,11 @@ class ModelPredictiveController:
                     s33 = (a03 * n03 + a13 * n13 + c23 * n23 + c33 * n33
                            + (rk03 * k03 + rk13 * k13) + q3)
                 prof.count("riccati_steps", t_len)
-                # Forward pass: apply the affine policy, clamped.
+                # Forward pass: apply the affine policy, clamped.  Its
+                # states are the next iteration's rollout.
                 new_controls = []
                 current = x0
+                states = [current]
                 for t, (u_a, u_d) in enumerate(controls):
                     x, y, theta, v = current
                     rx, ry, rtheta, rv = ref_rows[t]
@@ -246,6 +249,7 @@ class ModelPredictiveController:
                     )
                     new_controls.append(u)
                     current = propagate(*current, *u, dt)
+                    states.append(current)
                 controls = new_controls
         return np.array(controls)
 

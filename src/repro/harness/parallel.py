@@ -245,17 +245,10 @@ class WorkerPool:
     descriptors or zombies.
     """
 
-    def __init__(
-        self,
-        fn: Callable[[Any], Any],
-        jobs: int,
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, fn: Callable[[Any], Any], jobs: int) -> None:
         self.fn = fn
         self.jobs = max(2, jobs)
-        self._ctx = multiprocessing.get_context(
-            start_method or _default_start_method()
-        )
+        self._ctx = multiprocessing.get_context(_default_start_method())
         self._workers: List[_Worker] = []
         self._next_id = 0
         self.respawns = 0
@@ -336,7 +329,6 @@ def map_tasks(
     jobs: int = 1,
     timeout: Optional[float] = None,
     names: Optional[Sequence[str]] = None,
-    start_method: Optional[str] = None,
     priorities: Optional[Sequence[float]] = None,
     pool_stats: Optional[Dict[str, Any]] = None,
 ) -> List[TaskResult]:
@@ -381,7 +373,7 @@ def map_tasks(
 
     results: List[Optional[TaskResult]] = [None] * len(items)
     pending = deque(order)
-    pool = WorkerPool(fn, jobs, start_method=start_method)
+    pool = WorkerPool(fn, jobs)
     t_ready = time.perf_counter()
 
     def dispatch(worker: _Worker, index: int) -> None:

@@ -155,22 +155,6 @@ class PhaseProfiler:
             return None
         return max(self.stats.values(), key=lambda s: s.exclusive_time).name
 
-    def merge(self, other: "PhaseProfiler") -> None:
-        """Fold another profiler's totals into this one."""
-        for name, st in other.stats.items():
-            mine = self.stats.get(name)
-            if mine is None:
-                mine = self.stats[name] = PhaseStats(name)
-            mine.exclusive_time += st.exclusive_time
-            mine.inclusive_time += st.inclusive_time
-            mine.calls += st.calls
-            mine.min_time = min(mine.min_time, st.min_time)
-            mine.max_time = max(mine.max_time, st.max_time)
-            if st.calls:
-                mine.last_time = st.last_time
-        for name, n in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + n
-
     def reset(self) -> None:
         """Clear all accumulated statistics (open phases must be closed)."""
         if self._stack:

@@ -25,7 +25,9 @@ nothing past its own exit.
 from __future__ import annotations
 
 import multiprocessing
-from typing import Any, List, Optional
+from typing import Any, List
+
+from repro.harness.parallel import _default_start_method
 
 #: Valid antagonist kinds, in documentation order.
 ANTAGONIST_KINDS = ("cpu", "membw", "mixed")
@@ -55,12 +57,6 @@ def _membw_stream(stop: Any, buffer_bytes: int = MEMBW_BUFFER_BYTES) -> None:
         src[:] = dst
 
 
-def _default_start_method() -> str:
-    """``fork`` where available, matching ``harness.parallel``."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
-
-
 class AntagonistPool:
     """A stoppable pool of ``count`` antagonist processes.
 
@@ -70,12 +66,7 @@ class AntagonistPool:
             ...  # measured section runs under load
     """
 
-    def __init__(
-        self,
-        count: int,
-        kind: str = "cpu",
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, count: int, kind: str = "cpu") -> None:
         if count < 0:
             raise ValueError("count must be >= 0")
         if kind not in ANTAGONIST_KINDS:
@@ -85,9 +76,7 @@ class AntagonistPool:
             )
         self.count = count
         self.kind = kind
-        self._ctx = multiprocessing.get_context(
-            start_method or _default_start_method()
-        )
+        self._ctx = multiprocessing.get_context(_default_start_method())
         self._stop = self._ctx.Event()
         self._processes: List[Any] = []
 

@@ -38,6 +38,7 @@ carry ``rt.step.p99_deadline_ratio`` for ``rt.step-p99-deadline-ceiling``.
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from typing import Any, Callable, Dict, Optional
@@ -50,10 +51,9 @@ from repro.harness.runner import (
     load_all_kernels,
     registry,
 )
-from repro.rt.histogram import LatencyHistogram
 from repro.rt.interference import AntagonistPool
 from repro.rt.scheduler import PeriodicScheduler
-from repro.rt.slo import summarize_jobs
+from repro.rt.slo import latency_summary, summarize_jobs
 
 #: Valid execution granularities, in documentation order.
 GRANULARITIES = ("run", "step")
@@ -168,23 +168,21 @@ def run_condition(
     ran; the phase breakdown covers the measured jobs only (the shared
     profiler is cleared when the first measured job starts).
     """
-    roi_hist = LatencyHistogram()
+    roi_walls = []
 
     def periodic(index: int) -> None:
         if index == warmup:
             job.profiler.reset()
         wall = job()
         if index >= warmup:
-            roi_hist.record(wall)
+            roi_walls.append(wall)
 
-    scheduler = PeriodicScheduler(
-        period_s=period_s, deadline_s=deadline_s, overrun=overrun
-    )
+    scheduler = PeriodicScheduler(period_s=period_s, overrun=overrun)
     schedule = scheduler.run(periodic, jobs=jobs, warmup=warmup)
     summary = summarize_jobs(
         schedule.records, deadline_s, schedule.skipped_releases
     )
-    summary["roi_ms"] = roi_hist.summary(scale=1e3)
+    summary["roi_ms"] = latency_summary(roi_walls, scale=1e3)
     summary["busy_s"] = sum(r.latency_s for r in schedule.measured())
     summary["phase_breakdown"] = _phase_block(job.profiler)
     summary["episodes"] = job.episodes
@@ -220,7 +218,25 @@ def run_rt(
     under the antagonist pool — and the report records both conditions
     side by side with degradation ratios.  ``overrides`` patch the
     kernel's configuration, mirroring ``rtrbench run`` flags.
+
+    Every bad value raises :class:`ValueError` naming its option before
+    any job runs.
     """
+    if period_ms is not None and not 0.0 <= period_ms < math.inf:
+        raise ValueError(
+            f"period_ms must be finite and >= 0 (0 auto-calibrates), "
+            f"got {period_ms!r}"
+        )
+    if deadline_ms is not None and not deadline_ms > 0.0:
+        raise ValueError(f"deadline_ms must be > 0, got {deadline_ms!r}")
+    jobs = (12 if smoke else 50) if jobs is None else int(jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    warmup = (1 if smoke else 3) if warmup is None else int(warmup)
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+    if antagonists < 0:
+        raise ValueError(f"antagonists must be >= 0, got {antagonists}")
     if granularity not in GRANULARITIES:
         raise ValueError(
             f"unknown granularity {granularity!r}; "
@@ -240,8 +256,6 @@ def run_rt(
         config = config.replace(**overrides)
     cls.check_config(config)
 
-    jobs = (12 if smoke else 50) if jobs is None else int(jobs)
-    warmup = (1 if smoke else 3) if warmup is None else max(0, int(warmup))
     # Per-step jobs share one workload built up front; run jobs build
     # theirs per episode, as every ``Kernel.run`` repeat does.
     state = instance.setup(config) if per_step else None

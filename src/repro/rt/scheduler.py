@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 #: Valid overrun policies, in documentation order.
 OVERRUN_POLICIES = ("skip", "queue")
@@ -77,11 +77,11 @@ class ScheduleResult:
     """Everything one periodic run produced.
 
     ``records`` includes warmup jobs (flagged ``warmup=True``) so traces
-    are complete; :meth:`measured` filters them out for statistics.
+    are complete; :meth:`measured` filters them out.  Deadline
+    accounting is :func:`repro.rt.slo.summarize_jobs`'s job.
     """
 
     period_s: float
-    deadline_s: float
     overrun: str
     records: List[JobRecord] = field(default_factory=list)
     skipped_releases: int = 0
@@ -89,19 +89,6 @@ class ScheduleResult:
     def measured(self) -> List[JobRecord]:
         """The non-warmup jobs, in release order."""
         return [r for r in self.records if not r.warmup]
-
-    def miss_count(self) -> int:
-        """Measured jobs that blew their deadline."""
-        return sum(
-            1
-            for r in self.measured()
-            if not r.met_deadline(self.deadline_s)
-        )
-
-    def miss_rate(self) -> float:
-        """Fraction of measured jobs that missed the deadline."""
-        measured = self.measured()
-        return self.miss_count() / len(measured) if measured else 0.0
 
 
 class PeriodicScheduler:
@@ -116,7 +103,6 @@ class PeriodicScheduler:
     def __init__(
         self,
         period_s: float,
-        deadline_s: Optional[float] = None,
         overrun: str = "skip",
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
@@ -129,9 +115,6 @@ class PeriodicScheduler:
                 f"expected one of {OVERRUN_POLICIES}"
             )
         self.period_s = period_s
-        self.deadline_s = period_s if deadline_s is None else deadline_s
-        if self.deadline_s <= 0.0:
-            raise ValueError("deadline_s must be positive")
         self.overrun = overrun
         self._clock = clock
         self._sleep = sleep
@@ -148,7 +131,6 @@ class PeriodicScheduler:
         warmup = max(0, int(warmup))
         result = ScheduleResult(
             period_s=self.period_s,
-            deadline_s=self.deadline_s,
             overrun=self.overrun,
         )
         t0 = self._clock()

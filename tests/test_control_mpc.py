@@ -365,6 +365,26 @@ def test_optimize_phase_dominates():
     assert prof.counters["riccati_steps"] > 0
 
 
+def test_solve_rolls_the_plan_out_once():
+    # One rollout of the initial plan, then each iteration's forward pass
+    # propagates the plan that the next iteration linearizes around.
+    class CountingModel(BicycleModel):
+        calls = 0
+
+        def propagate(self, *args):
+            CountingModel.calls += 1
+            return super().propagate(*args)
+
+    prof = PhaseProfiler()
+    controller = ModelPredictiveController(
+        CountingModel(), horizon=10, dt=0.1, iterations=3, profiler=prof
+    )
+    ref = reference_trajectory(n_steps=30, speed=8.0)
+    controller.solve(BicycleState(v=8.0), ref[:11])
+    assert prof.stats["dynamics"].calls == 1
+    assert CountingModel.calls == 10 * (1 + 3)
+
+
 def test_window_pads_at_the_end():
     model = BicycleModel()
     controller = ModelPredictiveController(model, horizon=10, dt=0.1)

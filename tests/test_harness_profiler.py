@@ -101,25 +101,6 @@ def test_counters_accumulate():
     assert prof.counters == {"ops": 12, "other": 1}
 
 
-def test_merge_combines_stats_and_counters():
-    clock = _FakeClock()
-    a = PhaseProfiler(clock=clock)
-    with a.phase("x"):
-        clock.advance(1.0)
-    a.count("n", 2)
-    b = PhaseProfiler(clock=clock)
-    with b.phase("x"):
-        clock.advance(2.0)
-    with b.phase("y"):
-        clock.advance(1.0)
-    b.count("n", 3)
-    a.merge(b)
-    assert a.stats["x"].exclusive_time == pytest.approx(3.0)
-    assert a.stats["x"].calls == 2
-    assert a.stats["y"].exclusive_time == pytest.approx(1.0)
-    assert a.counters["n"] == 5
-
-
 def test_reset_clears_state():
     prof = PhaseProfiler()
     with prof.phase("a"):
@@ -208,34 +189,6 @@ def test_min_time_is_inf_before_any_call():
     assert st.min_time == float("inf")
     assert st.max_time == 0.0
     assert st.last_time == 0.0
-
-
-def test_merge_combines_min_max_and_takes_others_last():
-    clock = _FakeClock()
-    a = PhaseProfiler(clock=clock)
-    with a.phase("x"):
-        clock.advance(4.0)
-    b = PhaseProfiler(clock=clock)
-    for dt in (1.0, 9.0):
-        with b.phase("x"):
-            clock.advance(dt)
-    a.merge(b)
-    st = a.stats["x"]
-    assert st.min_time == pytest.approx(1.0)
-    assert st.max_time == pytest.approx(9.0)
-    assert st.last_time == pytest.approx(9.0)  # other ran most recently
-    assert st.calls == 3
-
-
-def test_merge_with_empty_other_keeps_last_time():
-    clock = _FakeClock()
-    a = PhaseProfiler(clock=clock)
-    with a.phase("x"):
-        clock.advance(2.0)
-    b = PhaseProfiler(clock=clock)  # never ran phase "x"
-    a.merge(b)
-    assert a.stats["x"].last_time == pytest.approx(2.0)
-    assert a.stats["x"].min_time == pytest.approx(2.0)
 
 
 def test_fraction_on_profiler_that_never_ran():

@@ -275,6 +275,31 @@ def test_unknown_granularity_is_rejected():
         run_rt("dmp", jobs=1, smoke=True, granularity="icp")
 
 
+@pytest.mark.parametrize(
+    "option,value",
+    [
+        ("period_ms", -5.0),
+        ("period_ms", float("nan")),
+        ("period_ms", float("inf")),
+        ("deadline_ms", 0.0),
+        ("deadline_ms", -1.0),
+        ("deadline_ms", float("nan")),
+        ("jobs", 0),
+        ("warmup", -4),
+        ("antagonists", -3),
+    ],
+)
+def test_bad_run_options_are_rejected_before_any_job(
+    monkeypatch, option, value
+):
+    def no_job(*args, **kwargs):
+        raise AssertionError("a job was built for a bad option")
+
+    monkeypatch.setattr("repro.rt.run.SessionJob", no_job)
+    with pytest.raises(ValueError, match=option):
+        run_rt("cem", smoke=True, **{option: value})
+
+
 # -- interference --------------------------------------------------------------
 
 
@@ -388,6 +413,20 @@ def test_cli_rt_step_granularity_end_to_end(tmp_path, capsys):
 def test_cli_rt_step_on_batch_kernel_errors(capsys):
     assert main(["rt", "16.bo", "--smoke", "--granularity", "step"]) == 2
     assert "not steppable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value,option",
+    [
+        ("--period-ms", "-1", "period_ms"),
+        ("--deadline-ms", "0", "deadline_ms"),
+        ("--jobs", "0", "jobs"),
+        ("--warmup", "-1", "warmup"),
+    ],
+)
+def test_cli_rt_bad_option_exits_2_naming_it(capsys, flag, value, option):
+    assert main(["rt", "cem", "--smoke", flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {option} must be")
 
 
 def test_cli_rt_unknown_kernel_errors(capsys):

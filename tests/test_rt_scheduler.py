@@ -2,6 +2,8 @@
 
 All timing uses a fake monotonic clock whose ``sleep`` advances it
 exactly, so every release, response, and skip count is deterministic.
+The scheduler only records timestamps; the miss counts of its runs come
+from :func:`repro.rt.slo.summarize_jobs`.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.rt.scheduler import JobRecord, PeriodicScheduler
+from repro.rt.slo import summarize_jobs
 
 
 class FakeClock:
@@ -26,8 +29,7 @@ class FakeClock:
         self.now += dt
 
 
-def run_with_durations(durations, period=10.0, deadline=None, overrun="skip",
-                       warmup=0):
+def run_with_durations(durations, period=10.0, overrun="skip", warmup=0):
     """Run one schedule where job i takes ``durations[i]`` fake seconds."""
     clock = FakeClock()
     queue = iter(durations)
@@ -37,7 +39,6 @@ def run_with_durations(durations, period=10.0, deadline=None, overrun="skip",
 
     scheduler = PeriodicScheduler(
         period_s=period,
-        deadline_s=deadline,
         overrun=overrun,
         clock=clock,
         sleep=clock.sleep,
@@ -90,24 +91,27 @@ def test_deadline_classification_is_inclusive():
 
 
 def test_miss_accounting():
-    result, _ = run_with_durations(
-        [25.0, 1.0, 1.0, 1.0], deadline=10.0, overrun="queue"
-    )
+    result, _ = run_with_durations([25.0, 1.0, 1.0, 1.0], overrun="queue")
+    summary = summarize_jobs(result.records, deadline_s=10.0)
     # Responses: 25, 16, 7, 1 -> two misses out of four.
-    assert result.miss_count() == 2
-    assert result.miss_rate() == pytest.approx(0.5)
+    assert summary["misses"] == 2
+    assert summary["miss_rate"] == pytest.approx(0.5)
 
 
 def test_warmup_jobs_recorded_but_excluded_from_stats():
-    result, _ = run_with_durations(
-        [50.0, 1.0, 1.0], deadline=10.0, overrun="skip", warmup=1
-    )
+    result, _ = run_with_durations([50.0, 1.0, 1.0], overrun="skip", warmup=1)
     assert len(result.records) == 3
     assert result.records[0].warmup
     assert len(result.measured()) == 2
     # The warmup job overran by 4 periods but charges no skips/misses.
     assert result.skipped_releases == 0
-    assert result.miss_count() == 0
+    summary = summarize_jobs(
+        result.records, deadline_s=10.0,
+        skipped_releases=result.skipped_releases,
+    )
+    assert summary["jobs"] == 2
+    assert summary["misses"] == 0
+    assert summary["skipped_releases"] == 0
 
 
 def test_deterministic_under_fake_clock():
@@ -119,16 +123,9 @@ def test_deterministic_under_fake_clock():
     assert a.skipped_releases == b.skipped_releases
 
 
-def test_deadline_defaults_to_period():
-    scheduler = PeriodicScheduler(period_s=0.25)
-    assert scheduler.deadline_s == 0.25
-
-
 def test_invalid_parameters_raise():
     with pytest.raises(ValueError, match="period"):
         PeriodicScheduler(period_s=0.0)
-    with pytest.raises(ValueError, match="deadline"):
-        PeriodicScheduler(period_s=1.0, deadline_s=-1.0)
     with pytest.raises(ValueError, match="overrun"):
         PeriodicScheduler(period_s=1.0, overrun="explode")
     clock = FakeClock()
@@ -141,7 +138,7 @@ def test_invalid_parameters_raise():
 
 def test_real_monotonic_clock_smoke():
     """A tiny run on the real clock: sane ordering, non-negative times."""
-    scheduler = PeriodicScheduler(period_s=0.002, deadline_s=0.002)
+    scheduler = PeriodicScheduler(period_s=0.002)
     result = scheduler.run(lambda i: None, jobs=3)
     for record in result.records:
         assert record.end_s >= record.start_s >= record.release_s >= 0.0

@@ -1,4 +1,9 @@
-"""Tests for deadline summarization and the miss-rate gate's boundary."""
+"""Tests for deadline summarization and the miss-rate gate's boundary.
+
+:func:`~repro.rt.slo.summarize_jobs` is the one place that counts a
+deadline miss; the latency block it reports is tested in
+``test_rt_histogram.py``.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ import pytest
 
 from repro.results import Measurement, RunRecord, evaluate_gates
 from repro.rt.scheduler import JobRecord
-from repro.rt.slo import summarize_jobs
+from repro.rt.slo import latency_summary, summarize_jobs
 
 
 def _records(responses, period=10.0):
@@ -51,6 +56,30 @@ def test_summarize_jitter_block():
     summary = summarize_jobs(records, deadline_s=1.0)
     assert summary["jitter_ms"]["max"] == pytest.approx(2.0)
     assert summary["jitter_ms"]["mean"] == pytest.approx(1.0)
+
+
+def test_summarize_blocks_come_from_the_raw_samples():
+    records = [
+        JobRecord(index=i, release_s=0.01 * i, start_s=0.01 * i + j,
+                  end_s=0.01 * i + j + d)
+        for i, (j, d) in enumerate(
+            [(0.0, 0.003), (0.001, 0.002), (-1e-9, 0.004), (0.0005, 0.001)]
+        )
+    ]
+    summary = summarize_jobs(records, deadline_s=0.01)
+    assert summary["response_ms"] == latency_summary(
+        [r.response_s for r in records], scale=1e3
+    )
+    assert summary["latency_ms"] == latency_summary(
+        [r.latency_s for r in records], scale=1e3
+    )
+    # Jitter's p99 and max use the same nearest rank on the clamped
+    # samples (the one negative start error counts as 0).
+    clamped = latency_summary(
+        [max(0.0, r.jitter_s) for r in records], scale=1e3
+    )
+    assert summary["jitter_ms"]["p99"] == clamped["p99"]
+    assert summary["jitter_ms"]["max"] == clamped["max"]
 
 
 def _verdicts(summary, deadline_s=None):

@@ -7,21 +7,15 @@ batch ``run_roi``.  Each converted kernel's original batch body is
 frozen here verbatim (as it stood before the conversion) and compared
 against both the inherited ``run_roi`` (which now drives the step loop)
 and a manually stepped session.
-
-Plus: hypothesis properties for :class:`LatencyHistogram` merges across
-step sessions — per-episode histograms folded together must agree with
-one histogram over the concatenated per-step latencies.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.harness.profiler import PhaseProfiler
 from repro.harness.runner import load_all_kernels, registry
-from repro.rt.histogram import LatencyHistogram
 
 load_all_kernels()
 
@@ -384,58 +378,3 @@ def test_reopened_session_replays_the_episode(name, backend):
         second.step()
     assert_bitwise_equal(second.finish(), first_output)
     assert second.profiler.counters == first.profiler.counters
-
-
-# -- LatencyHistogram merge across step sessions ------------------------------
-
-latencies = st.lists(
-    st.floats(
-        min_value=1e-7, max_value=10.0, allow_nan=False, allow_infinity=False
-    ),
-    min_size=1,
-    max_size=60,
-)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    episodes=st.lists(latencies, min_size=1, max_size=6),
-)
-def test_histogram_merge_across_step_sessions(episodes):
-    """Per-episode histograms merged == one histogram over all steps.
-
-    Models the per-step rt mode: each episode records its own per-step
-    latencies; folding the episode histograms together must preserve
-    counts, totals, extremes, and every bucket — so quantiles computed
-    from the merged histogram match the single-stream histogram exactly.
-    """
-    merged = LatencyHistogram()
-    for episode in episodes:
-        per_episode = LatencyHistogram()
-        per_episode.record_many(episode)
-        merged.merge(per_episode)
-    flat = LatencyHistogram()
-    flat.record_many([value for episode in episodes for value in episode])
-    assert merged.count == flat.count
-    assert merged.sum == pytest.approx(flat.sum)
-    assert merged.min == flat.min
-    assert merged.max == flat.max
-    for q in (0.0, 0.5, 0.9, 0.99, 1.0):
-        assert merged.quantile(q) == flat.quantile(q)
-
-
-@settings(max_examples=30, deadline=None)
-@given(values=latencies, split=st.integers(min_value=0, max_value=60))
-def test_histogram_merge_is_order_independent(values, split):
-    """Splitting one step stream at any point merges to the same summary."""
-    cut = min(split, len(values))
-    left, right = LatencyHistogram(), LatencyHistogram()
-    left.record_many(values[:cut])
-    right.record_many(values[cut:])
-    a = LatencyHistogram()
-    a.merge(left)
-    a.merge(right)
-    b = LatencyHistogram()
-    b.merge(right)
-    b.merge(left)
-    assert a.summary(scale=1e3) == b.summary(scale=1e3)
