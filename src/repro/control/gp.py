@@ -47,11 +47,6 @@ class GaussianProcess:
         self._alpha: Optional[np.ndarray] = None
         self._cho = None
 
-    @property
-    def n_observations(self) -> int:
-        """Number of conditioning observations."""
-        return 0 if self._x is None else len(self._x)
-
     def fit(self, x: np.ndarray, y: np.ndarray) -> None:
         """Condition the GP on observations ``(x, y)``.
 

@@ -208,9 +208,6 @@ def render_suite_report(report: Dict[str, Any]) -> str:
     )
     executor = suite.get("executor")
     if executor:
-        extras = []
-        if executor.get("respawns"):
-            extras.append(f"{executor['respawns']} respawns")
         utilization = suite.get("worker_utilization")
         share = suite.get("dispatch_overhead_share")
         lines.append(
@@ -219,7 +216,6 @@ def render_suite_report(report: Dict[str, Any]) -> str:
             f"utilization {utilization:.0%}, "
             f"dispatch overhead {suite['dispatch_overhead_s']:.3f}s "
             f"({share:.1%} of task time)"
-            + ("; " + ", ".join(extras) if extras else "")
             if utilization is not None and share is not None
             else f"executor: {executor['workers']} workers "
             f"({executor['scheduling']})"

@@ -6,19 +6,20 @@ Fig. 21 scale comparison — plus periodic real-time tasks for a fast
 kernel subset (:mod:`repro.rt`), as one flat task list dispatched
 through :func:`repro.harness.parallel.map_tasks`:
 
-* every kernel / bench phase / sweep point is an isolated task; one that
-  raises or hangs becomes a failure row in the report while the rest of
-  the suite completes (the pool respawns lost workers);
-* workload setup goes through each process's content-keyed memo
-  (:mod:`repro.envs.cache`); with ``jobs > 1`` the parent orders
-  dispatch longest-first using per-task durations from the previous
-  run record — a scheduling hint only, never a measurement;
+* every kernel / bench phase / sweep point runs in its own forked
+  child, whatever ``jobs`` is; one that raises, hangs past ``timeout``
+  or crashes becomes a failure row in the report while the rest of the
+  suite completes;
+* workload setup goes through the child's content-keyed memo
+  (:mod:`repro.envs.cache`); the parent orders dispatch longest-first
+  using per-task durations from the previous run record — a
+  scheduling hint only, never a measurement;
 * the serial baseline is opt-in: ``baseline=True`` runs the task list a
-  second time, inline, in the same process on the same host, and the
-  run cross-checks per-task fingerprints (operation counters — the
-  timing-free part of each result) against that pass, the suite's
-  determinism guarantee.  Without it a parallel run reports no
-  speedup.
+  second time through the same executor with ``jobs=1``, on the same
+  host, and the run cross-checks per-task fingerprints (operation
+  counters — the timing-free part of each result) against that pass,
+  the suite's determinism guarantee.  Without it a parallel run
+  reports no speedup.
 
 This is the one place that runs benchmark work in parallel: the
 ``characterize``, ``bench`` and Fig. 21 drivers are serial, and their
@@ -45,6 +46,7 @@ import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.harness.parallel import TaskResult, derive_seed, map_tasks
+from repro.harness.runner import load_all_kernels
 from repro.results import ResultStore
 
 #: Fast kernels for ``--smoke`` runs (sub-second at default configs).
@@ -160,7 +162,7 @@ def suite_tasks(
 
 
 def run_suite_task(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one suite task (worker-process entry); returns a report row.
+    """Execute one suite task (task-process entry); returns a report row.
 
     The row carries ROI/setup wall clock, a timing-free ``fingerprint``
     (operation counters / deterministic work counts) for determinism
@@ -292,10 +294,10 @@ def _rows(results: Sequence[TaskResult]) -> List[Dict[str, Any]]:
     """TaskResults -> report rows (failure rows keep the worker traceback).
 
     Each row carries the executor's per-task accounting alongside the
-    task payload: ``exec_s`` (worker-measured execution), ``wall_s``
+    task payload: ``exec_s`` (child-measured execution), ``wall_s``
     (parent-observed dispatch-to-result, so ``wall_s - exec_s`` is the
     dispatch overhead), ``queue_wait_s`` (time spent scheduled but not
-    yet dispatched), and ``worker`` (which pool worker ran it).
+    yet dispatched), and ``worker`` (the executor slot that ran it).
     """
     rows = []
     for result in results:
@@ -413,11 +415,12 @@ def run_suite(
 ) -> Dict[str, Any]:
     """Run the whole suite and return the ``BENCH_suite.json`` payload.
 
-    With ``jobs > 1`` the task list runs once on a persistent worker
-    pool, scheduled longest-first when a previous run record knows the
-    task durations; each worker memoizes the workloads it builds.  The
-    serial comparison is **opt-in**: ``baseline=True`` re-runs the task
-    list inline (doubling wall time) and cross-checks fingerprints.
+    The task list runs once, one forked child per task with at most
+    ``jobs`` at a time, scheduled longest-first when a previous run
+    record knows the task durations; ``timeout`` ends a hung task's
+    child.  The serial comparison is **opt-in**: ``baseline=True``
+    re-runs the task list through the same executor with ``jobs=1``
+    (doubling wall time) and cross-checks fingerprints.
     Without it ``parallel_speedup`` is ``null`` and
     ``parallel_speedup_reason`` says why: a stored record may come from
     another commit or host, so only a serial pass of this run on this
@@ -431,6 +434,9 @@ def run_suite(
     names = [t["name"] for t in tasks]
 
     priorities = _task_priorities(tasks, ResultStore(results_dir))
+    # Import every kernel here, once: each forked task inherits the
+    # modules instead of importing them again.
+    load_all_kernels()
 
     pool_stats: Dict[str, Any] = {}
     t0 = time.perf_counter()
@@ -453,13 +459,17 @@ def run_suite(
         speedup_reason = "serial run (jobs <= 1): nothing to compare"
     elif not baseline:
         speedup_reason = (
-            "no serial baseline; run with --baseline to measure one "
-            "inline"
+            "no serial baseline; run with --baseline to measure one"
         )
     else:
         t0 = time.perf_counter()
         serial_results = map_tasks(
-            run_suite_task, tasks, jobs=1, names=names
+            run_suite_task,
+            tasks,
+            jobs=1,
+            timeout=timeout,
+            names=names,
+            priorities=priorities,
         )
         serial_wall_s = time.perf_counter() - t0
         expected = {
@@ -511,7 +521,6 @@ def run_suite(
             ),
             "executor": {
                 "workers": workers,
-                "respawns": pool_stats.get("respawns", 0),
                 "crashes": pool_stats.get("crashes", 0),
                 "timeouts": pool_stats.get("timeouts", 0),
                 "scheduling": (

@@ -5,7 +5,7 @@ interesting question is how the latency distribution moves when the
 kernel shares the machine with load.  This module launches *antagonist*
 processes — deliberately cache- and scheduler-hostile busy loops — next
 to the measured task, reusing the process-isolation pattern of
-:mod:`repro.harness.parallel` (forked daemon workers, terminate + join
+:mod:`repro.harness.parallel` (forked daemon children, terminate + join
 teardown, kill fallback) so an antagonist can never outlive its run.
 
 Kinds:

@@ -128,7 +128,8 @@ class PeriodicScheduler:
         """Execute ``warmup + jobs`` periodic releases of ``job_fn``."""
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        warmup = max(0, int(warmup))
+        if warmup < 0:
+            raise ValueError("warmup must be >= 0")
         result = ScheduleResult(
             period_s=self.period_s,
             overrun=self.overrun,

@@ -8,14 +8,12 @@ Gaussian-distributed noise to each sensor measurement").
 
 from repro.sensors.landmarks import LandmarkSensor, RangeBearing
 from repro.sensors.lidar import Lidar
-from repro.sensors.noise import GaussianNoise
 from repro.sensors.odometry import OdometryModel, OdometryReading
 
 __all__ = [
     "LandmarkSensor",
     "RangeBearing",
     "Lidar",
-    "GaussianNoise",
     "OdometryModel",
     "OdometryReading",
 ]

@@ -315,6 +315,17 @@ def test_suite_smoke_with_a_failed_task_exits_nonzero(
     assert "GATE FAILURE suite.no-failed-tasks" in capsys.readouterr().err
 
 
+def test_suite_zero_jobs_errors(tmp_path, capsys):
+    target = tmp_path / "BENCH_suite.json"
+    code = main(
+        ["suite", "--smoke", "-j", "0", "--filter", "characterize:15.cem",
+         "--output", str(target), "--no-store"]
+    )
+    assert code == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not target.exists()
+
+
 def test_suite_filter_with_no_match_errors(capsys):
     code = main(["suite", "--smoke", "--filter", "no-such-task-*"])
     assert code == 2
@@ -474,14 +485,16 @@ def test_compare_committed_record_against_itself(capsys):
     assert "raycast.speedup" in out
 
 
-def test_compare_fail_on_regression_exits_nonzero(tmp_path, capsys):
+def test_compare_labels_a_regression_but_judges_nothing(tmp_path, capsys):
+    """``compare`` reports deltas; pass/fail belongs to the gates."""
     def slow_down(document):
         document["measurements"]["raycast.speedup"]["value"] /= 10.0
 
     slower = _hotpaths_copy(tmp_path, "slower.json", slow_down)
-    code = main(["compare", HOTPATHS, slower, "--fail-on-regression"])
-    assert code == 1
-    assert "REGRESSED" in capsys.readouterr().out
+    assert main(["compare", HOTPATHS, slower]) == 0
+    out = capsys.readouterr().out
+    assert "REGRESSED" in out
+    assert "1 regressions" in out
 
 
 def test_compare_names_a_record_of_another_schema(tmp_path, capsys):

@@ -1,11 +1,10 @@
-"""Tests for the persistent-pool suite executor (crash/timeout isolation)."""
+"""Tests for the process-per-task suite executor (crash/timeout isolation)."""
 
 from __future__ import annotations
 
 import multiprocessing
 import os
 import time
-import warnings
 
 import pytest
 
@@ -73,28 +72,37 @@ def test_empty_items():
     assert map_tasks(_square, [], jobs=4) == []
 
 
-# -- persistent pool -----------------------------------------------------------
+# -- one process per task -----------------------------------------------------
 
 
-def test_workers_are_reused_across_tasks():
-    """The pool amortizes start-up: tasks share worker processes."""
-    results = map_tasks(_pid, list(range(12)), jobs=2)
-    pids = {r.value for r in results}
-    assert 1 <= len(pids) <= 2  # 12 tasks, at most 2 processes
-    assert all(r.worker_id is not None for r in results)
+def test_serial_run_forks_a_child_per_task():
+    """jobs=1 isolates each task too: no task runs in the parent."""
+    results = map_tasks(_pid, list(range(4)), jobs=1)
+    pids = [r.value for r in results]
+    assert os.getpid() not in pids
+    assert len(set(pids)) == 4
+    assert [r.worker_id for r in results] == [0, 0, 0, 0]
+
+
+def test_slots_bound_concurrency():
+    results = map_tasks(_pid, list(range(6)), jobs=2)
+    assert {r.worker_id for r in results} == {0, 1}
+    assert len({r.value for r in results}) == 6
+
+
+def test_jobs_below_one_raises():
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        map_tasks(_square, [1], jobs=0)
 
 
 def test_pool_stats_report_worker_count():
     stats = {}
     map_tasks(_square, list(range(6)), jobs=3, pool_stats=stats)
-    assert stats["workers"] == 3
-    assert stats["respawns"] == 0
-    assert stats["crashes"] == 0
-    assert stats["timeouts"] == 0
+    assert stats == {"workers": 3, "crashes": 0, "timeouts": 0}
 
 
 def test_pool_leaves_no_zombies_or_extra_fds():
-    """Repeated pool lifecycles (incl. timeouts) must not leak."""
+    """Repeated executor runs (incl. timeouts) must not leak."""
     map_tasks(_square, list(range(4)), jobs=2)  # warm imports
     fds_before = len(os.listdir("/proc/self/fd"))
     for _ in range(3):
@@ -157,6 +165,16 @@ def test_silent_worker_death_is_reported():
     assert "died without reporting" in results[1].error
 
 
+def test_serial_run_reports_a_silent_death():
+    """jobs=1 isolates a crash too: the parent survives to report it."""
+    stats = {}
+    results = map_tasks(_die_silently, [0, 1, 2], jobs=1, pool_stats=stats)
+    assert [r.ok for r in results] == [True, False, True]
+    assert results[1].exitcode == 17
+    assert "died without reporting" in results[1].error
+    assert stats["crashes"] == 1
+
+
 def _sleep_or_die(x):
     if x == 1:
         os._exit(23)
@@ -164,11 +182,11 @@ def _sleep_or_die(x):
     return x
 
 
-def test_crash_triggers_respawn_and_remaining_tasks_complete():
-    """A worker lost mid-task is replaced; the rest of the queue drains.
+def test_crash_is_isolated_and_remaining_tasks_complete():
+    """A child lost mid-task costs one row; the rest of the queue drains.
 
     Tasks are slow enough that work is still pending when the crash is
-    reaped, so pool capacity must be restored for the queue to finish.
+    reaped, so its slot must be reused for the queue to finish.
     """
     stats = {}
     results = map_tasks(
@@ -179,7 +197,6 @@ def test_crash_triggers_respawn_and_remaining_tasks_complete():
     ]
     assert results[1].exitcode == 23
     assert stats["crashes"] == 1
-    assert stats["respawns"] == 1
     assert multiprocessing.active_children() == []
 
 
@@ -204,16 +221,20 @@ def test_timeout_kills_only_the_hung_task():
     assert elapsed < 30.0
 
 
-def test_inline_timeout_warns_once():
-    """jobs <= 1 cannot preempt a hung task; the caller hears about it."""
-    import repro.harness.parallel as parallel_mod
-
-    parallel_mod._warned_inline_timeout = False
-    with pytest.warns(RuntimeWarning, match="cannot enforce"):
-        map_tasks(_square, [1], jobs=1, timeout=5.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # second run must stay silent
-        map_tasks(_square, [1], jobs=1, timeout=5.0)
+def test_serial_run_enforces_the_timeout():
+    """jobs=1 preempts a hung task like any other jobs value."""
+    stats = {}
+    t0 = time.perf_counter()
+    results = map_tasks(
+        _hang_on_one, [0, 1, 2], jobs=1, timeout=1.5, pool_stats=stats
+    )
+    elapsed = time.perf_counter() - t0
+    assert [r.ok for r in results] == [True, False, True]
+    assert results[1].timed_out
+    assert results[1].exitcode < 0  # ended by a signal
+    assert stats["timeouts"] == 1
+    assert multiprocessing.active_children() == []
+    assert elapsed < 30.0
 
 
 # -- determinism ---------------------------------------------------------------

@@ -80,7 +80,7 @@ def test_suite_tasks_seeds_are_content_derived():
 
 @pytest.fixture(scope="module")
 def smoke_report():
-    """One parallel smoke run with the opt-in inline serial baseline."""
+    """One parallel smoke run with the opt-in serial (jobs=1) baseline."""
     return run_suite(jobs=4, smoke=True, kernels=FAST_KERNELS, baseline=True)
 
 
@@ -309,7 +309,7 @@ def run_beside_stored_serial_record(tmp_path_factory):
 def test_stored_record_orders_dispatch_longest_first(
     run_beside_stored_serial_record,
 ):
-    """The stored record's per-task durations schedule the pool."""
+    """The stored record's per-task durations order dispatch."""
     report = run_beside_stored_serial_record
     assert report["suite"]["executor"]["scheduling"] == "longest-first"
 
@@ -317,7 +317,7 @@ def test_stored_record_orders_dispatch_longest_first(
 def test_parallel_run_without_baseline_reports_no_speedup(
     run_beside_stored_serial_record,
 ):
-    """Only the inline serial pass measures speedup and determinism.
+    """Only the serial baseline pass measures speedup and determinism.
 
     A stored record may come from another commit or host, so even a
     comparable one never stands in for this run's baseline.

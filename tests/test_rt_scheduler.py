@@ -136,6 +136,17 @@ def test_invalid_parameters_raise():
         scheduler.run(lambda i: None, jobs=0)
 
 
+def test_negative_warmup_raises_instead_of_clamping():
+    clock = FakeClock()
+    scheduler = PeriodicScheduler(
+        period_s=1.0, clock=clock, sleep=clock.sleep
+    )
+    calls = []
+    with pytest.raises(ValueError, match="warmup must be >= 0"):
+        scheduler.run(calls.append, jobs=2, warmup=-1)
+    assert calls == []
+
+
 def test_real_monotonic_clock_smoke():
     """A tiny run on the real clock: sane ordering, non-negative times."""
     scheduler = PeriodicScheduler(period_s=0.002)

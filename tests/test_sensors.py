@@ -10,29 +10,7 @@ from repro.envs.mapgen import wean_hall_like
 from repro.geometry.transforms import SE2
 from repro.sensors.landmarks import LandmarkSensor
 from repro.sensors.lidar import Lidar
-from repro.sensors.noise import GaussianNoise
 from repro.sensors.odometry import OdometryModel, OdometryReading
-
-
-# -- noise ---------------------------------------------------------------------
-
-
-def test_gaussian_noise_zero_sigma_is_identity(rng):
-    noise = GaussianNoise(0.0)
-    assert noise.perturb(3.0, rng) == 3.0
-    values = np.array([1.0, 2.0])
-    assert np.array_equal(noise.perturb_array(values, rng), values)
-
-
-def test_gaussian_noise_perturbs(rng):
-    noise = GaussianNoise(1.0)
-    samples = [noise.perturb(0.0, rng) for _ in range(200)]
-    assert 0.7 < np.std(samples) < 1.3
-
-
-def test_gaussian_noise_negative_sigma_raises():
-    with pytest.raises(ValueError):
-        GaussianNoise(-1.0)
 
 
 # -- odometry ----------------------------------------------------------------------
