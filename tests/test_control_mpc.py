@@ -253,6 +253,46 @@ def test_propagate_equals_frozen_step(x, y, theta, v, a, delta):
     assert model.step(BicycleState(x, y, theta, v), a, delta, 0.1) == expected
 
 
+def test_tick_state_stays_python_float():
+    # A plan row's np.float64 entries must not leak into the plant state:
+    # the next tick's solve would then run in numpy-scalar arithmetic.
+    controller = ModelPredictiveController(BicycleModel(), horizon=8)
+    session = controller.track_begin(
+        BicycleState(v=8.0), reference_trajectory(n_steps=20)
+    )
+    for t in range(2):
+        controller.track_step(session, t)
+    for field in ("x", "y", "theta", "v"):
+        assert type(getattr(session.state, field)) is float, field
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    horizon=st.integers(1, 16),
+    iterations=st.integers(1, 4),
+    start=st.integers(0, 20),
+    dx=st.floats(-2.0, 2.0),
+    dy=st.floats(-2.0, 2.0),
+    dtheta=st.floats(-0.5, 0.5),
+    v=st.floats(0.0, 15.0),
+)
+def test_solve_on_numpy_scalar_state_equals_float_state(
+    horizon, iterations, start, dx, dy, dtheta, v
+):
+    window = reference_trajectory(n_steps=40)[start:start + horizon + 1]
+    x, y, theta, _ = window[0].tolist()
+    fields = (x + dx, y + dy, theta + dtheta, v)
+    controller = ModelPredictiveController(
+        BicycleModel(max_speed=12.0), horizon=horizon, iterations=iterations
+    )
+    plan = controller.solve(BicycleState(*fields), window)
+    numpy_plan = controller.solve(
+        BicycleState(*map(np.float64, fields)), window
+    )
+    assert numpy_plan.dtype == plan.dtype == np.float64
+    assert numpy_plan.tobytes() == plan.tobytes()
+
+
 def test_validation():
     with pytest.raises(ValueError):
         ModelPredictiveController(BicycleModel(), horizon=0)

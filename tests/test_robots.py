@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry.transforms import SE2
 from repro.robots.arm import PlanarArm
 from repro.robots.ball_thrower import BallThrower
 from repro.robots.bicycle import BicycleModel, BicycleState
-from repro.robots.differential import DifferentialDrive
 
 
 # -- arm -------------------------------------------------------------------
@@ -68,47 +66,6 @@ def test_arm_limits_and_clamp(rng):
     assert clamped == pytest.approx([1.0, 0.0])
     for _ in range(50):
         assert arm.within_limits(arm.sample_configuration(rng))
-
-
-# -- differential drive --------------------------------------------------------
-
-
-def test_diff_drive_straight_motion():
-    robot = DifferentialDrive()
-    pose = robot.step(SE2(0, 0, 0), v=1.0, w=0.0, dt=2.0)
-    assert pose.x == pytest.approx(2.0)
-    assert pose.y == pytest.approx(0.0)
-
-
-def test_diff_drive_full_circle():
-    robot = DifferentialDrive(max_v=10.0, max_w=10.0)
-    pose = SE2(1.0, 0.0, math.pi / 2.0)
-    # One full circle of radius 1: v = r*w.
-    n = 100
-    for _ in range(n):
-        pose = robot.step(pose, v=1.0, w=1.0, dt=2 * math.pi / n)
-    assert pose.x == pytest.approx(1.0, abs=1e-6)
-    assert pose.y == pytest.approx(0.0, abs=1e-6)
-
-
-def test_diff_drive_clamps_controls():
-    robot = DifferentialDrive(max_v=1.0, max_w=1.0)
-    assert robot.clamp(5.0, -7.0) == (1.0, -1.0)
-
-
-def test_diff_drive_validation():
-    with pytest.raises(ValueError):
-        DifferentialDrive(max_v=0.0)
-
-
-def test_odometry_between_matches_sensor_model():
-    robot = DifferentialDrive()
-    before = SE2(0, 0, 0)
-    after = SE2(1.0, 0.0, 0.5)
-    rot1, trans, rot2 = robot.odometry_between(before, after)
-    assert trans == pytest.approx(1.0)
-    assert rot1 == pytest.approx(0.0)
-    assert rot2 == pytest.approx(0.5)
 
 
 # -- bicycle ---------------------------------------------------------------------
